@@ -16,10 +16,8 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .geometry import SetMask
-from .inequality import ThmConstants
+from .inequality import ThmConstants, masked_form, spectral_factors_log
 from .lattice import SpectralSubspace
-
-LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -53,16 +51,6 @@ def propagate(subspace: SpectralSubspace, u0: np.ndarray, t: float) -> np.ndarra
     if t < 0:
         raise ValidationError("t must be non-negative")
     return np.asarray(u0, dtype=complex) * np.exp(-subspace.eigenvalues * t)
-
-
-def masked_form(subspace: SpectralSubspace, mask: SetMask) -> np.ndarray:
-    """Hermitian k x k matrix of the L2(S) inner product on the subspace."""
-    if mask.cells.shape != tuple(subspace.setup.N):
-        raise ValidationError("mask grid does not match the operator grid")
-    cell = subspace.setup.spacing[0] * subspace.setup.spacing[1]
-    weights = mask.cells.ravel().astype(float)
-    g = subspace.vectors.conj().T @ (subspace.vectors * weights[:, None]) * cell
-    return 0.5 * (g + g.conj().T)
 
 
 def _time_nodes(T: float, nodes: int, panels: int):
@@ -127,8 +115,8 @@ def worst_observability_quotient(subspace: SpectralSubspace, mask: SetMask,
     return float(np.linalg.eigvalsh(m)[-1])
 
 
-def hum_control(problem: HeatProblem, eps_target: float = 1e-8,
-                nodes: int = 64, panels: Optional[int] = None) -> HumResult:
+def hum_control(problem: HeatProblem, nodes: int = 64,
+                panels: Optional[int] = None) -> HumResult:
     """Minimal-norm control driving u0 to zero at the horizon.
 
     Solves G_T p = -e^(-TH) u0, returns the control f(t) = M_S e^(-(T-t)H) p
@@ -237,23 +225,6 @@ def abstract_cost(d0: float, d1: float, T: float, x_norm: float = 1.0,
                   consts: tuple = (1.0, 1.0, 1.0)) -> float:
     log = abstract_cost_log(math.log(d0), d1, T, x_norm, consts)
     return math.exp(log) if log < 709.0 else math.inf
-
-
-def spectral_factors_log(B: float, ell: tuple, rho: float,
-                         c: ThmConstants = ThmConstants()) -> tuple:
-    """(log d0, d1) with log C(E) = log d0 + d1 sqrt(E) for the constant mode."""
-    if not 0.0 < rho <= 1.0:
-        raise ValidationError("rho must lie in (0, 1]")
-    l1 = abs(ell[0]) + abs(ell[1])
-    if c.mode == "structural":
-        base = math.log(c.C1 / rho)
-        return (c.C2 + c.C4 * l1 * l1 * B) * base, c.C3 * l1 * base
-    k = 2.0 * 240.0**2
-    base = math.log(96.0 * math.pi / rho)
-    ln_m_rest = math.log(16.0) + k * (l1 * math.sqrt(B) + l1 * l1 * B)
-    log_d0 = math.log(4.0) + (1.0 + 2.0 * ln_m_rest / LN2) * base
-    d1 = 2.0 * k * l1 * base / LN2
-    return log_d0, d1
 
 
 def cost_bound_log(rho: float, ell: tuple, B: float, T: float,

@@ -133,25 +133,26 @@ def sample_operator(config: EnsembleConfig, trial: int) -> MagneticOperator:
     return assemble(config.setup, potential=v)
 
 
-def eigen_count_window(op: MagneticOperator, E: float, eps: float) -> int:
-    """Exact count of eigenvalues in [E - eps, E + eps] (dense solve)."""
-    if eps < 0:
+def eigen_window_counts(op: MagneticOperator, E: float,
+                        eps_list: Sequence[float]) -> np.ndarray:
+    """Exact counts of eigenvalues in [E - eps, E + eps], one per eps, from
+    one dense solve."""
+    eps_arr = np.asarray(eps_list, dtype=float)
+    if np.any(eps_arr < 0):
         raise ValidationError("eps must be non-negative")
     evals = scipy.linalg.eigvalsh(op.matrix.toarray())
-    return int(np.count_nonzero((evals >= E - eps) & (evals <= E + eps)))
+    return np.array(
+        [np.count_nonzero((evals >= E - eps) & (evals <= E + eps)) for eps in eps_arr],
+        dtype=int,
+    )
 
 
 def window_counts_for_trials(config: EnsembleConfig, E: float,
                              eps_list: Sequence[float], trials: int) -> np.ndarray:
     """(trials, n_eps) integer counts; one dense solve per trial."""
-    eps_arr = np.asarray(eps_list, dtype=float)
-    out = np.zeros((trials, eps_arr.size), dtype=int)
+    out = np.zeros((trials, len(eps_list)), dtype=int)
     for t in range(trials):
-        v = potential_from_couplings(config, sample_couplings(config, t))
-        op = assemble(config.setup, potential=v)
-        evals = scipy.linalg.eigvalsh(op.matrix.toarray())
-        for j, eps in enumerate(eps_arr):
-            out[t, j] = np.count_nonzero((evals >= E - eps) & (evals <= E + eps))
+        out[t] = eigen_window_counts(sample_operator(config, t), E, eps_list)
     return out
 
 
@@ -196,18 +197,6 @@ class WegnerStats:
             m = np.log(np.maximum(self.mean[:, j], 1e-12))
             out.append(float(np.polyfit(ls, m, 1)[0]))
         return np.array(out)
-
-    def csv_rows(self):
-        rows = []
-        s = self.s2eps()
-        for i, L in enumerate(self.box_sizes):
-            for j, e in enumerate(self.eps):
-                ratio = self.mean[i, j] / (s[j] * L * L)
-                rows.append(
-                    f"{L!r},{self.energy!r},{e!r},{self.mean[i, j]!r},"
-                    f"{self.stderr[i, j]!r},{s[j]!r},{ratio!r}"
-                )
-        return rows
 
 
 def wegner_sweep(configs, E: float, eps_list: Sequence[float],

@@ -61,12 +61,6 @@ class ThicknessReport:
     min_count: int
     window_cells: tuple
 
-    def csv_row(self) -> str:
-        return (
-            f"{self.ell[0]!r},{self.ell[1]!r},{self.rho_lower!r},"
-            f"{self.anchor[0]!r},{self.anchor[1]!r}"
-        )
-
 
 @dataclass(frozen=True)
 class Covering:
@@ -87,13 +81,19 @@ def _snap_cells(ell: float, h: float):
     return int(np.floor(w)), False
 
 
+def _prefix(a: np.ndarray) -> np.ndarray:
+    """2-D prefix sums with a zero first row and column, in a's dtype."""
+    p = np.zeros((a.shape[0] + 1, a.shape[1] + 1), dtype=a.dtype)
+    p[1:, 1:] = a.cumsum(0).cumsum(1)
+    return p
+
+
 def window_counts(cells: np.ndarray, w1: int, w2: int, periodic: bool) -> np.ndarray:
     """Occupancy counts of all w1 x w2 windows via 2-D prefix sums."""
     a = cells.astype(np.int64)
     if periodic:
         a = np.pad(a, ((0, w1 - 1), (0, w2 - 1)), mode="wrap")
-    p = np.zeros((a.shape[0] + 1, a.shape[1] + 1), dtype=np.int64)
-    p[1:, 1:] = a.cumsum(0).cumsum(1)
+    p = _prefix(a)
     return p[w1:, w2:] - p[:-w1, w2:] - p[w1:, :-w2] + p[:-w1, :-w2]
 
 
@@ -174,12 +174,6 @@ class RectangleLabel:
     mass: float  # squared L2 norm of f on the rectangle
 
 
-def _prefix(a: np.ndarray) -> np.ndarray:
-    p = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
-    p[1:, 1:] = a.cumsum(0).cumsum(1)
-    return p
-
-
 def _box_sum(p: np.ndarray, i0: int, i1: int, j0: int, j1: int) -> float:
     return float(p[i1, j1] - p[i0, j1] - p[i1, j0] + p[i0, j0])
 
@@ -206,9 +200,6 @@ def classify_good_bad(f: GridField, covering: Covering, E: float, B: float,
         for alpha in product((1, 2), repeat=m):
             deriv_prefix[alpha] = _prefix(np.abs(mod2_derivative_word(words, alpha).real))
     mass_prefix = _prefix(np.abs(f.samples) ** 2)
-    x1, x2 = f.axes()
-    x1 = x1.ravel()
-    x2 = x2.ravel()
     area = f.cell_area
     thresholds = {
         m: 4 ** (m + 1) * float(bernstein_constant(m, E, B, "L1"))
@@ -216,10 +207,7 @@ def classify_good_bad(f: GridField, covering: Covering, E: float, B: float,
     }
     labels = []
     for a1, a2 in covering.anchors:
-        i0 = int(np.searchsorted(x1, a1 - 1e-12, "left"))
-        i1 = int(np.searchsorted(x1, a1 + covering.ell[0] - 1e-12, "left"))
-        j0 = int(np.searchsorted(x2, a2 - 1e-12, "left"))
-        j1 = int(np.searchsorted(x2, a2 + covering.ell[1] - 1e-12, "left"))
+        i0, i1, j0, j1 = f.rect_indices((a1, a2), covering.ell)
         mass = _box_sum(mass_prefix, i0, i1, j0, j1) * area
         good = True
         for m in range(1, m_max + 1):

@@ -47,22 +47,31 @@ class ThmConstants:
             raise ValidationError("C1 must be positive")
 
 
-def theoretical_constant_log(E: float, B: float, ell: tuple, rho: float,
-                             c: ThmConstants = ThmConstants()) -> float:
-    """Natural log of the spectral-inequality constant."""
+def spectral_factors_log(B: float, ell: tuple, rho: float,
+                         c: ThmConstants = ThmConstants()) -> tuple:
+    """(log d0, d1) with log C(E) = log d0 + d1 sqrt(E) for the constant mode."""
     if not 0.0 < rho <= 1.0:
         raise ValidationError("rho must lie in (0, 1]")
-    if B < 0 or E < 0 or (B > 0 and E < B):
-        raise ValidationError("need E >= B > 0 or B = 0")
     l1 = abs(ell[0]) + abs(ell[1])
     if c.mode == "structural":
-        return (c.C2 + c.C3 * l1 * math.sqrt(E) + c.C4 * l1 * l1 * B) * math.log(
-            c.C1 / rho
-        )
-    ln_m = math.log(16.0) + 2.0 * 240.0**2 * (
-        l1 * (math.sqrt(E) + math.sqrt(B)) + l1 * l1 * B
-    )
-    return math.log(4.0) + (1.0 + 2.0 * ln_m / LN2) * math.log(96.0 * math.pi / rho)
+        base = math.log(c.C1 / rho)
+        return (c.C2 + c.C4 * l1 * l1 * B) * base, c.C3 * l1 * base
+    k = 2.0 * 240.0**2
+    base = math.log(96.0 * math.pi / rho)
+    ln_m_rest = math.log(16.0) + k * (l1 * math.sqrt(B) + l1 * l1 * B)
+    log_d0 = math.log(4.0) + (1.0 + 2.0 * ln_m_rest / LN2) * base
+    d1 = 2.0 * k * l1 * base / LN2
+    return log_d0, d1
+
+
+def theoretical_constant_log(E: float, B: float, ell: tuple, rho: float,
+                             c: ThmConstants = ThmConstants()) -> float:
+    """Natural log of the spectral-inequality constant (rho is checked in
+    spectral_factors_log)."""
+    if B < 0 or E < 0 or (B > 0 and E < B):
+        raise ValidationError("need E >= B > 0 or B = 0")
+    log_d0, d1 = spectral_factors_log(B, ell, rho, c)
+    return log_d0 + d1 * math.sqrt(E)
 
 
 def theoretical_constant(E: float, B: float, ell: tuple, rho: float,
@@ -90,22 +99,31 @@ def _basis_matrix(basis, mask: SetMask):
     return vecs, cell
 
 
+def masked_form(basis, mask: SetMask) -> np.ndarray:
+    """Hermitian k x k matrix of the L2(S) inner product on the basis."""
+    vecs, cell = _basis_matrix(basis, mask)
+    weights = mask.cells.ravel().astype(float)
+    g = vecs.conj().T @ (vecs * weights[:, None]) * cell
+    return 0.5 * (g + g.conj().T)
+
+
 def empirical_constant(basis, mask: SetMask) -> float:
     """Sharp constant sup_f ||f||^2 / ||f||^2_{L2(S)} over the subspace.
 
-    1/lambda_min of the masked Gram form on an orthonormalized basis.
+    1/lambda_min of the masked Gram form, orthonormalized when the basis is
+    not: X^H M X with X = G^(-1/2) from the k x k Gram matrix G.
     """
     vecs, cell = _basis_matrix(basis, mask)
     if vecs.shape[1] == 0:
         raise ValidationError("empty subspace")
+    masked = masked_form(basis, mask)
     gram = vecs.conj().T @ vecs * cell
     if np.max(np.abs(gram - np.eye(gram.shape[0]))) > 1e-8:
         evals, evecs = np.linalg.eigh(gram)
         if evals[0] <= 1e-12:
             raise ValidationError("basis is numerically dependent")
-        vecs = vecs @ (evecs / np.sqrt(evals)) @ evecs.conj().T
-    weights = mask.cells.ravel().astype(float)
-    masked = vecs.conj().T @ (vecs * weights[:, None]) * cell
+        x = (evecs / np.sqrt(evals)) @ evecs.conj().T
+        masked = x.conj().T @ masked @ x
     lam_min = float(np.linalg.eigvalsh(masked)[0])
     if lam_min <= 1e-14:
         raise NumericalError(
@@ -248,17 +266,6 @@ def _poly_disc_sup(lf: LadderField, anchors, ell: tuple, radii: tuple,
     return float(np.max(np.abs(phi)))
 
 
-def _rect_indices(f: GridField, anchor, ell):
-    x1, x2 = f.axes()
-    x1 = x1.ravel()
-    x2 = x2.ravel()
-    i0 = int(np.searchsorted(x1, anchor[0] - 1e-12, "left"))
-    i1 = int(np.searchsorted(x1, anchor[0] + ell[0] - 1e-12, "left"))
-    j0 = int(np.searchsorted(x2, anchor[1] - 1e-12, "left"))
-    j1 = int(np.searchsorted(x2, anchor[1] + ell[1] - 1e-12, "left"))
-    return i0, i1, j0, j1
-
-
 @dataclass(frozen=True)
 class LocalEstimateResult:
     passed: bool
@@ -284,7 +291,7 @@ def local_estimate_check(f: GridField, rect, u_cells: np.ndarray,
         raise ValidationError("A must be invertible")
     g = np.abs(f.samples) ** 2
     area = f.cell_area
-    i0, i1, j0, j1 = _rect_indices(f, anchor, ell)
+    i0, i1, j0, j1 = f.rect_indices(anchor, ell)
     box = np.zeros_like(g, dtype=bool)
     box[i0:i1, j0:j1] = True
     g_q = float(g[box].sum()) * area

@@ -21,6 +21,7 @@ from __future__ import annotations
 import struct
 import warnings
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -207,6 +208,15 @@ class GridField:
         x2 = self.origin[1] + self.spacing[1] * np.arange(n2)
         return x1[:, None], x2[None, :]
 
+    def rect_indices(self, anchor, ell):
+        """Index ranges (i0, i1, j0, j1) of the grid points in the half-open
+        rectangle [anchor, anchor + ell), with a 1e-12 tolerance on each edge."""
+        (i0, i1), (j0, j1) = (
+            np.searchsorted(x.ravel(), np.array([a, a + w]) - 1e-12)
+            for x, a, w in zip(self.axes(), anchor, ell)
+        )
+        return int(i0), int(i1), int(j0), int(j1)
+
     def with_samples(self, samples, ladder=None) -> "GridField":
         return GridField(samples, self.origin, self.spacing, ladder)
 
@@ -241,18 +251,6 @@ def sample_ladder(lf: LadderField, spec: QuadratureSpec = QuadratureSpec(),
 def coherent_field(state: CoherentState,
                    spec: QuadratureSpec = QuadratureSpec()) -> GridField:
     return sample_ladder(LadderField.coherent(state), spec)
-
-
-def eval_coherent(state: CoherentState, x):
-    """Closed-form value of the coherent state at a point or point array."""
-    x1 = np.asarray(x[0], dtype=float)
-    x2 = np.asarray(x[1], dtype=float)
-    y1, y2 = state.y
-    b = state.B
-    return np.exp(
-        -(b / 4.0) * ((x1 - y1) ** 2 + (x2 - y2) ** 2)
-        - 1j * (b / 2.0) * (x1 * y2 - x2 * y1)
-    )
 
 
 # -- projector kernel --------------------------------------------------------
@@ -481,15 +479,11 @@ def l1_bernstein_sum(f: GridField, m: int, B: float, method: str = "auto",
     total = 0.0
     if exact:
         words = _word_fields(f, m, B, "closed_form")
-        from itertools import product
-
         for alpha in product((1, 2), repeat=m):
             vals = mod2_derivative_word(words, alpha)
             total += l1_norm(vals.real, f.cell_area)
         return total
     mod2 = np.abs(f.samples) ** 2
-    from itertools import product
-
     for alpha in product((1, 2), repeat=m):
         g = mod2
         for axis in alpha:

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NumericalError, ValidationError
-from .landau import GridField
+from .landau import GridField, LadderField
 
 TWO_PI = 2.0 * np.pi
 
@@ -169,7 +169,6 @@ class SpectralSubspace:
     eigenvalues: np.ndarray
     vectors: np.ndarray  # (dim, k), columns L2-orthonormal
     cutoff: float
-    residual_tol: float = 1e-8
 
     @property
     def dim(self) -> int:
@@ -245,10 +244,8 @@ def eigensolve(op: MagneticOperator, energy: Optional[float] = None,
     if resid > residual_tol:
         raise NumericalError(f"eigenpair residual {resid:.2e} above {residual_tol:.0e}")
     cutoff = energy if energy is not None else (evals[-1] if evals.size else -np.inf)
-    return SpectralSubspace(
-        setup=setup, eigenvalues=evals, vectors=vectors,
-        cutoff=float(cutoff), residual_tol=residual_tol,
-    )
+    return SpectralSubspace(setup=setup, eigenvalues=evals, vectors=vectors,
+                            cutoff=float(cutoff))
 
 
 def _max_residual(op: MagneticOperator, evals, vectors) -> float:
@@ -353,8 +350,6 @@ def coherent_vector(setup: TorusSetup, center: tuple, level: int = 0) -> np.ndar
     realize A = (0, B x1), so the transplant carries the gauge factor
     exp(i (B/2) x1 x2).  Returns raw (N1, N2) samples (not normalized).
     """
-    from .landau import LadderField
-
     lf = LadderField(setup.B, {tuple(center): {level: 1.0}})
     n1, n2 = setup.N
     x1 = setup.spacing[0] * np.arange(n1)[:, None]

@@ -171,3 +171,108 @@ def test_manifest_round_trip(tmp_path):
     assert main(["--config", str(out1 / "manifest.txt"), "--out", str(out2)]) == 0
     assert (out1 / "fm.txt").read_bytes() == (out2 / "fm.txt").read_bytes()
     assert (out1 / "manifest.txt").read_bytes() == (out2 / "manifest.txt").read_bytes()
+
+# -- output format ---------------------------------------------------------------
+
+SMALL_RUNS = {
+    "fm": ["--m", "3"],
+    "weyl-verify": ["--m-max", "2"],
+    "bernstein": ["--samples", "1", "--m-max", "1"],
+    "thickness": ["--mask", STRIPS, "--l", "8.5,8.5"],
+    "specineq": ["--mask", STRIPS],
+    "remez": ["--count", "3"],
+    "control": ["--mask", STRIPS, "--T", "0.5,1"],
+    "wegner": ["--L", "2", "--trials", "2", "--eps", "0.1,0.2"],
+}
+HEADERS = {
+    "weyl.csv": "m,recursion_ok",
+    "bernstein.csv": "sample,m,l2_sum,l2_bound,l1_sum,l1_bound,pass",
+    "thickness.csv": "l1,l2,rho_lower,anchor_x,anchor_y",
+    "specineq.csv": "E,B,l1,l2,rho,C_emp,log_C_emp,log_C_traced,pass",
+    "remez.csv": "kind,index,pass",
+    "control.csv": "T,rho,l1,l2,B,E_max,hum_cost,log_bound_traced,residual",
+    "wegner.csv": "L,E,eps,mean_count,stderr,s2eps,ratio",
+}
+OUTPUTS = {
+    "fm": {"fm.txt"},
+    "weyl-verify": {"weyl.csv"},
+    "bernstein": {"bernstein.csv"},
+    "thickness": {"thickness.csv"},
+    "specineq": {"specineq.csv"},
+    "remez": {"remez.csv"},
+    "control": {"control.csv", "cost_vs_T.dat", "trajectory_0.csv", "trajectory_1.csv"},
+    "wegner": {"wegner.csv", "count_vs_eps.dat"},
+}
+
+
+def _plain_cell(cell: str) -> bool:
+    if cell in ("true", "false") or cell.isidentifier():
+        return True
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_command_outputs_are_plain_rows(tmp_path, command):
+    assert main([command, *SMALL_RUNS[command], "--out", str(tmp_path)]) == 0
+    files = {p.name for p in tmp_path.iterdir()} - {"manifest.txt"}
+    assert files == OUTPUTS[command]
+    for name in files:
+        text = (tmp_path / name).read_text()
+        assert "np." not in text
+        lines = text.splitlines()
+        if name.endswith(".dat"):
+            assert all(len(line.split(" ")) == 2 for line in lines)
+            cells = [c for line in lines for c in line.split(" ")]
+        elif name.endswith(".csv"):
+            header = lines[0].split(",")
+            if name.startswith("trajectory_"):
+                k = (len(header) - 1) // 2
+                assert header == ["t"] + [f"{p}_{i}" for i in range(k) for p in ("re", "im")]
+            else:
+                assert lines[0] == HEADERS[name]
+            assert len(lines) > 1
+            assert all(len(line.split(",")) == len(header) for line in lines[1:])
+            cells = [c for line in lines[1:] for c in line.split(",")]
+        else:
+            continue
+        assert all(_plain_cell(c) for c in cells)
+
+
+# -- non-finite input ------------------------------------------------------------
+
+NEEDS_MASK = ("thickness", "specineq", "control")
+FLOAT_KEYS = [  # (command, key, value template)
+    ("bernstein", "B", "{}"),
+    ("bernstein", "tol", "{}"),
+    ("thickness", "l", "{},8"),
+    ("thickness", "spacing", "1,{}"),
+    ("specineq", "E", "{}"),
+    ("specineq", "E", "{}B"),
+    ("specineq", "L", "{},8"),
+    ("specineq", "l", "2,{}"),
+    ("specineq", "rho", "{}"),
+    ("control", "L", "8,{}"),
+    ("control", "T", "1,{}"),
+    ("control", "l", "{},2"),
+    ("control", "eps-target", "{}"),
+    ("control", "rho", "{}"),
+    ("wegner", "L", "4,{}"),
+    ("wegner", "E", "{}"),
+    ("wegner", "eps", "0.1,{}"),
+    ("wegner", "coupling", "0,{}"),
+]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("command,key,template", FLOAT_KEYS)
+def test_non_finite_value_exits_2(tmp_path, capsys, command, key, template, bad):
+    argv = [command, f"--{key}", template.format(bad), "--out", str(tmp_path)]
+    if command in NEEDS_MASK:
+        argv += ["--mask", STRIPS]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("magbern: error:")
+    assert not (tmp_path / "manifest.txt").exists()

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from magbern.disorder import (
     EnsembleConfig,
-    eigen_count_window,
+    eigen_window_counts,
     fat_cantor_disk_profile,
     fat_cantor_indices,
     linear_in_eps,
@@ -16,6 +16,7 @@ from magbern.disorder import (
     sample_operator,
     trial_rng,
     wegner_sweep,
+    window_counts_for_trials,
 )
 from magbern.errors import ValidationError
 from magbern.lattice import TorusSetup, assemble, eigensolve
@@ -121,14 +122,13 @@ def test_count_full_lowest_cluster_equals_flux_quanta():
     sub = eigensolve(op, count=17, dense_threshold=128, seed=0)
     center = float(np.mean(sub.eigenvalues[:16]))
     gap_width = float(sub.eigenvalues[16] - center)
-    got = eigen_count_window(op, center, 0.5 * gap_width)
-    assert got == 16
+    assert eigen_window_counts(op, center, [0.5 * gap_width]).tolist() == [16]
 
 
 def test_zero_width_window_is_empty_with_disorder():
     cfg = small_config()
     op = sample_operator(cfg, 0)
-    assert eigen_count_window(op, 6.3, 0.0) == 0
+    assert eigen_window_counts(op, 6.3, [0.0]).tolist() == [0]
 
 
 def test_gap_window_stays_empty_at_small_disorder():
@@ -137,7 +137,27 @@ def test_gap_window_stays_empty_at_small_disorder():
                          coupling=(0.0, 0.2), master_seed=3)
     op = sample_operator(cfg, 1)
     # clean clusters at ~6.09 and ~17.9: probe the middle of the gap
-    assert eigen_count_window(op, 12.0, 1.0) == 0
+    assert eigen_window_counts(op, 12.0, [1.0]).tolist() == [0]
+
+
+def test_window_counts_match_per_eps_dense_counts():
+    # oracle: the per-eps path the shared counts replaced, one dense solve
+    # per window on an operator assembled from the sampled couplings
+    cfg = small_config(master_seed=11)
+    rng = np.random.default_rng(5)
+    energy = float(rng.uniform(5.0, 8.0))
+    eps = sorted(rng.uniform(0.01, 2.0, size=4).tolist())
+    counts = window_counts_for_trials(cfg, energy, eps, trials=5)
+    assert counts.shape == (5, 4)
+    for t in range(5):
+        v = potential_from_couplings(cfg, sample_couplings(cfg, t))
+        op = assemble(cfg.setup, potential=v)
+        for j, e in enumerate(eps):
+            evals = scipy.linalg.eigvalsh(op.matrix.toarray())
+            assert counts[t, j] == np.count_nonzero(
+                (evals >= energy - e) & (evals <= energy + e))
+    with pytest.raises(ValidationError):
+        eigen_window_counts(op, energy, [0.1, -0.1])
 
 
 # -- sweeps ------------------------------------------------------------------------
@@ -161,8 +181,6 @@ def test_wegner_sweep_statistics():
     r = stats.ratios()
     assert r.max() <= 2.0 * r.min()
     assert linear_in_eps(stats, z=4.0)
-    rows = stats.csv_rows()
-    assert len(rows) == 6 and all(len(x.split(",")) == 7 for x in rows)
 
 
 def test_wegner_sweep_validation():

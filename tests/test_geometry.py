@@ -119,12 +119,6 @@ def test_non_multiple_window_is_conservative():
     assert rep.rho_lower >= 0.0
 
 
-def test_report_csv_row_shape():
-    m = SetMask(np.ones((8, 8), dtype=bool), (1.0, 1.0))
-    row = thickness_scan(m, (2.0, 2.0)).csv_row()
-    assert len(row.split(",")) == 5
-
-
 # -- coverings -----------------------------------------------------------------
 
 

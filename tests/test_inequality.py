@@ -71,6 +71,35 @@ def test_constant_input_validation():
         ThmConstants(mode="weird")
 
 
+def _inline_chain_log(E, B, ell, rho, c):
+    """The constant as first written, one formula per mode (test oracle)."""
+    l1 = abs(ell[0]) + abs(ell[1])
+    if c.mode == "structural":
+        return (c.C2 + c.C3 * l1 * math.sqrt(E) + c.C4 * l1 * l1 * B) * math.log(
+            c.C1 / rho
+        )
+    ln_m = math.log(16.0) + 2.0 * 240.0**2 * (
+        l1 * (math.sqrt(E) + math.sqrt(B)) + l1 * l1 * B
+    )
+    return math.log(4.0) + (1.0 + 2.0 * ln_m / math.log(2.0)) * math.log(
+        96.0 * math.pi / rho
+    )
+
+
+@pytest.mark.parametrize("mode", ["traced", "structural"])
+def test_constant_matches_inline_chain(mode):
+    rng = rng_stream(17)
+    for _ in range(200):
+        b = float(rng.choice([0.0, rng.uniform(0.01, 5.0)]))
+        e = b * float(rng.uniform(1.0, 20.0)) if b else float(rng.uniform(0.0, 50.0))
+        ell = (float(rng.uniform(0.0, 4.0)), float(rng.uniform(0.0, 4.0)))
+        rho = float(rng.uniform(1e-3, 1.0))
+        c = ThmConstants() if mode == "traced" else ThmConstants(
+            mode, *rng.uniform(0.1, 5.0, size=4).tolist())
+        assert theoretical_constant_log(e, b, ell, rho, c) == pytest.approx(
+            _inline_chain_log(e, b, ell, rho, c), rel=1e-13, abs=1e-13)
+
+
 def test_traced_value_overflows_to_inf_by_design():
     assert theoretical_constant(4.0, 1.0, (1.0, 1.0), 0.5) == math.inf
 
@@ -113,6 +142,22 @@ def test_empirical_below_traced_for_strip_mask():
     c_emp = empirical_constant(sub, mask)
     log_traced = theoretical_constant_log(setup.B, setup.B, rep.ell, rep.rho_lower)
     assert math.log(c_emp) <= log_traced
+
+
+def test_non_orthonormal_basis_matches_orthonormalized_vectors():
+    # oracle: 1/lambda_min of the masked form on a QR-orthonormalized copy of
+    # the vectors; lambda_min does not depend on the orthonormal basis chosen
+    rng = rng_stream(23)
+    for _ in range(10):
+        k, n1, n2 = (int(v) for v in rng.integers((1, 6, 6), (5, 14, 14)))
+        spacing = tuple(rng.uniform(0.2, 1.0, size=2).tolist())
+        basis = rng.normal(size=(k, n1, n2)) + 1j * rng.normal(size=(k, n1, n2))
+        mask = SetMask(rng.random((n1, n2)) < 0.6, spacing)
+        q = np.linalg.qr(basis.reshape(k, -1).T)[0] / math.sqrt(mask.cell_area)
+        w = mask.cells.ravel()
+        masked = q.conj().T @ (q * w[:, None]) * mask.cell_area
+        want = 1.0 / np.linalg.eigvalsh(masked)[0]
+        assert empirical_constant(basis, mask) == pytest.approx(want, rel=1e-9)
 
 
 def test_void_inequality_reported():

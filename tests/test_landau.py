@@ -17,7 +17,6 @@ from magbern.landau import (
     bernstein_sum,
     boundary_mass_fraction,
     coherent_field,
-    eval_coherent,
     eval_kernel,
     f_m_quadratic_form,
     inner,
@@ -42,12 +41,12 @@ FAST = QuadratureSpec(tail_sigmas=9.0, points_per_length=8)
 
 def test_coherent_value_at_center_is_one():
     st = CoherentState((0.7, -0.3), 2.0)
-    assert eval_coherent(st, (0.7, -0.3)) == pytest.approx(1.0)
+    assert complex(LadderField.coherent(st).eval(0.7, -0.3)) == pytest.approx(1.0)
 
 
 def test_coherent_centered_at_origin_is_real_gaussian():
     st = CoherentState((0.0, 0.0), 1.5)
-    v = eval_coherent(st, (0.4, -0.9))
+    v = complex(LadderField.coherent(st).eval(0.4, -0.9))
     assert v.imag == 0.0
     assert v.real == pytest.approx(math.exp(-1.5 / 4 * (0.4**2 + 0.9**2)))
 
@@ -61,7 +60,7 @@ def test_coherent_norm_is_2pi_over_b(B, y):
 def test_modulus_depends_only_on_distance_from_center():
     st = CoherentState((0.5, 1.0), 1.0)
     pts = [(0.5 + 0.8, 1.0), (0.5, 1.0 + 0.8), (0.5 - 0.8, 1.0)]
-    mods = [abs(eval_coherent(st, p)) for p in pts]
+    mods = [abs(LadderField.coherent(st).eval(*p)) for p in pts]
     assert max(mods) - min(mods) < 1e-14
 
 
@@ -82,6 +81,29 @@ def test_disk_mass_independent_of_center():
         lf = LadderField.coherent(CoherentState(y, B))
         vals.append(radial_mass_outside(lf, y, 1.1))
     assert vals[0] == pytest.approx(vals[1], rel=1e-10)
+
+
+def test_rect_indices_match_brute_force_membership():
+    g = GridField(np.zeros((40, 30)), (-1.3, 0.7), (0.25, 0.1))
+    x1, x2 = (x.ravel() for x in g.axes())
+    rng = rng_stream(31)
+    for trial in range(200):
+        aligned = trial % 2 == 1
+        if aligned:  # anchor on a grid point, sides whole multiples of h
+            i, j = int(rng.integers(0, 40)), int(rng.integers(0, 30))
+            ki, kj = int(rng.integers(1, 20)), int(rng.integers(1, 20))
+            anchor, ell = (x1[i], x2[j]), (0.25 * ki, 0.1 * kj)
+        else:
+            anchor = (rng.uniform(-3.0, 10.0), rng.uniform(0.0, 4.5))
+            ell = (rng.uniform(0.05, 6.0), rng.uniform(0.05, 2.0))
+        i0, i1, j0, j1 = g.rect_indices(anchor, ell)
+        in1 = (x1 >= anchor[0] - 1e-12) & (x1 < anchor[0] + ell[0] - 1e-12)
+        in2 = (x2 >= anchor[1] - 1e-12) & (x2 < anchor[1] + ell[1] - 1e-12)
+        assert np.flatnonzero(in1).tolist() == list(range(i0, i1))
+        assert np.flatnonzero(in2).tolist() == list(range(j0, j1))
+        if aligned:  # half-open: the near edge is in, the far edge out
+            assert (i0, i1) == (i, min(i + ki, 40))
+            assert (j0, j1) == (j, min(j + kj, 30))
 
 
 # -- projector kernel ---------------------------------------------------------
