@@ -69,6 +69,13 @@ def _parse_rho(text: str) -> float:
     return v
 
 
+def _parse_tol(text: str) -> float:
+    v = float(text)
+    if not v >= 0.0:
+        raise ValidationError(f"tol must be non-negative, got {text!r}")
+    return v
+
+
 # command -> {key: (parser, default)}; None default means required
 SCHEMAS = {
     "fm": {"m": (int, 2)},
@@ -83,7 +90,7 @@ SCHEMAS = {
         "samples": (int, 5),
         "levels": (int, 2),
         "seed": (int, 0),
-        "tol": (float, 1e-4),
+        "tol": (_parse_tol, 1e-4),
     },
     "thickness": {
         "mask": (str, None),

@@ -272,14 +272,24 @@ def write_pbm(mask: SetMask, path) -> None:
 
 
 def read_pbm(path, spacing=(1.0, 1.0), periodic: bool = False) -> SetMask:
-    with open(path) as fh:
-        tokens = []
-        for line in fh:
-            line = line.split("#", 1)[0]
-            tokens.extend(line.split())
+    try:
+        with open(path) as fh:
+            tokens = []
+            for line in fh:
+                line = line.split("#", 1)[0]
+                tokens.extend(line.split())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: cannot read mask: {exc}") from exc
     if not tokens or tokens[0] != "P1":
         raise ValidationError(f"{path}: not a plain PBM (P1) file")
-    n2, n1 = int(tokens[1]), int(tokens[2])
+    try:
+        n2, n1 = int(tokens[1]), int(tokens[2])
+    except (IndexError, ValueError):
+        raise ValidationError(
+            f"{path}: malformed PBM header, expected 'P1 <width> <height>'"
+        ) from None
+    if n1 <= 0 or n2 <= 0:
+        raise ValidationError(f"{path}: PBM dimensions must be positive")
     bits = tokens[3:]
     if len(bits) != n1 * n2:
         raise ValidationError(f"{path}: expected {n1 * n2} bits, found {len(bits)}")

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from magbern import disorder
 from magbern.cli import main, parse_config, parse_energy, read_keyvalue_file
 from magbern.errors import ValidationError
 from magbern.geometry import SetMask, write_pbm
@@ -240,6 +241,44 @@ def test_command_outputs_are_plain_rows(tmp_path, command):
         else:
             continue
         assert all(_plain_cell(c) for c in cells)
+
+
+@pytest.mark.parametrize("name,content", [
+    ("missing.pbm", None),
+    ("letters.pbm", "P1\nx 2\n1 1\n"),
+    ("short.pbm", "P1\n4"),
+    ("negative.pbm", "P1\n-1 -1\n1\n"),
+    ("binary.pbm", b"\xff\xfe\x00"),
+])
+def test_unreadable_mask_exits_2(tmp_path, capsys, name, content):
+    path = tmp_path / name
+    if isinstance(content, str):
+        path.write_text(content)
+    elif content is not None:
+        path.write_bytes(content)
+    argv = ["thickness", "--mask", str(path), "--l", "1,1", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("magbern: error:") and str(path) in err
+
+
+def test_negative_bernstein_tol_exits_2(tmp_path, capsys):
+    argv = ["bernstein", "--tol", "-1", "--samples", "1", "--m-max", "1",
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "tol must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.txt").exists()
+
+
+def test_wegner_rejects_zero_eps_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran before eps was validated")
+
+    monkeypatch.setattr(disorder, "window_counts_for_trials", no_trials)
+    argv = ["wegner", "--L", "4", "--trials", "20", "--eps", "0,0.1",
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "eps must be positive" in capsys.readouterr().err
 
 
 # -- non-finite input ------------------------------------------------------------

@@ -1,11 +1,17 @@
 """Alloy-type random Landau Hamiltonian and Wegner-window statistics."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magbern.disorder import (
     EnsembleConfig,
+    _dense_window_counts,
     eigen_window_counts,
     fat_cantor_disk_profile,
     fat_cantor_indices,
@@ -22,10 +28,15 @@ from magbern.errors import ValidationError
 from magbern.lattice import TorusSetup, assemble, eigensolve
 
 
-def small_config(master_seed=7):
-    setup = TorusSetup.from_flux(16, (4.0, 4.0), (20, 20))
+def box_config(length, coupling=(0.0, 1.0), master_seed=7):
+    setup = TorusSetup.from_flux(length**2, (float(length),) * 2,
+                                 (5 * length, 5 * length))
     return EnsembleConfig(setup, fat_cantor_disk_profile((5, 5)),
-                          coupling=(0.0, 1.0), master_seed=master_seed)
+                          coupling=coupling, master_seed=master_seed)
+
+
+def small_config(master_seed=7):
+    return box_config(4, master_seed=master_seed)
 
 
 # -- modulus of continuity -------------------------------------------------------
@@ -160,6 +171,55 @@ def test_window_counts_match_per_eps_dense_counts():
         eigen_window_counts(op, energy, [0.1, -0.1])
 
 
+def counts_and_fallbacks(op, energy, eps):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        counts = eigen_window_counts(op, energy, eps)
+    fallbacks = sum(issubclass(w.category, RuntimeWarning) for w in caught)
+    return counts, fallbacks
+
+
+@pytest.mark.parametrize("length", [4, 8])
+def test_inertia_counts_match_dense_on_random_trials(length):
+    cfg = box_config(length, master_seed=23)
+    rng = np.random.default_rng(length)
+    trials, fallbacks = 10, 0
+    for t in range(trials):
+        energy = float(rng.uniform(5.0, 8.0))
+        eps = np.sort(rng.uniform(0.005, 0.5, size=3))
+        op = sample_operator(cfg, t)
+        counts, fell_back = counts_and_fallbacks(op, energy, eps)
+        fallbacks += fell_back
+        assert counts.tolist() == _dense_window_counts(op, energy, eps).tolist()
+    # the guard may send a few shifts to the dense path, not most of them
+    assert fallbacks < trials // 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    length=st.sampled_from([2, 4]),
+    m0=st.floats(-1.0, 1.0),
+    width=st.floats(0.05, 3.0),
+    trial=st.integers(0, 1000),
+    energy=st.floats(2.0, 20.0),
+    eps=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4),
+)
+def test_inertia_counts_match_dense_property(length, m0, width, trial, energy, eps):
+    cfg = box_config(length, coupling=(m0, m0 + width), master_seed=trial)
+    op = sample_operator(cfg, trial)
+    counts, _ = counts_and_fallbacks(op, energy, eps)
+    assert counts.tolist() == _dense_window_counts(op, energy, np.array(eps)).tolist()
+
+
+def test_shift_on_an_eigenvalue_falls_back_to_dense():
+    op = assemble(TorusSetup.from_flux(16, (4.0, 4.0), (20, 20)))
+    energy = float(scipy.linalg.eigvalsh(op.matrix.toarray())[16])
+    with pytest.warns(RuntimeWarning, match=re.escape(f"shift {energy!r}")):
+        counts = eigen_window_counts(op, energy, [0.0])
+    assert counts.tolist() == _dense_window_counts(op, energy, [0.0]).tolist()
+    assert counts[0] >= 1
+
+
 # -- sweeps ------------------------------------------------------------------------
 
 
@@ -187,6 +247,8 @@ def test_wegner_sweep_validation():
     cfg = small_config()
     with pytest.raises(ValidationError):
         wegner_sweep(cfg, 6.3, [0.1], trials=1)
+    with pytest.raises(ValidationError):
+        wegner_sweep(cfg, 6.3, [0.1, 0.0], trials=4)
     other = EnsembleConfig(cfg.setup, cfg.site_profile, coupling=(0.0, 2.0))
     with pytest.raises(ValidationError):
         wegner_sweep([cfg, other], 6.3, [0.1], trials=4)
