@@ -69,6 +69,16 @@ def _parse_rho(text: str) -> float:
     return v
 
 
+def _int_at_least(low: int):
+    """Parser for an integer key with a lower bound (a count or a degree)."""
+    def parse(text: str) -> int:
+        v = int(text)
+        if v < low:
+            raise ValueError(f"must be at least {low}")
+        return v
+    return parse
+
+
 def _parse_tol(text: str) -> float:
     v = float(text)
     if not v >= 0.0:
@@ -80,15 +90,15 @@ def _parse_tol(text: str) -> float:
 SCHEMAS = {
     "fm": {"m": (int, 2)},
     "weyl-verify": {
-        "m-max": (int, 6),
+        "m-max": (_int_at_least(1), 6),
         "field": (lambda s: tuple(Fraction(p) for p in s.split(",")), (1, 1, 1)),
         "max-terms": (int, 10**6),
     },
     "bernstein": {
         "B": (float, 1.0),
-        "m-max": (int, 3),
-        "samples": (int, 5),
-        "levels": (int, 2),
+        "m-max": (_int_at_least(1), 3),
+        "samples": (_int_at_least(1), 5),
+        "levels": (_int_at_least(0), 2),
         "seed": (int, 0),
         "tol": (_parse_tol, 1e-4),
     },
@@ -108,8 +118,8 @@ SCHEMAS = {
         "seed": (int, 0),
     },
     "remez": {
-        "count": (int, 200),
-        "degree-max": (int, 10),
+        "count": (_int_at_least(1), 200),
+        "degree-max": (_int_at_least(0), 10),
         "seed": (int, 0),
     },
     "control": {
@@ -120,7 +130,7 @@ SCHEMAS = {
         "T": (_parse_floats, (0.5, 1.0, 2.0)),
         "l": (_parse_pair, (2.0, 2.0)),
         "eps-target": (float, 1e-8),
-        "clusters": (int, 2),
+        "clusters": (_int_at_least(1), 2),
         "seed": (int, 0),
     },
     "wegner": {
@@ -360,8 +370,7 @@ def _torus_prelude(params):
         solve = {"energy": 1.001 * parse_energy(params["E"], setup.B)}
     else:
         solve = {"count": params["n-phi"] * params["clusters"]}
-    sub = lattice.eigensolve(lattice.assemble(setup), seed=params["seed"],
-                             dense_threshold=2048, **solve)
+    sub = lattice.eigensolve(lattice.assemble(setup), seed=params["seed"], **solve)
     mask = _load_mask(params, spacing=setup.spacing)
     if mask.cells.shape != tuple(setup.N):
         raise ValidationError("mask grid does not match --N")

@@ -253,10 +253,3 @@ def cost_bound_log(rho: float, ell: tuple, B: float, T: float,
         )
     log_d0, d1 = spectral_factors_log(B, ell, rho, c or ThmConstants())
     return abstract_cost_log(log_d0, d1, T / 2.0, x_norm, consts) - B * T
-
-
-def cost_bound(rho: float, ell: tuple, B: float, T: float,
-               c: Optional[ThmConstants] = None,
-               consts: tuple = (1.0, 1.0, 1.0)) -> float:
-    log = cost_bound_log(rho, ell, B, T, c, consts)
-    return math.exp(log) if log < 709.0 else math.inf

@@ -335,8 +335,7 @@ def test_criterion_12b_small_time_scaling():
     # than a pure power law on this sweep.
     setup = lattice.TorusSetup.from_flux(4, (8.0, 8.0), (48, 48))
     trust = 0.1 / setup.spacing[0] ** 2
-    full = lattice.eigensolve(lattice.assemble(setup), energy=trust,
-                              dense_threshold=4096, seed=0)
+    full = lattice.eigensolve(lattice.assemble(setup), energy=trust, seed=0)
     mask = geometry.strip_mask(setup.N, setup.spacing, 48, 4, periodic=True)
     ts = np.array([0.55, 0.65, 0.8, 1.0, 1.25, 1.55])
     costs = []

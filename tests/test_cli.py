@@ -262,6 +262,25 @@ def test_unreadable_mask_exits_2(tmp_path, capsys, name, content):
     assert err.startswith("magbern: error:") and str(path) in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["control", "--mask", STRIPS, "--clusters", "0"],
+    ["remez", "--degree-max", "-1"],
+    ["remez", "--count", "-1"],
+    ["remez", "--count", "0"],
+    ["bernstein", "--samples", "0"],
+    ["bernstein", "--m-max", "-1"],
+    ["bernstein", "--m-max", "0"],
+    ["bernstein", "--levels", "-1"],
+    ["weyl-verify", "--m-max", "-1"],
+    ["weyl-verify", "--m-max", "0"],
+])
+def test_count_key_below_range_exits_2(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("magbern: error:") and argv[-2] in err
+    assert not (tmp_path / "manifest.txt").exists()
+
+
 def test_negative_bernstein_tol_exits_2(tmp_path, capsys):
     argv = ["bernstein", "--tol", "-1", "--samples", "1", "--m-max", "1",
             "--out", str(tmp_path)]

@@ -1,9 +1,11 @@
 """Heat semigroup control: observability, HUM, cost bounds."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from magbern.control import (
     HeatProblem,
@@ -20,10 +22,18 @@ from magbern.control import (
     worst_observability_quotient,
 )
 from magbern.errors import NumericalError, ValidationError
-from magbern.geometry import SetMask, disk_complement_mask, strip_mask
-from magbern.inequality import ThmConstants, theoretical_constant_log
-from magbern.lattice import TorusSetup, assemble, coherent_vector, eigensolve
+from magbern.geometry import SetMask, disk_complement_mask, read_pbm, strip_mask
+from magbern.inequality import ThmConstants, empirical_constant, theoretical_constant_log
+from magbern.lattice import (
+    SpectralSubspace,
+    TorusSetup,
+    assemble,
+    coherent_vector,
+    eigensolve,
+)
 from util_fields import rng_stream
+
+STRIPS = Path(__file__).parent / "data" / "strips.pbm"
 
 
 def make_subspace(n_phi=2, L=8.0, N=32, count=4):
@@ -160,6 +170,39 @@ def test_hum_strip_mask_reaches_target():
     assert times[0] == 0.0 and times[-1] == pytest.approx(1.0)
     # the controlled flow ends near zero and decays monotonically-ish overall
     assert np.linalg.norm(states[-1]) <= 1e-7 * np.linalg.norm(u0)
+
+
+@pytest.fixture(scope="module")
+def cli_torus_oracle():
+    """The specineq/control prelude's subspace (n-phi 2, L 8,8, N 32,32, cut
+    at 1.001*3B) from a full-spectrum dense `eigh`."""
+    setup = TorusSetup.from_flux(2, (8.0, 8.0), (32, 32))
+    op = assemble(setup)
+    energy = 1.001 * 3 * setup.B
+    evals, evecs = scipy.linalg.eigh(op.matrix.toarray())
+    keep = evals <= energy
+    cell = setup.spacing[0] * setup.spacing[1]
+    return op, SpectralSubspace(setup, evals[keep], evecs[:, keep] / math.sqrt(cell),
+                                energy)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_default_solver_matches_full_dense_oracle_on_cli_torus(cli_torus_oracle, seed):
+    op, oracle = cli_torus_oracle
+    setup = op.setup
+    cell = setup.spacing[0] * setup.spacing[1]
+    fast = eigensolve(op, energy=oracle.cutoff, seed=seed)
+    assert fast.dim == oracle.dim == 4
+    assert np.max(np.abs(fast.eigenvalues - oracle.eigenvalues)) <= 1e-9
+    projectors = [s.vectors @ s.vectors.conj().T * cell for s in (fast, oracle)]
+    assert np.max(np.abs(projectors[0] - projectors[1])) < 1e-8
+    mask = read_pbm(STRIPS, spacing=setup.spacing, periodic=True)
+    assert empirical_constant(fast, mask) == pytest.approx(
+        empirical_constant(oracle, mask), rel=1e-9)
+    for t in (0.5, 1.0, 2.0):
+        costs = [hum_control(HeatProblem(s, mask, t, coherent_coefficients(setup, s))).cost
+                 for s in (fast, oracle)]
+        assert costs[0] == pytest.approx(costs[1], rel=1e-9)
 
 
 def test_hum_cost_monotone_in_mask():

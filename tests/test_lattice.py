@@ -1,5 +1,7 @@
 """Discretized torus Landau operator: flux, spectra, magnetic translations."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -120,7 +122,7 @@ def test_iterative_matches_dense_solver():
     # count = 4 cuts between degenerate clusters so the subspaces agree
     setup = small_setup(n_phi=2, L=4.0, N=16)
     op = assemble(setup)
-    dense = eigensolve(op, count=4)  # dim 256 <= 4096: dense path
+    dense = eigensolve(op, count=4, dense_threshold=setup.dim)  # forced dense
     iterative = eigensolve(op, count=4, dense_threshold=64, seed=11)
     assert np.allclose(dense.eigenvalues, iterative.eigenvalues, atol=1e-9)
     # same spectral subspace: projector difference small
@@ -128,6 +130,29 @@ def test_iterative_matches_dense_solver():
     pi = iterative.vectors @ iterative.vectors.conj().T
     cell = setup.spacing[0] * setup.spacing[1]
     assert np.max(np.abs(pd - pi)) * cell < 1e-8
+
+
+@pytest.mark.parametrize("n_grid,solve", [
+    (4, {"count": 16}),
+    (4, {"energy": 1e6}),
+    (8, {"energy": 1e6}),  # ARPACK blocks of 16 and 32 pairs first
+])
+def test_request_beyond_arpack_cap_is_solved_dense(n_grid, solve):
+    # ARPACK returns at most dim - 2 pairs; the whole spectrum must come back
+    setup = TorusSetup.from_flux(1, (4.0, 4.0), (n_grid, n_grid))
+    op = assemble(setup)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # energy=1e6 is above the trusted band
+        sub = eigensolve(op, dense_threshold=0, **solve)
+    full = np.linalg.eigvalsh(op.matrix.toarray())
+    assert sub.dim == setup.dim
+    assert np.allclose(sub.eigenvalues, full, atol=1e-9)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_count_below_one_rejected(count):
+    with pytest.raises(ValidationError):
+        eigensolve(assemble(small_setup()), count=count)
 
 
 def test_energy_cutoff_selects_cluster():
