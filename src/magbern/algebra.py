@@ -663,8 +663,6 @@ def weyl3d_reduction(B1, B2, B3, power: int = 2) -> Weyl3dReduction:
             for bp in v.c:
                 for j in range(max_b + 1):
                     rows.add((e, bp + j))
-            for bp in v.c:
-                rows.add((e, bp))
     matrix = []
     labels = sorted(rows)
     for e, bp in labels:

@@ -79,11 +79,14 @@ def _int_at_least(low: int):
     return parse
 
 
-def _parse_tol(text: str) -> float:
-    v = float(text)
-    if not v >= 0.0:
-        raise ValidationError(f"tol must be non-negative, got {text!r}")
-    return v
+def _non_negative(key: str):
+    """Parser for a float key that must be >= 0 (a tolerance or a target)."""
+    def parse(text: str) -> float:
+        v = float(text)
+        if not v >= 0.0:
+            raise ValidationError(f"--{key} must be non-negative, got {text!r}")
+        return v
+    return parse
 
 
 # command -> {key: (parser, default)}; None default means required
@@ -100,7 +103,7 @@ SCHEMAS = {
         "samples": (_int_at_least(1), 5),
         "levels": (_int_at_least(0), 2),
         "seed": (int, 0),
-        "tol": (_parse_tol, 1e-4),
+        "tol": (_non_negative("tol"), 1e-4),
     },
     "thickness": {
         "mask": (str, None),
@@ -129,7 +132,7 @@ SCHEMAS = {
         "N": (_parse_int_pair, (32, 32)),
         "T": (_parse_floats, (0.5, 1.0, 2.0)),
         "l": (_parse_pair, (2.0, 2.0)),
-        "eps-target": (float, 1e-8),
+        "eps-target": (_non_negative("eps-target"), 1e-8),
         "clusters": (_int_at_least(1), 2),
         "seed": (int, 0),
     },
@@ -489,9 +492,10 @@ def run_wegner(cfg: RunConfig, bundle: ReportBundle) -> None:
     plot = [_row(e, m, sep=" ") for e, m in zip(stats.eps, stats.mean[-1])]
     _write(bundle, cfg.out_dir / "count_vs_eps.dat", "\n".join(plot) + "\n")
     exps = stats.l_exponents()
+    exps = ("need two or more distinct --L values" if np.isnan(exps).any()
+            else np.round(exps, 3).tolist())
     bundle.messages.append(
-        f"L-exponents {np.round(exps, 3).tolist()}; "
-        f"linear_in_eps = {disorder.linear_in_eps(stats)}"
+        f"L-exponents {exps}; linear_in_eps = {disorder.linear_in_eps(stats)}"
     )
 
 

@@ -38,8 +38,6 @@ class HeatProblem:
 
 @dataclass
 class HumResult:
-    times: np.ndarray
-    control_coeffs: np.ndarray  # (k, n_nodes): control at the quadrature nodes
     cost: float
     terminal_residual: float
     gramian_condition: float
@@ -53,8 +51,9 @@ def propagate(subspace: SpectralSubspace, u0: np.ndarray, t: float) -> np.ndarra
     return np.asarray(u0, dtype=complex) * np.exp(-subspace.eigenvalues * t)
 
 
-def _time_nodes(T: float, nodes: int, panels: int):
-    base_x, base_w = np.polynomial.legendre.leggauss(nodes)
+def _time_nodes(T: float, panels: int):
+    """Composite 64-point Gauss-Legendre nodes and weights on [0, T]."""
+    base_x, base_w = np.polynomial.legendre.leggauss(64)
     ts, ws = [], []
     edges = np.linspace(0.0, T, panels + 1)
     for a, b in zip(edges[:-1], edges[1:]):
@@ -69,28 +68,27 @@ def _auto_panels(subspace: SpectralSubspace, T: float) -> int:
 
 
 def gramian(subspace: SpectralSubspace, mask: SetMask, T: float,
-            nodes: int = 64, panels: Optional[int] = None) -> np.ndarray:
+            panels: Optional[int] = None) -> np.ndarray:
     """G_T = int_0^T e^(-(T-t)H) M_S e^(-(T-t)H) dt on the subspace."""
     if panels is None:
         panels = _auto_panels(subspace, T)
     g_s = masked_form(subspace, mask)
     lam = subspace.eigenvalues
-    ts, ws = _time_nodes(T, nodes, panels)
+    ts, ws = _time_nodes(T, panels)
     decay = np.exp(-np.outer(T - ts, lam))  # (n, k)
     kernel = decay.T @ (ws[:, None] * decay)  # sum_i w_i d_i d_i^T
     g = g_s * kernel
     return 0.5 * (g + g.conj().T)
 
 
-def observability_quotient(problem: HeatProblem, nodes: int = 64,
-                           panels: Optional[int] = None) -> float:
+def observability_quotient(problem: HeatProblem) -> float:
     """||u(T)||^2 / int_0^T ||u(t)||^2_{L2(S)} dt for the uncontrolled flow.
 
     The supremum of this quotient over u0 lower-bounds C_obs^2.
     """
     sub = problem.subspace
     T = problem.horizon
-    g_t = gramian(sub, problem.mask, T, nodes, panels)
+    g_t = gramian(sub, problem.mask, T)
     denom = float(np.real(problem.u0.conj() @ (g_t @ problem.u0)))
     if denom <= 1e-300:
         raise NumericalError("denominator underflow: the set misses the subspace")
@@ -99,13 +97,12 @@ def observability_quotient(problem: HeatProblem, nodes: int = 64,
 
 
 def worst_observability_quotient(subspace: SpectralSubspace, mask: SetMask,
-                                 T: float, nodes: int = 64,
-                                 panels: Optional[int] = None) -> float:
+                                 T: float) -> float:
     """sup over u0 of the observability quotient: lambda_max(E G_T^-1 E).
 
     Equals the squared worst-case HUM cost on the subspace (duality).
     """
-    g_t = gramian(subspace, mask, T, nodes, panels)
+    g_t = gramian(subspace, mask, T)
     e = np.exp(-subspace.eigenvalues * T)
     evals, evecs = np.linalg.eigh(g_t)
     if evals[0] <= 0 or evals[-1] / evals[0] > 1e16:
@@ -115,19 +112,18 @@ def worst_observability_quotient(subspace: SpectralSubspace, mask: SetMask,
     return float(np.linalg.eigvalsh(m)[-1])
 
 
-def hum_control(problem: HeatProblem, nodes: int = 64,
-                panels: Optional[int] = None) -> HumResult:
+def hum_control(problem: HeatProblem) -> HumResult:
     """Minimal-norm control driving u0 to zero at the horizon.
 
-    Solves G_T p = -e^(-TH) u0, returns the control f(t) = M_S e^(-(T-t)H) p
-    at the quadrature nodes, its cost, and the terminal residual from an
-    independent re-integration on a 4x finer time grid.
+    Solves G_T p = -e^(-TH) u0 and returns the dual state p, which fixes the
+    control f(t) = M_S e^(-(T-t)H) p (`state_trajectory` evaluates it), the
+    control's cost, and the terminal residual from an independent
+    re-integration on a 4x finer time grid.
     """
     sub = problem.subspace
     T = problem.horizon
-    if panels is None:
-        panels = _auto_panels(sub, T)
-    g_t = gramian(sub, problem.mask, T, nodes, panels)
+    panels = _auto_panels(sub, T)
+    g_t = gramian(sub, problem.mask, T, panels)
     target = -propagate(sub, problem.u0, T)
     evals = np.linalg.eigvalsh(g_t)
     cond = float(evals[-1] / evals[0]) if evals[0] > 0 else math.inf
@@ -141,11 +137,7 @@ def hum_control(problem: HeatProblem, nodes: int = 64,
     # one step of iterative refinement
     p += np.linalg.solve(g_t, target - g_t @ p)
     cost2 = float(np.real(p.conj() @ (g_t @ p)))
-    g_s = masked_form(sub, problem.mask)
-    ts, _ = _time_nodes(T, nodes, panels)
-    decay = np.exp(-np.outer(T - ts, sub.eigenvalues))
-    controls = (g_s @ (decay.T * p[:, None])).reshape(sub.dim, -1)
-    fine = gramian(sub, problem.mask, T, nodes, panels * 4)
+    fine = gramian(sub, problem.mask, T, panels * 4)
     u_final = propagate(sub, problem.u0, T) + fine @ p
     norm_u0 = float(np.linalg.norm(problem.u0))
     residual = float(np.linalg.norm(u_final)) / norm_u0 if norm_u0 > 0 else 0.0
@@ -155,8 +147,6 @@ def hum_control(problem: HeatProblem, nodes: int = 64,
     if cost2 > 0 and abs(cost2_fine - cost2) > 1e-6 * cost2 + 1e-300:
         raise NumericalError("quadrature-inconsistent control cost")
     return HumResult(
-        times=ts,
-        control_coeffs=controls,
         cost=cost,
         terminal_residual=residual,
         gramian_condition=cond,
@@ -164,14 +154,13 @@ def hum_control(problem: HeatProblem, nodes: int = 64,
     )
 
 
-def state_trajectory(problem: HeatProblem, result: HumResult,
-                     n_steps: int = 64, step_nodes: int = 8):
+def state_trajectory(problem: HeatProblem, result: HumResult, n_steps: int = 64):
     """Controlled state at the step boundaries, by independent re-integration.
 
     Marches u' = -H u + 1_S f with exact exponential steps and per-step
-    Gauss-Legendre Duhamel quadrature, evaluating the returned control from
-    its closed form at the sub-step nodes.  Returns (times, states) with
-    states of shape (n_steps + 1, k).
+    8-point Gauss-Legendre Duhamel quadrature, evaluating the control from
+    the returned dual state at the sub-step nodes.  Returns (times, states)
+    with states of shape (n_steps + 1, k).
     """
     sub = problem.subspace
     T = problem.horizon
@@ -179,7 +168,7 @@ def state_trajectory(problem: HeatProblem, result: HumResult,
     g_s = masked_form(sub, problem.mask)
     p = result.dual_state
     dt = T / n_steps
-    x, w = np.polynomial.legendre.leggauss(step_nodes)
+    x, w = np.polynomial.legendre.leggauss(8)
     s = 0.5 * dt * (x + 1.0)
     ws = 0.5 * dt * w
     u = problem.u0.astype(complex)
@@ -198,9 +187,9 @@ def state_trajectory(problem: HeatProblem, result: HumResult,
 
 
 def simulate_controlled(problem: HeatProblem, result: HumResult,
-                        n_steps: int = 64, step_nodes: int = 8) -> float:
+                        n_steps: int = 64) -> float:
     """||u(T)|| / ||u0|| from the independent re-integration."""
-    _, states = state_trajectory(problem, result, n_steps, step_nodes)
+    _, states = state_trajectory(problem, result, n_steps)
     norm_u0 = float(np.linalg.norm(problem.u0))
     return float(np.linalg.norm(states[-1])) / norm_u0 if norm_u0 > 0 else 0.0
 
@@ -208,29 +197,17 @@ def simulate_controlled(problem: HeatProblem, result: HumResult,
 # -- cost bounds ---------------------------------------------------------------
 
 
-def abstract_cost_log(log_d0: float, d1: float, T: float, x_norm: float = 1.0,
-                      consts: tuple = (1.0, 1.0, 1.0)) -> float:
-    """log of (C5 d0 / T) (2 d0 ||X|| + 1)^C6 exp(C7 d1^2 / T)."""
+def abstract_cost_log(log_d0: float, d1: float, T: float) -> float:
+    """log of (C5 d0 / T) (2 d0 ||X|| + 1)^C6 exp(C7 d1^2 / T) at ||X|| = 1
+    and C5 = C6 = C7 = 1."""
     if T <= 0:
         raise ValidationError("T must be positive")
-    c5, c6, c7 = consts
-    log_lin = np.logaddexp(math.log(2.0 * x_norm) + log_d0, 0.0)
-    return (
-        math.log(c5) + log_d0 - math.log(T) + c6 * float(log_lin)
-        + c7 * d1 * d1 / T
-    )
-
-
-def abstract_cost(d0: float, d1: float, T: float, x_norm: float = 1.0,
-                  consts: tuple = (1.0, 1.0, 1.0)) -> float:
-    log = abstract_cost_log(math.log(d0), d1, T, x_norm, consts)
-    return math.exp(log) if log < 709.0 else math.inf
+    log_lin = np.logaddexp(math.log(2.0) + log_d0, 0.0)
+    return log_d0 - math.log(T) + float(log_lin) + d1 * d1 / T
 
 
 def cost_bound_log(rho: float, ell: tuple, B: float, T: float,
-                   c: Optional[ThmConstants] = None,
-                   consts: tuple = (1.0, 1.0, 1.0),
-                   x_norm: float = 1.0) -> float:
+                   c: Optional[ThmConstants] = None) -> float:
     """log of the control-cost bound C_obs^2.
 
     structural mode: the closed form C/(T rho^(C + C |l|_1^2 B)) *
@@ -252,4 +229,4 @@ def cost_bound_log(rho: float, ell: tuple, B: float, T: float,
             - B * T
         )
     log_d0, d1 = spectral_factors_log(B, ell, rho, c or ThmConstants())
-    return abstract_cost_log(log_d0, d1, T / 2.0, x_norm, consts) - B * T
+    return abstract_cost_log(log_d0, d1, T / 2.0) - B * T

@@ -22,15 +22,15 @@ import scipy.sparse.linalg as spla
 
 from .errors import ValidationError
 from .geometry import SetMask, thickness_scan
-from .lattice import MagneticOperator, TorusSetup, assemble
+from .lattice import MagneticOperator, TorusSetup, assemble, dense_matrix
 
 
-def fat_cantor_indices(n: int, levels: int = 3) -> np.ndarray:
-    """Boolean 1-D fat-Cantor-like set on n cells (removed middles shrink
-    geometrically, so the kept measure stays positive)."""
+def fat_cantor_indices(n: int) -> np.ndarray:
+    """Boolean 1-D fat-Cantor-like set on n cells, 3 levels deep (removed
+    middles shrink geometrically, so the kept measure stays positive)."""
     keep = np.ones(n, dtype=bool)
     segments = [(0, n)]
-    for level in range(1, levels + 1):
+    for level in range(1, 4):
         frac = 4.0 ** (-level)
         nxt = []
         for a, b in segments:
@@ -146,7 +146,7 @@ def _dense_window_counts(op: MagneticOperator, E: float,
                          eps_arr: np.ndarray) -> np.ndarray:
     """Counts in the closed windows [E - eps, E + eps] from one dense solve:
     the fallback of `eigen_window_counts` and the oracle of its tests."""
-    evals = scipy.linalg.eigvalsh(op.matrix.toarray())
+    evals = scipy.linalg.eigvalsh(dense_matrix(op))
     return np.array(
         [np.count_nonzero((evals >= E - eps) & (evals <= E + eps)) for eps in eps_arr],
         dtype=int,
@@ -233,21 +233,10 @@ class WegnerStats:
         l2 = (np.asarray(self.box_sizes) ** 2)[:, None]
         return self.mean / (s * l2)
 
-    def ratio_stderr(self) -> np.ndarray:
-        s = self.s2eps()[None, :]
-        l2 = (np.asarray(self.box_sizes) ** 2)[:, None]
-        return self.stderr / (s * l2)
-
-    def eps_slopes(self) -> np.ndarray:
-        """Per size: least-squares slope of mean count vs s(2 eps)."""
-        s = self.s2eps()
-        return np.array(
-            [float(np.dot(s, row) / np.dot(s, s)) for row in self.mean]
-        )
-
     def l_exponents(self) -> np.ndarray:
-        """Per window: fitted exponent of mean count vs L (NaN if one box)."""
-        if len(self.box_sizes) < 2:
+        """Per window: fitted exponent of mean count vs L (NaN with fewer
+        than two distinct box sizes)."""
+        if len(set(self.box_sizes)) < 2:
             return np.full(self.mean.shape[1], np.nan)
         ls = np.log(np.asarray(self.box_sizes, dtype=float))
         out = []

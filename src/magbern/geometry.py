@@ -70,7 +70,6 @@ class Covering:
     ell: tuple
     domain: tuple  # (L1, L2) extents from `origin`
     origin: tuple = (0.0, 0.0)
-    overlap_bound: int = 4
 
 
 def _snap_cells(ell: float, h: float):
@@ -194,7 +193,7 @@ def classify_good_bad(f: GridField, covering: Covering, E: float, B: float,
         f"good/bad verdicts truncated at m_max={m_max}: 'good' is necessary-condition only",
         stacklevel=2,
     )
-    words = _word_fields(f, m_max, B, "auto")
+    words = _word_fields(f, m_max, B)
     deriv_prefix = {}
     for m in range(1, m_max + 1):
         for alpha in product((1, 2), repeat=m):
@@ -230,12 +229,12 @@ def good_mass_fraction(labels, total_mass: float) -> float:
 
 
 def strip_mask(shape: tuple, spacing: tuple, period_cells: int, width_cells: int,
-               axis: int = 1, periodic: bool = False) -> SetMask:
-    """Stripes along the other axis: cell kept iff (index % period) < width."""
+               periodic: bool = False) -> SetMask:
+    """Stripes along the second axis: cell (i, j) kept iff (i % period) < width."""
     if not 0 < width_cells <= period_cells:
         raise ValidationError("need 0 < width <= period")
     n1, n2 = shape
-    idx = np.arange(n1)[:, None] if axis == 1 else np.arange(n2)[None, :]
+    idx = np.arange(n1)[:, None]
     cells = np.broadcast_to(idx % period_cells < width_cells, (n1, n2))
     return SetMask(cells.copy(), spacing, periodic=periodic)
 

@@ -5,8 +5,8 @@ The traced constant follows the visible proof chain: per good rectangle the
 base is 96*pi/rho with exponent 1 + 2*ln(M)/ln(2), the analytic-extension
 bound is ln M <= ln 16 + 2*240^2*(|l|_1(sqrt(E)+sqrt(B)) + |l|_1^2 B), and a
 prefactor 4 collects the good-mass and covering losses.  Exponents reach 1e6
-for order-one windows, so the value overflows floats by design; the *_log
-companions are the comparison surface.
+for order-one windows, so the value overflows floats by design and only its
+natural log is computed.
 """
 
 from __future__ import annotations
@@ -74,14 +74,6 @@ def theoretical_constant_log(E: float, B: float, ell: tuple, rho: float,
     return log_d0 + d1 * math.sqrt(E)
 
 
-def theoretical_constant(E: float, B: float, ell: tuple, rho: float,
-                         c: ThmConstants = ThmConstants()) -> float:
-    """The constant itself; inf when it exceeds float range (exponents are
-    ~1e6 in traced mode, so compare logs for anything quantitative)."""
-    log = theoretical_constant_log(E, B, ell, rho, c)
-    return math.exp(log) if log < 709.0 else math.inf
-
-
 def _basis_matrix(basis, mask: SetMask):
     if isinstance(basis, SpectralSubspace):
         vecs = basis.vectors
@@ -144,14 +136,14 @@ def remez_bound(n: int, measure: float) -> float:
     return (4.0 / measure) ** n
 
 
-def _refine_max(f, lo: float, hi: float, iters: int = 60) -> float:
-    """Golden-section maximization of f on [lo, hi]."""
+def _refine_max(f, lo: float, hi: float) -> float:
+    """Golden-section maximization of f on [lo, hi], 60 iterations."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(60):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -163,13 +155,14 @@ def _refine_max(f, lo: float, hi: float, iters: int = 60) -> float:
     return max(fc, fd, f(a), f(b))
 
 
-def _sup_on_grid(f, points: np.ndarray, n_refine: int = 5) -> float:
+def _sup_on_grid(f, points: np.ndarray) -> float:
+    """Grid max of f, refined around the 5 best points."""
     vals = f(points)
     best = float(np.max(vals))
     if points.size < 3:
         return best
     step = points[1] - points[0] if points.size > 1 else 0.0
-    top = np.argsort(vals)[-n_refine:]
+    top = np.argsort(vals)[-5:]
     for i in top:
         lo = max(points[0], points[i] - step)
         hi = min(points[-1], points[i] + step)
@@ -252,12 +245,12 @@ def kovrijkine_check(phi: AnalyticSample, intervals, n_circle: int = 4096) -> bo
 
 
 def _poly_disc_sup(lf: LadderField, anchors, ell: tuple, radii: tuple,
-                   n_q: int = 6, n_theta: int = 24) -> float:
+                   n_q: int = 6) -> float:
     """Sup of the |f|^2 extension over Q + polydisc(radii), by grid search
-    over base points and both boundary circles."""
+    over n_q^2 base points and 24 angles on both boundary circles."""
     q1 = np.linspace(anchors[0], anchors[0] + ell[0], n_q)
     q2 = np.linspace(anchors[1], anchors[1] + ell[1], n_q)
-    th = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+    th = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
     e1 = radii[0] * np.exp(1j * th)
     e2 = radii[1] * np.exp(1j * th)
     z1 = (q1[:, None, None, None] + e1[None, None, :, None])
@@ -401,17 +394,17 @@ def series_bound_check(s: float, m_terms: Optional[int] = None) -> bool:
 # -- necessity of thickness -------------------------------------------------------
 
 
-def necessity_decay(n: float, B: float, mask: SetMask, center=(0.0, 0.0)) -> float:
-    """||f_center||^2 over the masked set, by cell-sum quadrature.
+def necessity_decay(n: float, B: float, mask: SetMask) -> float:
+    """||f_0||^2 over the masked set, by cell-sum quadrature.
 
     For masks whose complement contains most of the radius-n ball around the
-    centre, the value is bounded by vol(S cap ball) + (2 pi / B) exp(-B n^2/2)
+    origin, the value is bounded by vol(S cap ball) + (2 pi / B) exp(-B n^2/2)
     plus discretization tolerance: the Gaussian tail constant is the exact
     integral of exp(-B r^2 / 2) outside radius n.
     """
     if n <= 0 or B <= 0:
         raise ValidationError("need n, B > 0")
-    lf = LadderField(B, {tuple(center): {0: 1.0}})
+    lf = LadderField(B, {(0.0, 0.0): {0: 1.0}})
     n1, n2 = mask.cells.shape
     x1 = mask.origin[0] + mask.spacing[0] * (np.arange(n1) + 0.5)[:, None]
     x2 = mask.origin[1] + mask.spacing[1] * (np.arange(n2) + 0.5)[None, :]

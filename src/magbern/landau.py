@@ -18,7 +18,6 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass, field
 from itertools import product
@@ -36,16 +35,15 @@ class QuadratureSpec:
 
     `tail_sigmas` is the truncation radius around each centre in units of the
     magnetic length 1/sqrt(B) (12 leaves a Gaussian tail below 1e-30
-    relative), `points_per_length` the sampling density per magnetic length,
-    `tol` the relative tolerance quadrature results are trusted to.
+    relative) and `points_per_length` the sampling density per magnetic
+    length.
     """
 
     tail_sigmas: float = 12.0
     points_per_length: int = 16
-    tol: float = 1e-6
 
     def __post_init__(self):
-        if self.tail_sigmas <= 0 or self.points_per_length < 2 or self.tol <= 0:
+        if self.tail_sigmas <= 0 or self.points_per_length < 2:
             raise ValidationError("invalid quadrature spec")
 
 
@@ -184,7 +182,8 @@ class GridField:
     """Complex samples on a uniform rectangle grid.
 
     samples[i, j] = f(origin1 + i*h1, origin2 + j*h2).  An optional `ladder`
-    tag carries the closed-form generator of the samples.
+    tag carries the closed-form generator of the samples, and with it the
+    exact derivative path of `magnetic_derivative`.
     """
 
     samples: np.ndarray
@@ -217,8 +216,9 @@ class GridField:
         )
         return int(i0), int(i1), int(j0), int(j1)
 
-    def with_samples(self, samples, ladder=None) -> "GridField":
-        return GridField(samples, self.origin, self.spacing, ladder)
+    def with_samples(self, samples) -> "GridField":
+        """Untagged field on the same grid."""
+        return GridField(samples, self.origin, self.spacing)
 
 
 def grid_for_centers(centers, B: float, spec: QuadratureSpec = QuadratureSpec()):
@@ -330,17 +330,16 @@ def boundary_mass_fraction(f: GridField) -> float:
     return ring / total
 
 
-def radial_mass_outside(lf: LadderField, center, r: float,
-                        r_max: Optional[float] = None,
-                        n_radial: int = 400, n_theta: int = 256) -> float:
+def radial_mass_outside(lf: LadderField, center, r: float) -> float:
     """Quadrature of |f|^2 over {|x - center| >= r} in polar coordinates.
 
-    Gauss-Legendre radially, trapezoid (periodic, spectrally accurate) in the
-    angle; resolves indicator sets with circular boundary exactly.
+    Gauss-Legendre radially out to r + 14 magnetic lengths, trapezoid
+    (periodic, spectrally accurate) in the angle; resolves indicator sets
+    with circular boundary exactly.
     """
-    if r_max is None:
-        r_max = r + (14.0 / np.sqrt(lf.B))
-    nodes, weights = np.polynomial.legendre.leggauss(n_radial)
+    r_max = r + (14.0 / np.sqrt(lf.B))
+    n_theta = 256
+    nodes, weights = np.polynomial.legendre.leggauss(400)
     s = 0.5 * (r_max - r) * (nodes + 1.0) + r
     ws = 0.5 * (r_max - r) * weights
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
@@ -374,21 +373,17 @@ def ordinary_derivative(f: GridField, axis: int) -> GridField:
     return f.with_samples(_centered_diff(f.samples, axis, h))
 
 
-def magnetic_derivative(f: GridField, axis: int, B: float,
-                        method: str = "finite_difference") -> GridField:
-    """Sampled covariant derivative md_axis f.
+def magnetic_derivative(f: GridField, axis: int, B: float) -> GridField:
+    """Sampled covariant derivative md_axis f; the ladder tag picks the path.
 
-    finite_difference: i * centered difference + exact multiplication term;
-    closed_form: requires the ladder tag and is exact up to sampling.
+    A tagged field is differentiated in closed form, exact up to sampling,
+    and the result keeps a tag; an untagged one by i * centered difference
+    plus the exact multiplication term.
     """
     if axis not in (1, 2):
         raise ValidationError("axis must be 1 or 2")
-    if method == "closed_form":
-        if f.ladder is None:
-            raise ValidationError("closed_form needs a ladder-tagged field")
+    if f.ladder is not None:
         return sample_ladder(f.ladder.magnetic_derivative(axis), grid=f)
-    if method != "finite_difference":
-        raise ValidationError(f"unknown method {method!r}")
     x1, x2 = f.axes()
     if axis == 1:
         vals = 1j * _centered_diff(f.samples, 1, f.spacing[0]) - (B / 2.0) * x2 * f.samples
@@ -397,34 +392,32 @@ def magnetic_derivative(f: GridField, axis: int, B: float,
     return f.with_samples(vals)
 
 
-def apply_h(f: GridField, B: float, method: str = "finite_difference") -> GridField:
+def apply_h(f: GridField, B: float) -> GridField:
     """H f = md1^2 f + md2^2 f."""
-    d1 = magnetic_derivative(magnetic_derivative(f, 1, B, method), 1, B, method)
-    d2 = magnetic_derivative(magnetic_derivative(f, 2, B, method), 2, B, method)
+    d1 = magnetic_derivative(magnetic_derivative(f, 1, B), 1, B)
+    d2 = magnetic_derivative(magnetic_derivative(f, 2, B), 2, B)
     return f.with_samples(d1.samples + d2.samples)
 
 
-def _word_fields(f: GridField, max_m: int, B: float, method: str):
+def _word_fields(f: GridField, max_m: int, B: float):
     """Sampled md-word fields for every word of length <= max_m.
 
     Keys are tuples over {1,2}; the empty tuple is f itself.
     """
     out = {(): f}
-    exact = method == "closed_form" or (method == "auto" and f.ladder is not None)
     frontier = {(): f}
     for _ in range(max_m):
         nxt = {}
         for word, g in frontier.items():
             for axis in (1, 2):
-                nxt[word + (axis,)] = magnetic_derivative(
-                    g, axis, B, "closed_form" if exact else "finite_difference"
-                )
+                nxt[word + (axis,)] = magnetic_derivative(g, axis, B)
         out.update(nxt)
         frontier = nxt
     return out
 
 
-def _check_margin(f: GridField, tol: float):
+def _check_margin(f: GridField):
+    tol = 1e-6  # boundary-ring mass fraction that counts as truncation
     frac = boundary_mass_fraction(f)
     if frac > tol:
         warnings.warn(
@@ -433,13 +426,12 @@ def _check_margin(f: GridField, tol: float):
         )
 
 
-def bernstein_sum(f: GridField, m: int, B: float, method: str = "auto",
-                  tol: float = 1e-6) -> float:
+def bernstein_sum(f: GridField, m: int, B: float) -> float:
     """Sum over all 2^m covariant-derivative words of the squared L2 norm."""
     if m < 0:
         raise ValidationError("m must be non-negative")
-    _check_margin(f, tol)
-    words = _word_fields(f, m, B, method)
+    _check_margin(f)
+    words = _word_fields(f, m, B)
     return sum(norm2(words[w]) for w in words if len(w) == m)
 
 
@@ -463,8 +455,7 @@ def mod2_derivative_word(word_fields: dict, alpha: tuple):
     return vals
 
 
-def l1_bernstein_sum(f: GridField, m: int, B: float, method: str = "auto",
-                     tol: float = 1e-6) -> float:
+def l1_bernstein_sum(f: GridField, m: int, B: float) -> float:
     """Sum over all 2^m ordinary-derivative words of ||d^alpha |f|^2||_L1.
 
     Tagged fields use the exact product identity over covariant-derivative
@@ -472,13 +463,12 @@ def l1_bernstein_sum(f: GridField, m: int, B: float, method: str = "auto",
     """
     if m < 0:
         raise ValidationError("m must be non-negative")
-    _check_margin(f, tol)
-    exact = method == "closed_form" or (method == "auto" and f.ladder is not None)
+    _check_margin(f)
     if m == 0:
         return norm2(f)
     total = 0.0
-    if exact:
-        words = _word_fields(f, m, B, "closed_form")
+    if f.ladder is not None:
+        words = _word_fields(f, m, B)
         for alpha in product((1, 2), repeat=m):
             vals = mod2_derivative_word(words, alpha)
             total += l1_norm(vals.real, f.cell_area)
@@ -503,38 +493,3 @@ def f_m_quadratic_form(f: GridField, m: int) -> float:
     g = sample_ladder(lf.apply_level_function(values), grid=f)
     val = inner(f, g)
     return float(val.real)
-
-
-# -- serialization ------------------------------------------------------------
-
-_HEADER = struct.Struct("<6d")
-
-
-def write_grid_binary(f: GridField, path) -> None:
-    """Self-describing little-endian layout: dims, origin, spacing, samples."""
-    n1, n2 = f.samples.shape
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(float(n1), float(n2), f.origin[0], f.origin[1],
-                              f.spacing[0], f.spacing[1]))
-        inter = np.empty((n1, n2, 2), dtype="<f8")
-        inter[..., 0] = f.samples.real
-        inter[..., 1] = f.samples.imag
-        fh.write(inter.tobytes())
-
-
-def read_grid_binary(path) -> GridField:
-    with open(path, "rb") as fh:
-        n1, n2, o1, o2, h1, h2 = _HEADER.unpack(fh.read(_HEADER.size))
-        n1, n2 = int(n1), int(n2)
-        raw = np.frombuffer(fh.read(), dtype="<f8").reshape(n1, n2, 2)
-    return GridField(raw[..., 0] + 1j * raw[..., 1], (o1, o2), (h1, h2))
-
-
-def write_grid_csv(f: GridField, path) -> None:
-    """CSV rows (x1, x2, re, im) for plotting."""
-    x1, x2 = f.axes()
-    x1b, x2b = np.broadcast_arrays(x1, x2)
-    with open(path, "w") as fh:
-        fh.write("x1,x2,re,im\n")
-        for a, b, v in zip(x1b.ravel(), x2b.ravel(), f.samples.ravel()):
-            fh.write(f"{a!r},{b!r},{v.real!r},{v.imag!r}\n")

@@ -83,7 +83,7 @@ def bernstein_sample_results():
             dst[k] = dst.get(k, 0.0) + complex(rng.normal(), rng.normal())
         lf = landau.LadderField(b, terms)
         f = landau.sample_ladder(lf, spec)
-        words = landau._word_fields(f, 3, b, "auto")
+        words = landau._word_fields(f, 3, b)
         n2 = landau.norm2(f)
         entry = {"norm2": n2, "E": lf.energy_ceiling()}
         for m in (1, 2, 3):

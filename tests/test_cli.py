@@ -287,6 +287,20 @@ def test_negative_bernstein_tol_exits_2(tmp_path, capsys):
     assert main(argv) == 2
     assert "tol must be non-negative" in capsys.readouterr().err
     assert not (tmp_path / "manifest.txt").exists()
+    # the same parser guards control's target, before the eigensolve runs
+    argv = ["control", "--mask", STRIPS, "--eps-target", "-1", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "--eps-target must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("sizes", ["2", "2,2"])
+def test_wegner_one_box_prints_no_nan(tmp_path, capsys, sizes):
+    # one box size is a valid run, but an exponent in L needs two or more
+    assert main(["wegner", "--L", sizes, "--trials", "2", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out.lower()
+    assert "L-exponents need two or more distinct --L values" in out
 
 
 def test_wegner_rejects_zero_eps_before_any_trial(tmp_path, capsys, monkeypatch):

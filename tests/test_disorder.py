@@ -9,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magbern import lattice
 from magbern.disorder import (
     EnsembleConfig,
     _dense_window_counts,
@@ -24,7 +25,7 @@ from magbern.disorder import (
     wegner_sweep,
     window_counts_for_trials,
 )
-from magbern.errors import ValidationError
+from magbern.errors import ResourceLimitError, ValidationError
 from magbern.lattice import TorusSetup, assemble, eigensolve
 
 
@@ -218,6 +219,16 @@ def test_shift_on_an_eigenvalue_falls_back_to_dense():
         counts = eigen_window_counts(op, energy, [0.0])
     assert counts.tolist() == _dense_window_counts(op, energy, [0.0]).tolist()
     assert counts[0] >= 1
+
+
+def test_fallback_above_the_dense_cap_is_refused(monkeypatch):
+    # the same forced fallback, with the dense cap below the operator's dim
+    op = assemble(TorusSetup.from_flux(16, (4.0, 4.0), (20, 20)))
+    energy = float(scipy.linalg.eigvalsh(op.matrix.toarray())[16])
+    monkeypatch.setattr(lattice, "DENSE_DIM_CAP", op.setup.dim - 1)
+    with pytest.warns(RuntimeWarning), pytest.raises(ResourceLimitError) as exc:
+        eigen_window_counts(op, energy, [0.0])
+    assert exc.value.exit_code == 4
 
 
 # -- sweeps ------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from magbern.inequality import (
     series_bound_check,
     sup_abs_on_interval,
     taylor_extension_sup,
-    theoretical_constant,
     theoretical_constant_log,
 )
 from magbern.landau import CoherentState, QuadratureSpec, coherent_field, norm2
@@ -33,7 +32,7 @@ from util_fields import rng_stream
 
 def test_structural_homogenization_limit_is_one():
     c = ThmConstants(mode="structural", C1=7.0, C2=0.0)
-    assert theoretical_constant(3.0, 1.0, (0.0, 0.0), 1.0, c) == 1.0
+    assert theoretical_constant_log(3.0, 1.0, (0.0, 0.0), 1.0, c) == 0.0
 
 
 def test_constant_monotonicities():
@@ -101,7 +100,8 @@ def test_constant_matches_inline_chain(mode):
 
 
 def test_traced_value_overflows_to_inf_by_design():
-    assert theoretical_constant(4.0, 1.0, (1.0, 1.0), 0.5) == math.inf
+    # exp() of the log overflows floats (above ln(max float) ~ 709.78)
+    assert theoretical_constant_log(4.0, 1.0, (1.0, 1.0), 0.5) > 709
 
 
 # -- empirical constant -----------------------------------------------------------

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from magbern.errors import ValidationError
+from magbern import lattice
+from magbern.errors import ResourceLimitError, ValidationError
 from magbern.landau import GridField
 from magbern.lattice import (
     TorusSetup,
@@ -18,7 +19,6 @@ from magbern.lattice import (
     translate_array,
     translations_commute,
     validate_flux,
-    write_operator_triplets,
 )
 from util_fields import rng_stream
 
@@ -38,12 +38,9 @@ def test_flux_quantization_enforced():
 
 
 def test_flux_conventions():
-    assert validate_flux(2 * np.pi * 3 / 16.0, (4.0, 4.0), "area")
-    assert validate_flux(1.23, (4.0, 4.0), "difference")  # L2 - L1 = 0
-    assert validate_flux(2 * np.pi / 4.0, (4.0, 4.0), "square")
-    assert not validate_flux(0.7, (4.0, 4.0), "square")
-    with pytest.raises(ValidationError):
-        validate_flux(1.0, (4.0, 4.0), "bogus")
+    # the area convention: B*L1*L2 in 2*pi*Z
+    assert validate_flux(2 * np.pi * 3 / 16.0, (4.0, 4.0))
+    assert not validate_flux(0.7, (4.0, 4.0))
 
 
 def test_minimum_resolution():
@@ -149,6 +146,16 @@ def test_request_beyond_arpack_cap_is_solved_dense(n_grid, solve):
     assert np.allclose(sub.eigenvalues, full, atol=1e-9)
 
 
+def test_dense_request_above_the_cap_is_refused(monkeypatch):
+    # past ARPACK's cap the request goes dense; above DENSE_DIM_CAP it must
+    # raise (exit 4) instead of allocating
+    op = assemble(TorusSetup.from_flux(1, (4.0, 4.0), (4, 4)))
+    monkeypatch.setattr(lattice, "DENSE_DIM_CAP", op.setup.dim - 1)
+    with pytest.raises(ResourceLimitError, match="cap is dim 15") as exc:
+        eigensolve(op, count=16, dense_threshold=0)
+    assert exc.value.exit_code == 4
+
+
 @pytest.mark.parametrize("count", [0, -1])
 def test_count_below_one_rejected(count):
     with pytest.raises(ValidationError):
@@ -229,15 +236,3 @@ def test_translate_grid_field_wrapper():
     f = GridField(v, (0.0, 0.0), setup.spacing)
     g = magnetic_translate(f, (setup.L[0] / 2, 0.0), setup)
     assert g.samples.shape == v.shape
-
-
-def test_triplet_export(tmp_path):
-    setup = small_setup(n_phi=2, L=4.0, N=8)
-    op = assemble(setup)
-    path = tmp_path / "op.txt"
-    write_operator_triplets(op, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("%")
-    assert len(lines) - 1 == op.matrix.nnz
-    r, c, re, im = lines[1].split()
-    int(r), int(c), float(re), float(im)
