@@ -95,7 +95,7 @@ SCHEMAS = {
     "weyl-verify": {
         "m-max": (_int_at_least(1), 6),
         "field": (lambda s: tuple(Fraction(p) for p in s.split(",")), (1, 1, 1)),
-        "max-terms": (int, 10**6),
+        "max-terms": (_int_at_least(1), 10**6),
     },
     "bernstein": {
         "B": (float, 1.0),

@@ -136,44 +136,28 @@ def remez_bound(n: int, measure: float) -> float:
     return (4.0 / measure) ** n
 
 
-def _refine_max(f, lo: float, hi: float) -> float:
-    """Golden-section maximization of f on [lo, hi], 60 iterations."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(60):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return max(fc, fd, f(a), f(b))
-
-
-def _sup_on_grid(f, points: np.ndarray) -> float:
-    """Grid max of f, refined around the 5 best points."""
-    vals = f(points)
-    best = float(np.max(vals))
-    if points.size < 3:
-        return best
-    step = points[1] - points[0] if points.size > 1 else 0.0
-    top = np.argsort(vals)[-5:]
-    for i in top:
-        lo = max(points[0], points[i] - step)
-        hi = min(points[-1], points[i] + step)
-        best = max(best, _refine_max(lambda t: float(f(np.array([t]))[0]), lo, hi))
-    return best
-
-
 def sup_abs_on_interval(coeffs, lo: float, hi: float, n_grid: int = 10**4) -> float:
-    """Sup of |P| on [lo, hi]: dense grid plus golden-section refinement."""
-    pts = np.linspace(lo, hi, n_grid)
-    return _sup_on_grid(lambda t: np.abs(np.polyval(coeffs, t)), pts)
+    """Sup of |P| on [lo, hi] for n_grid >= 2.
+
+    |P(t)|^2 is a real polynomial of degree 2n on the real line, so the sup is
+    reached at an endpoint or at a real root of its derivative.  |P| is
+    evaluated once on the grid (endpoints included) and at the real parts of
+    all those roots, each also after one Newton step, that fall in [lo, hi].
+    Every candidate lies in [lo, hi], so the result never exceeds the sup
+    beyond rounding; the grid is a floor should a root be lost.
+    """
+    c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
+    dq = np.polyder(np.convolve(c, c.conj()).real)
+    # terms below the rounding level of dq on [0, 1] are dropped: a tiny
+    # leading one scales the companion matrix until the roots near [0, 1] are lost
+    small = np.abs(dq) <= np.finfo(float).eps * np.max(np.abs(dq), initial=0.0)
+    roots = np.roots(np.where(small, 0.0, dq)).real
+    with np.errstate(all="ignore"):
+        polished = roots - np.polyval(dq, roots) / np.polyval(np.polyder(dq), roots)
+    crit = np.concatenate((roots, polished))
+    crit = crit[(crit >= lo) & (crit <= hi)]
+    pts = np.concatenate((np.linspace(lo, hi, n_grid), crit))
+    return float(np.max(np.abs(np.polyval(c, pts))))
 
 
 def sup_abs_on_intervals(coeffs, intervals) -> float:
@@ -191,7 +175,8 @@ def _intervals_measure(intervals) -> float:
 
 
 def remez_check(coeffs: Sequence[complex], intervals) -> bool:
-    """Grid-sup verification of the Remez inequality for one polynomial.
+    """Verification of the Remez inequality for one polynomial, with both sups
+    taken over the grid and the critical points of |P|^2.
 
     `intervals` is a union of disjoint subintervals of [0,1] with positive
     total length.
@@ -222,9 +207,10 @@ class AnalyticSample:
 def kovrijkine_check(phi: AnalyticSample, intervals, n_circle: int = 4096) -> bool:
     """sup_[0,1]|phi| <= (12/|E|)^(2 log2 M) sup_E|phi| with M from |z| = 4.
 
-    The circle sup invokes the maximum principle; all sups are grid +
-    golden-section refinements, so M is a slight underestimate, which only
-    tightens the verified inequality.
+    The circle sup invokes the maximum principle.  M is the max of |phi| over
+    n_circle equispaced points of the circle, a slight underestimate, which
+    only tightens the verified inequality; the sups on [0, 1] and E are taken
+    over the grid and the critical points of |phi|^2, as in remez_check.
     """
     if abs(phi.at_zero()) < 1.0 - 1e-12:
         raise ValidationError("need |phi(0)| >= 1")
@@ -232,8 +218,8 @@ def kovrijkine_check(phi: AnalyticSample, intervals, n_circle: int = 4096) -> bo
     if measure <= 0:
         raise ValidationError("E must have positive measure")
     theta = np.linspace(0.0, 2.0 * np.pi, n_circle, endpoint=False)
-    m_phi = _sup_on_grid(lambda t: np.abs(phi(4.0 * np.exp(1j * t))), theta)
-    m_phi = max(m_phi, abs(phi.at_zero()), 1.0)
+    m_phi = max(float(np.max(np.abs(phi(4.0 * np.exp(1j * theta))))),
+                abs(phi.at_zero()), 1.0)
     coeffs = np.asarray(phi.coeffs, dtype=complex)
     sup01 = sup_abs_on_interval(coeffs, 0.0, 1.0)
     sup_e = sup_abs_on_intervals(coeffs, intervals)

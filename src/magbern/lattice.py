@@ -59,6 +59,8 @@ class TorusSetup:
         """Exactly quantized setup with n_phi flux quanta through the box."""
         if n_phi < 0:
             raise ValidationError("n_phi must be non-negative")
+        if L[0] <= 0 or L[1] <= 0:
+            raise ValidationError("box sides must be positive")
         B = TWO_PI * n_phi / (L[0] * L[1])
         return TorusSetup(L=tuple(L), B=B, N=tuple(N))
 

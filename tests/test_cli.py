@@ -273,12 +273,25 @@ def test_unreadable_mask_exits_2(tmp_path, capsys, name, content):
     ["bernstein", "--levels", "-1"],
     ["weyl-verify", "--m-max", "-1"],
     ["weyl-verify", "--m-max", "0"],
+    ["weyl-verify", "--max-terms", "0"],
+    ["weyl-verify", "--max-terms", "-5"],
 ])
 def test_count_key_below_range_exits_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("magbern: error:") and argv[-2] in err
     assert not (tmp_path / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["wegner", "--L", "0", "--trials", "2"],
+    ["wegner", "--L", "2,0", "--trials", "2"],
+    ["specineq", "--mask", STRIPS, "--L", "0,8"],
+])
+def test_non_positive_box_side_exits_2(tmp_path, capsys, argv):
+    # the flux B = 2 pi n_phi / (L1 L2) must not be formed from a zero side
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "box sides must be positive" in capsys.readouterr().err
 
 
 def test_negative_bernstein_tol_exits_2(tmp_path, capsys):

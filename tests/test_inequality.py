@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magbern.errors import NumericalError, ValidationError
 from magbern.geometry import SetMask, disk_complement_mask, strip_mask, thickness_scan
@@ -178,6 +180,74 @@ def test_remez_bound_values():
         remez_bound(1, 0.0)
     with pytest.raises(ValidationError):
         remez_bound(1, 1.5)
+
+
+def _refine_max(f, lo: float, hi: float) -> float:
+    """Golden-section maximization of f on [lo, hi], 60 iterations."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(60):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return max(fc, fd, f(a), f(b))
+
+
+def _sup_on_grid(f, points: np.ndarray) -> float:
+    """Grid max of f, refined around the 5 best points."""
+    vals = f(points)
+    best = float(np.max(vals))
+    if points.size < 3:
+        return best
+    step = points[1] - points[0] if points.size > 1 else 0.0
+    top = np.argsort(vals)[-5:]
+    for i in top:
+        lo = max(points[0], points[i] - step)
+        hi = min(points[-1], points[i] + step)
+        best = max(best, _refine_max(lambda t: float(f(np.array([t]))[0]), lo, hi))
+    return best
+
+
+_COEF = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    parts=st.lists(st.tuples(_COEF, _COEF), min_size=1, max_size=15),
+    ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    n_grid=st.integers(2, 2000),
+)
+def test_sup_between_golden_oracle_and_lipschitz_bound(parts, ends, n_grid):
+    # oracle: the grid-plus-golden-section sup, which can only under-estimate;
+    # bound: every t in [lo, hi] lies within h/2 of a grid point, and
+    # sum |k c_k| bounds |P'| on [0, 1].  slack covers the rounding of
+    # Horner's rule, |error| <= 2 (n + 1) u sum |c_k| at |t| <= 1, on both sides.
+    c = np.array([complex(re, im) for re, im in parts])
+    lo, hi = sorted(ends)
+    sup = sup_abs_on_interval(c, lo, hi, n_grid)
+    oracle = _sup_on_grid(lambda t: np.abs(np.polyval(c, t)), np.linspace(lo, hi, n_grid))
+    grid_max = float(np.max(np.abs(np.polyval(c, np.linspace(lo, hi, n_grid)))))
+    k = np.arange(c.size)[::-1]
+    lip = float(np.sum(k * np.abs(c)))
+    slack = 4.0 * c.size * np.finfo(float).eps * float(np.sum(np.abs(c)))
+    h = (hi - lo) / (n_grid - 1)
+    assert sup >= oracle * (1.0 - 1e-14) - slack
+    assert sup <= grid_max + 0.5 * h * lip + slack
+
+
+def test_sup_finds_interior_max_between_grid_points():
+    # P(t) = 1 - (t - 1/pi)^2 peaks at 1/pi; a two-point grid sees only
+    # P(0) = 1 - 1/pi^2 and P(1)
+    coeffs = [-1.0, 2.0 / math.pi, 1.0 - 1.0 / math.pi**2]
+    assert sup_abs_on_interval(coeffs, 0.0, 1.0, n_grid=2) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_remez_constant_polynomial():
