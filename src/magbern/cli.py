@@ -28,6 +28,14 @@ def _parse_pair(text: str):
     return float(parts[0]), float(parts[1])
 
 
+def _positive_pair(text: str):
+    """Parser for a window (l1, l2): both sides must be positive."""
+    a, b = _parse_pair(text)
+    if not (a > 0 and b > 0):
+        raise ValueError("window sides must be positive")
+    return a, b
+
+
 def _parse_int_pair(text: str):
     a, b = _parse_pair(text)
     return int(a), int(b)
@@ -107,7 +115,7 @@ SCHEMAS = {
     },
     "thickness": {
         "mask": (str, None),
-        "l": (_parse_pair, None),
+        "l": (_positive_pair, None),
         "spacing": (_parse_pair, (1.0, 1.0)),
         "periodic": (_parse_bool, False),
     },
@@ -117,7 +125,7 @@ SCHEMAS = {
         "n-phi": (int, 2),
         "L": (_parse_pair, (8.0, 8.0)),
         "N": (_parse_int_pair, (32, 32)),
-        "l": (_parse_pair, (2.0, 2.0)),
+        "l": (_positive_pair, (2.0, 2.0)),
         "seed": (int, 0),
     },
     "remez": {
@@ -127,18 +135,18 @@ SCHEMAS = {
     },
     "control": {
         "mask": (str, None),
-        "n-phi": (int, 2),
+        "n-phi": (_int_at_least(1), 2),
         "L": (_parse_pair, (8.0, 8.0)),
         "N": (_parse_int_pair, (32, 32)),
         "T": (_parse_floats, (0.5, 1.0, 2.0)),
-        "l": (_parse_pair, (2.0, 2.0)),
+        "l": (_positive_pair, (2.0, 2.0)),
         "eps-target": (_non_negative("eps-target"), 1e-8),
         "clusters": (_int_at_least(1), 2),
         "seed": (int, 0),
     },
     "wegner": {
         "L": (_parse_floats, (4.0, 8.0)),
-        "cells-per-unit": (int, 5),
+        "cells-per-unit": (_int_at_least(1), 5),
         "flux-per-unit": (int, 1),
         "E": (float, 6.30),
         "eps": (_parse_floats, (0.02, 0.04, 0.08)),
@@ -342,14 +350,16 @@ def run_bernstein(cfg: RunConfig, bundle: ReportBundle) -> None:
         f = landau.sample_ladder(lf, landau.QuadratureSpec(points_per_length=8))
         e = lf.energy_ceiling()
         n2 = landau.norm2(f)
+        words = landau.word_fields(f, cfg.params["m-max"])
         for m in range(1, cfg.params["m-max"] + 1):
-            l2 = landau.bernstein_sum(f, m, b)
+            l2 = landau.bernstein_sum(words, m)
             l2_bound = float(algebra.bernstein_constant(m, e, b, "L2")) * n2
-            l1 = landau.l1_bernstein_sum(f, m, b)
+            l1 = landau.l1_bernstein_sum(words, m)
             l1_bound = float(algebra.bernstein_constant(m, e, b, "L1")) * n2
             ok = l2 <= l2_bound * (1 + tol) and l1 <= l1_bound * (1 + 10 * tol)
             all_ok &= ok
             rows.append(_row(s, m, l2, l2_bound, l1, l1_bound, ok))
+        del words  # one table alive at a time: free it before the next is built
     _write(bundle, cfg.out_dir / "bernstein.csv", "\n".join(rows) + "\n")
     if not all_ok:
         raise NumericalError("magnetic Bernstein bound falsified")

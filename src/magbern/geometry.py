@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import bernstein_constant
 from .errors import ValidationError
-from .landau import GridField, _word_fields, mod2_derivative_word
+from .landau import GridField, mod2_derivative_word, word_fields
 
 
 @dataclass(frozen=True)
@@ -177,11 +177,12 @@ def _box_sum(p: np.ndarray, i0: int, i1: int, j0: int, j1: int) -> float:
     return float(p[i1, j1] - p[i0, j1] - p[i1, j0] + p[i0, j0])
 
 
-def classify_good_bad(f: GridField, covering: Covering, E: float, B: float,
+def classify_good_bad(f: GridField, covering: Covering, E: float,
                       m_max: int = 4) -> list:
-    """Label covering rectangles: good iff every ordinary-derivative word of
-    |f|^2 up to length m_max has L1 mass on the rectangle bounded by
-    4^(m+1) C'_B(m) times the local squared L2 mass.
+    """Label covering rectangles of a ladder-tagged field: good iff every
+    ordinary-derivative word of |f|^2 up to length m_max has L1 mass on the
+    rectangle bounded by 4^(m+1) C'_B(m) times the local squared L2 mass,
+    with B the field's own strength.
 
     Truncation at m_max can only enlarge the good family, so downstream
     good-mass lower bounds remain valid; a warning records the caveat.
@@ -193,7 +194,7 @@ def classify_good_bad(f: GridField, covering: Covering, E: float, B: float,
         f"good/bad verdicts truncated at m_max={m_max}: 'good' is necessary-condition only",
         stacklevel=2,
     )
-    words = _word_fields(f, m_max, B)
+    words = word_fields(f, m_max)
     deriv_prefix = {}
     for m in range(1, m_max + 1):
         for alpha in product((1, 2), repeat=m):
@@ -201,7 +202,7 @@ def classify_good_bad(f: GridField, covering: Covering, E: float, B: float,
     mass_prefix = _prefix(np.abs(f.samples) ** 2)
     area = f.cell_area
     thresholds = {
-        m: 4 ** (m + 1) * float(bernstein_constant(m, E, B, "L1"))
+        m: 4 ** (m + 1) * float(bernstein_constant(m, E, f.ladder.B, "L1"))
         for m in range(1, m_max + 1)
     }
     labels = []

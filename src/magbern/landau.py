@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import f_poly
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -182,8 +182,8 @@ class GridField:
     """Complex samples on a uniform rectangle grid.
 
     samples[i, j] = f(origin1 + i*h1, origin2 + j*h2).  An optional `ladder`
-    tag carries the closed-form generator of the samples, and with it the
-    exact derivative path of `magnetic_derivative`.
+    tag carries the closed-form generator of the samples; the derivative
+    words (`magnetic_derivative`, `word_fields`) need it.
     """
 
     samples: np.ndarray
@@ -221,6 +221,10 @@ class GridField:
         return GridField(samples, self.origin, self.spacing)
 
 
+# complex samples one grid or word table may hold (1 GiB), as lattice.DENSE_DIM_CAP^2
+GRID_SAMPLE_CAP = 1 << 26
+
+
 def grid_for_centers(centers, B: float, spec: QuadratureSpec = QuadratureSpec()):
     """Uniform grid covering all centres plus the truncation margin."""
     centers = list(centers) or [(0.0, 0.0)]
@@ -232,6 +236,10 @@ def grid_for_centers(centers, B: float, spec: QuadratureSpec = QuadratureSpec())
     hi2 = max(c[1] for c in centers) + r
     n1 = int(np.ceil((hi1 - lo1) / h)) + 1
     n2 = int(np.ceil((hi2 - lo2) / h)) + 1
+    if n1 * n2 > GRID_SAMPLE_CAP:
+        raise ResourceLimitError(
+            f"a {n1:.3g} x {n2:.3g} ladder-field grid exceeds the cap of {GRID_SAMPLE_CAP} "
+            f"complex samples")
     return (lo1, lo2), (h, h), (n1, n2)
 
 
@@ -352,65 +360,44 @@ def radial_mass_outside(lf: LadderField, center, r: float) -> float:
 # -- derivatives -------------------------------------------------------------
 
 
-def _centered_diff(a: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Second-order centered difference with zero extension outside the box."""
-    out = np.zeros_like(a)
-    if axis == 1:
-        out[1:-1, :] = (a[2:, :] - a[:-2, :]) / (2.0 * h)
-        out[0, :] = a[1, :] / (2.0 * h)
-        out[-1, :] = -a[-2, :] / (2.0 * h)
-    else:
-        out[:, 1:-1] = (a[:, 2:] - a[:, :-2]) / (2.0 * h)
-        out[:, 0] = a[:, 1] / (2.0 * h)
-        out[:, -1] = -a[:, -2] / (2.0 * h)
-    return out
+def _ladder(f: GridField) -> LadderField:
+    if f.ladder is None:
+        raise ValidationError("needs a ladder-tagged field")
+    return f.ladder
 
 
-def ordinary_derivative(f: GridField, axis: int) -> GridField:
+def magnetic_derivative(f: GridField, axis: int) -> GridField:
+    """Sampled covariant derivative md_axis f of a ladder-tagged field, in
+    closed form (exact up to sampling); the result keeps a tag."""
     if axis not in (1, 2):
         raise ValidationError("axis must be 1 or 2")
-    h = f.spacing[axis - 1]
-    return f.with_samples(_centered_diff(f.samples, axis, h))
+    return sample_ladder(_ladder(f).magnetic_derivative(axis), grid=f)
 
 
-def magnetic_derivative(f: GridField, axis: int, B: float) -> GridField:
-    """Sampled covariant derivative md_axis f; the ladder tag picks the path.
+def word_fields(f: GridField, m_max: int) -> dict:
+    """Sampled md-word fields of a ladder-tagged field for every word of
+    length <= m_max, after one boundary-margin check.
 
-    A tagged field is differentiated in closed form, exact up to sampling,
-    and the result keeps a tag; an untagged one by i * centered difference
-    plus the exact multiplication term.
+    Keys are tuples over {1,2}; the empty tuple is f itself.  The table holds
+    2^(m_max+1) - 1 grids and must fit under GRID_SAMPLE_CAP samples.
     """
-    if axis not in (1, 2):
-        raise ValidationError("axis must be 1 or 2")
-    if f.ladder is not None:
-        return sample_ladder(f.ladder.magnetic_derivative(axis), grid=f)
-    x1, x2 = f.axes()
-    if axis == 1:
-        vals = 1j * _centered_diff(f.samples, 1, f.spacing[0]) - (B / 2.0) * x2 * f.samples
-    else:
-        vals = 1j * _centered_diff(f.samples, 2, f.spacing[1]) + (B / 2.0) * x1 * f.samples
-    return f.with_samples(vals)
-
-
-def apply_h(f: GridField, B: float) -> GridField:
-    """H f = md1^2 f + md2^2 f."""
-    d1 = magnetic_derivative(magnetic_derivative(f, 1, B), 1, B)
-    d2 = magnetic_derivative(magnetic_derivative(f, 2, B), 2, B)
-    return f.with_samples(d1.samples + d2.samples)
-
-
-def _word_fields(f: GridField, max_m: int, B: float):
-    """Sampled md-word fields for every word of length <= max_m.
-
-    Keys are tuples over {1,2}; the empty tuple is f itself.
-    """
+    _ladder(f)
+    if m_max < 0:
+        raise ValidationError("m must be non-negative")
+    # a grid has at least 4 points, so the clamped exponent still exceeds the cap
+    if f.samples.size * ((2 << min(m_max, 26)) - 1) > GRID_SAMPLE_CAP:
+        n1, n2 = f.samples.shape
+        raise ResourceLimitError(
+            f"derivative words up to length {m_max} on a {n1} x {n2} grid exceed "
+            f"the cap of {GRID_SAMPLE_CAP} complex samples")
+    _check_margin(f)
     out = {(): f}
     frontier = {(): f}
-    for _ in range(max_m):
+    for _ in range(m_max):
         nxt = {}
         for word, g in frontier.items():
             for axis in (1, 2):
-                nxt[word + (axis,)] = magnetic_derivative(g, axis, B)
+                nxt[word + (axis,)] = magnetic_derivative(g, axis)
         out.update(nxt)
         frontier = nxt
     return out
@@ -426,16 +413,20 @@ def _check_margin(f: GridField):
         )
 
 
-def bernstein_sum(f: GridField, m: int, B: float) -> float:
-    """Sum over all 2^m covariant-derivative words of the squared L2 norm."""
-    if m < 0:
-        raise ValidationError("m must be non-negative")
-    _check_margin(f)
-    words = _word_fields(f, m, B)
-    return sum(norm2(words[w]) for w in words if len(w) == m)
+def _check_depth(words: dict, m: int):
+    depth = max(map(len, words))
+    if not 0 <= m <= depth:
+        raise ValidationError(f"m must lie in [0, {depth}] for this word table, got {m}")
 
 
-def mod2_derivative_word(word_fields: dict, alpha: tuple):
+def bernstein_sum(words: dict, m: int) -> float:
+    """Sum over all 2^m covariant-derivative words of the squared L2 norm,
+    read from a `word_fields` table."""
+    _check_depth(words, m)
+    return sum(norm2(g) for w, g in words.items() if len(w) == m)
+
+
+def mod2_derivative_word(words: dict, alpha: tuple):
     """Pointwise values of the ordinary derivative word applied to |f|^2.
 
     Uses the exact product identity
@@ -449,44 +440,26 @@ def mod2_derivative_word(word_fields: dict, alpha: tuple):
         sel = tuple(alpha[i] for i in range(m) if mask >> i & 1)
         com = tuple(alpha[i] for i in range(m) if not mask >> i & 1)
         sign = (-1) ** (m - len(sel))
-        term = sign * word_fields[sel].samples * np.conj(word_fields[com].samples)
+        term = sign * words[sel].samples * np.conj(words[com].samples)
         total = term if total is None else total + term
     vals = ((-1j) ** m) * total
     return vals
 
 
-def l1_bernstein_sum(f: GridField, m: int, B: float) -> float:
-    """Sum over all 2^m ordinary-derivative words of ||d^alpha |f|^2||_L1.
-
-    Tagged fields use the exact product identity over covariant-derivative
-    words; plain grids fall back to centered differences on |f|^2.
-    """
-    if m < 0:
-        raise ValidationError("m must be non-negative")
-    _check_margin(f)
+def l1_bernstein_sum(words: dict, m: int) -> float:
+    """Sum over all 2^m ordinary-derivative words of ||d^alpha |f|^2||_L1,
+    by the product identity over a `word_fields` table."""
+    _check_depth(words, m)
+    f = words[()]
     if m == 0:
         return norm2(f)
-    total = 0.0
-    if f.ladder is not None:
-        words = _word_fields(f, m, B)
-        for alpha in product((1, 2), repeat=m):
-            vals = mod2_derivative_word(words, alpha)
-            total += l1_norm(vals.real, f.cell_area)
-        return total
-    mod2 = np.abs(f.samples) ** 2
-    for alpha in product((1, 2), repeat=m):
-        g = mod2
-        for axis in alpha:
-            g = _centered_diff(g, axis, f.spacing[axis - 1])
-        total += l1_norm(g, f.cell_area)
-    return total
+    return sum(l1_norm(mod2_derivative_word(words, alpha).real, f.cell_area)
+               for alpha in product((1, 2), repeat=m))
 
 
 def f_m_quadratic_form(f: GridField, m: int) -> float:
     """<f, F_m(H) f> for a ladder-tagged field, via exact spectral calculus."""
-    if f.ladder is None:
-        raise ValidationError("needs a ladder-tagged field")
-    lf = f.ladder
+    lf = _ladder(f)
     fm = f_poly(m)
     kmax = lf.max_level() + 1
     values = [fm.eval_float((2 * k + 1) * lf.B, lf.B).real for k in range(kmax + 1)]

@@ -83,21 +83,13 @@ def bernstein_sample_results():
             dst[k] = dst.get(k, 0.0) + complex(rng.normal(), rng.normal())
         lf = landau.LadderField(b, terms)
         f = landau.sample_ladder(lf, spec)
-        words = landau._word_fields(f, 3, b)
+        words = landau.word_fields(f, 3)
         n2 = landau.norm2(f)
         entry = {"norm2": n2, "E": lf.energy_ceiling()}
         for m in (1, 2, 3):
-            entry[("l2", m)] = sum(
-                landau.norm2(g) for w, g in words.items() if len(w) == m
-            )
+            entry[("l2", m)] = landau.bernstein_sum(words, m)
             entry[("quad", m)] = landau.f_m_quadratic_form(f, m)
-            total = 0.0
-            from itertools import product
-
-            for alpha in product((1, 2), repeat=m):
-                vals = landau.mod2_derivative_word(words, alpha)
-                total += landau.l1_norm(vals.real, f.cell_area)
-            entry[("l1", m)] = total
+            entry[("l1", m)] = landau.l1_bernstein_sum(words, m)
         results.append(entry)
     return b, results
 
@@ -206,7 +198,7 @@ def test_criterion_8_good_mass():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             labels = geometry.classify_good_bad(f, cov, E=lf.energy_ceiling(),
-                                                B=1.0, m_max=4)
+                                                m_max=4)
         frac = geometry.good_mass_fraction(labels, landau.norm2(f))
         worst = min(worst, frac)
         ok &= frac >= 0.5

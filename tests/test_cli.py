@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magbern import disorder
+from magbern import disorder, landau
 from magbern.cli import main, parse_config, parse_energy, read_keyvalue_file
 from magbern.errors import ValidationError
 from magbern.geometry import SetMask, write_pbm
@@ -275,12 +275,57 @@ def test_unreadable_mask_exits_2(tmp_path, capsys, name, content):
     ["weyl-verify", "--m-max", "0"],
     ["weyl-verify", "--max-terms", "0"],
     ["weyl-verify", "--max-terms", "-5"],
+    ["control", "--mask", STRIPS, "--n-phi", "0"],
+    ["wegner", "--L", "2", "--trials", "2", "--cells-per-unit", "-1"],
 ])
 def test_count_key_below_range_exits_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("magbern: error:") and argv[-2] in err
     assert not (tmp_path / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["thickness", "--mask", STRIPS, "--l", "0,0"],
+    ["thickness", "--mask", STRIPS, "--l", "2,-1"],
+    ["specineq", "--mask", STRIPS, "--rho", "0.5", "--l", "0,0"],
+    ["control", "--mask", STRIPS, "--rho", "0.5", "--T", "1", "--l", "-2,2"],
+])
+def test_non_positive_window_side_exits_2(tmp_path, capsys, argv):
+    # with --rho given no thickness scan runs, so the parser is the only check
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "--l" in err and "window sides must be positive" in err
+    assert not (tmp_path / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bernstein", "--B", "1e300", "--samples", "1", "--m-max", "1"],
+    ["bernstein", "--samples", "1", "--m-max", "40"],
+])
+def test_oversized_ladder_grid_exits_4(tmp_path, capsys, monkeypatch, argv):
+    # both caps are checked on the sizes alone, before any array is allocated
+    def no_words(*args):
+        raise AssertionError("a derivative word was sampled before the cap check")
+
+    monkeypatch.setattr(landau, "magnetic_derivative", no_words)
+    assert main(argv + ["--out", str(tmp_path)]) == 4
+    assert "complex samples" in capsys.readouterr().err
+
+
+def test_bernstein_builds_one_word_table_per_sample(tmp_path, monkeypatch):
+    calls = []
+    real_eval = landau.LadderField.eval
+
+    def counted(self, x1, x2, conjugate_branch=False):
+        calls.append(1)
+        return real_eval(self, x1, x2, conjugate_branch)
+
+    monkeypatch.setattr(landau.LadderField, "eval", counted)
+    argv = ["bernstein", "--samples", "2", "--m-max", "3", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    # per sample: the field itself and its 2 + 4 + 8 derivative words
+    assert len(calls) == 2 * 15
 
 
 @pytest.mark.parametrize("argv", [

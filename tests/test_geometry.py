@@ -154,7 +154,7 @@ def test_coherent_state_rectangle_is_good():
     cov = build_covering((side, side), (3.0, 3.0), origin=(-9.0, -9.0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        labels = classify_good_bad(f, cov, E=B, B=B, m_max=3)
+        labels = classify_good_bad(f, cov, E=B, m_max=3)
     center = [l for l in labels if l.anchor == (0.0, 0.0)]
     assert center and center[0].good
 
@@ -171,7 +171,7 @@ def test_bad_rectangle_detected_at_field_zero():
                    domain=(eps, eps), origin=(-eps / 2, -eps / 2))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        labels = classify_good_bad(f, cov, E=3 * B, B=B, m_max=1)
+        labels = classify_good_bad(f, cov, E=3 * B, m_max=1)
     assert not labels[0].good
     # independent check of both sides from the closed form of d1 |f|^2
     n = 400
@@ -199,7 +199,7 @@ def test_good_mass_at_least_half_on_random_subspace_fields():
         cov = build_covering((L1, L2), (2.0, 2.0), origin=(lo1, lo2))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            labels = classify_good_bad(f, cov, E=e, B=lf.B, m_max=4)
+            labels = classify_good_bad(f, cov, E=e, m_max=4)
         assert good_mass_fraction(labels, norm2(f)) >= 0.5
 
 

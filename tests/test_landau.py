@@ -1,37 +1,89 @@
 """Continuum Landau fields: coherent states, kernels, Bernstein sums."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 from scipy.special import eval_laguerre
 
+from magbern import landau
 from magbern.algebra import bernstein_constant
-from magbern.errors import ValidationError
+from magbern.errors import ResourceLimitError, ValidationError
 from magbern.landau import (
     CoherentState,
     GridField,
     LadderField,
     QuadratureSpec,
-    apply_h,
     bernstein_sum,
     boundary_mass_fraction,
     coherent_field,
     eval_kernel,
     f_m_quadratic_form,
+    grid_for_centers,
     inner,
     kernel_column,
     l1_bernstein_sum,
+    l1_norm,
     landau_levels_below,
     magnetic_derivative,
     norm2,
-    ordinary_derivative,
     radial_mass_outside,
     sample_ladder,
+    word_fields,
 )
 from util_fields import random_ladder, rng_stream
 
 FAST = QuadratureSpec(tail_sigmas=9.0, points_per_length=8)
+
+
+# -- finite-difference oracle for the closed-form derivatives ------------------
+
+
+def _centered_diff(a: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Second-order centered difference with zero extension outside the box."""
+    out = np.zeros_like(a)
+    if axis == 1:
+        out[1:-1, :] = (a[2:, :] - a[:-2, :]) / (2.0 * h)
+        out[0, :] = a[1, :] / (2.0 * h)
+        out[-1, :] = -a[-2, :] / (2.0 * h)
+    else:
+        out[:, 1:-1] = (a[:, 2:] - a[:, :-2]) / (2.0 * h)
+        out[:, 0] = a[:, 1] / (2.0 * h)
+        out[:, -1] = -a[:, -2] / (2.0 * h)
+    return out
+
+
+def _fd_ordinary_derivative(f: GridField, axis: int) -> GridField:
+    return f.with_samples(_centered_diff(f.samples, axis, f.spacing[axis - 1]))
+
+
+def _fd_magnetic_derivative(f: GridField, axis: int, B: float) -> GridField:
+    """i * centered difference plus the exact multiplication term."""
+    x1, x2 = f.axes()
+    if axis == 1:
+        vals = 1j * _centered_diff(f.samples, 1, f.spacing[0]) - (B / 2.0) * x2 * f.samples
+    else:
+        vals = 1j * _centered_diff(f.samples, 2, f.spacing[1]) + (B / 2.0) * x1 * f.samples
+    return f.with_samples(vals)
+
+
+def _apply_h(f: GridField, md) -> GridField:
+    """H f = md1^2 f + md2^2 f with the derivative md(f, axis)."""
+    return f.with_samples(md(md(f, 1), 1).samples + md(md(f, 2), 2).samples)
+
+
+def _fd_l1_bernstein_sum(f: GridField, m: int) -> float:
+    """Sum over ordinary-derivative words of ||d^alpha |f|^2||_L1 by centered
+    differences on |f|^2."""
+    total = 0.0
+    mod2 = np.abs(f.samples) ** 2
+    for alpha in product((1, 2), repeat=m):
+        g = mod2
+        for axis in alpha:
+            g = _centered_diff(g, axis, f.spacing[axis - 1])
+        total += l1_norm(g, f.cell_area)
+    return total
 
 
 # -- coherent states ----------------------------------------------------------
@@ -163,7 +215,7 @@ def test_ladder_terms_are_exact_eigenfunctions():
     for k in (0, 1, 2):
         lf = LadderField(B, {(0.4, -0.7): {k: 1.0}})
         f = sample_ladder(lf, FAST)
-        hf = apply_h(f, B)  # tagged: closed form
+        hf = _apply_h(f, magnetic_derivative)  # closed form
         lam = (2 * k + 1) * B
         resid = norm2(f.with_samples(hf.samples - lam * f.samples))
         assert resid / norm2(f) < 1e-24
@@ -175,7 +227,7 @@ def test_finite_difference_h_residual_is_second_order():
     errs = []
     for pp in (8, 16):
         f = coherent_field(st, QuadratureSpec(tail_sigmas=9.0, points_per_length=pp))
-        hf = apply_h(f.with_samples(f.samples), B)  # untagged: finite differences
+        hf = _apply_h(f, lambda g, axis: _fd_magnetic_derivative(g, axis, B))
         resid = norm2(f.with_samples(hf.samples - B * f.samples))
         errs.append(math.sqrt(resid / norm2(f)))
     ratio = errs[0] / errs[1]
@@ -188,30 +240,41 @@ def test_closed_form_and_fd_derivative_agree_at_second_order():
     errs = []
     for pp in (8, 16):
         f = coherent_field(st, QuadratureSpec(tail_sigmas=9.0, points_per_length=pp))
-        d_cf = magnetic_derivative(f, 1, B)
-        d_fd = magnetic_derivative(f.with_samples(f.samples), 1, B)
+        d_cf = magnetic_derivative(f, 1)
+        d_fd = _fd_magnetic_derivative(f, 1, B)
         errs.append(math.sqrt(norm2(f.with_samples(d_cf.samples - d_fd.samples))))
     assert 3.0 < errs[0] / errs[1] < 5.5
 
 
 def test_derivative_of_zero_field_is_zero():
-    z = GridField(np.zeros((8, 8), dtype=complex), (0.0, 0.0), (0.1, 0.1))
-    assert norm2(magnetic_derivative(z, 2, 1.0)) == 0.0
+    z = sample_ladder(LadderField(1.0, {}),
+                      grid=GridField(np.zeros((8, 8), dtype=complex), (0.0, 0.0), (0.1, 0.1)))
+    assert norm2(magnetic_derivative(z, 2)) == 0.0
 
 
 def test_derivative_rejects_bad_axis():
-    z = GridField(np.zeros((8, 8), dtype=complex), (0.0, 0.0), (0.1, 0.1))
+    z = sample_ladder(LadderField(1.0, {}),
+                      grid=GridField(np.zeros((8, 8), dtype=complex), (0.0, 0.0), (0.1, 0.1)))
     with pytest.raises(ValidationError):
-        magnetic_derivative(z, 3, 1.0)
+        magnetic_derivative(z, 3)
+
+
+def test_derivative_words_reject_untagged_field():
+    f = coherent_field(CoherentState((0.0, 0.0), 1.0), FAST)
+    plain = f.with_samples(f.samples)
+    with pytest.raises(ValidationError, match="ladder-tagged"):
+        magnetic_derivative(plain, 1)
+    with pytest.raises(ValidationError, match="ladder-tagged"):
+        word_fields(plain, 1)
 
 
 def test_ordinary_derivative_blows_up_while_magnetic_does_not():
     B = 1.0
     for y2 in (4.0, 8.0):
         f = coherent_field(CoherentState((0.0, y2), B), FAST)
-        od = norm2(ordinary_derivative(f, 1))
+        od = norm2(_fd_ordinary_derivative(f, 1))
         assert od >= math.pi * y2**2 / 2 - 4 * math.pi / B
-        ms = bernstein_sum(f, 1, B)
+        ms = bernstein_sum(word_fields(f, 1), 1)
         assert ms == pytest.approx(2 * math.pi, rel=1e-6)
 
 
@@ -220,9 +283,9 @@ def test_ordinary_derivative_blows_up_while_magnetic_does_not():
 
 def test_bernstein_sum_coherent_m1_m2():
     B = 1.0
-    f = coherent_field(CoherentState((0.2, 0.6), B), FAST)
-    assert bernstein_sum(f, 1, B) == pytest.approx(2 * math.pi, rel=1e-9)
-    assert bernstein_sum(f, 2, B) == pytest.approx(6 * math.pi * B, rel=1e-9)
+    words = word_fields(coherent_field(CoherentState((0.2, 0.6), B), FAST), 2)
+    assert bernstein_sum(words, 1) == pytest.approx(2 * math.pi, rel=1e-9)
+    assert bernstein_sum(words, 2) == pytest.approx(6 * math.pi * B, rel=1e-9)
 
 
 def test_bernstein_sum_equals_quadratic_form_of_f_m():
@@ -230,8 +293,9 @@ def test_bernstein_sum_equals_quadratic_form_of_f_m():
     for _ in range(4):
         lf = random_ladder(rng, n_terms=3, max_level=2)
         f = sample_ladder(lf, FAST)
+        words = word_fields(f, 3)
         for m in (1, 2, 3):
-            s = bernstein_sum(f, m, lf.B)
+            s = bernstein_sum(words, m)
             q = f_m_quadratic_form(f, m)
             assert s == pytest.approx(q, rel=1e-9)
 
@@ -241,10 +305,11 @@ def test_bernstein_sum_respects_spectral_bound():
     for _ in range(4):
         lf = random_ladder(rng, n_terms=3, max_level=2)
         f = sample_ladder(lf, FAST)
+        words = word_fields(f, 3)
         e = lf.energy_ceiling()
         n2 = norm2(f)
         for m in (1, 2, 3):
-            assert bernstein_sum(f, m, lf.B) <= bernstein_constant(m, e, lf.B) * n2 * (
+            assert bernstein_sum(words, m) <= bernstein_constant(m, e, lf.B) * n2 * (
                 1 + 1e-9
             )
 
@@ -253,13 +318,13 @@ def test_fd_bernstein_sum_converges_to_exact():
     B = 1.0
     st = CoherentState((0.0, 0.0), B)
     f = coherent_field(st, QuadratureSpec(tail_sigmas=9.0, points_per_length=24))
-    fd = bernstein_sum(f.with_samples(f.samples), 1, B)
+    fd = sum(norm2(_fd_magnetic_derivative(f, axis, B)) for axis in (1, 2))
     assert fd == pytest.approx(2 * math.pi, rel=2e-3)
 
 
 def test_l1_sum_m0_is_squared_norm():
     f = coherent_field(CoherentState((0.1, 0.2), 1.0), FAST)
-    assert l1_bernstein_sum(f, 0, 1.0) == pytest.approx(norm2(f), rel=1e-12)
+    assert l1_bernstein_sum(word_fields(f, 0), 0) == pytest.approx(norm2(f), rel=1e-12)
 
 
 def test_l1_sum_coherent_exact_value_and_bound():
@@ -268,18 +333,17 @@ def test_l1_sum_coherent_exact_value_and_bound():
     B = 1.0
     f = coherent_field(CoherentState((0.0, 0.0), B),
                        QuadratureSpec(tail_sigmas=9.0, points_per_length=16))
-    got = l1_bernstein_sum(f, 1, B)
+    got = l1_bernstein_sum(word_fields(f, 1), 1)
     assert got == pytest.approx(4 * math.sqrt(2 * math.pi / B), rel=2e-3)
     e = 1.0
     assert got <= bernstein_constant(1, e, B, "L1") * norm2(f) * (1 + 1e-6)
 
 
 def test_l1_identity_route_matches_fd_route():
-    B = 1.0
     lf = random_ladder(rng_stream(9), n_terms=2, max_level=1)
     f = sample_ladder(lf, QuadratureSpec(tail_sigmas=9.0, points_per_length=24))
-    a = l1_bernstein_sum(f, 2, B)
-    b = l1_bernstein_sum(f.with_samples(f.samples), 2, B)
+    a = l1_bernstein_sum(word_fields(f, 2), 2)
+    b = _fd_l1_bernstein_sum(f, 2)
     assert a == pytest.approx(b, rel=5e-3)
 
 
@@ -288,15 +352,52 @@ def test_l1_bound_on_random_level_combinations():
     for _ in range(3):
         lf = random_ladder(rng, n_terms=3, max_level=2)
         f = sample_ladder(lf, FAST)
+        words = word_fields(f, 3)
         e = lf.energy_ceiling()
         n2 = norm2(f)
         for m in (1, 2, 3):
             bound = bernstein_constant(m, e, lf.B, "L1") * n2
-            assert l1_bernstein_sum(f, m, lf.B) <= bound * (1 + 1e-3)
+            assert l1_bernstein_sum(words, m) <= bound * (1 + 1e-3)
+
+
+@pytest.mark.parametrize("m", [-1, 3])
+def test_sums_reject_depth_outside_the_table(m):
+    words = word_fields(coherent_field(CoherentState((0.0, 0.0), 1.0), FAST), 2)
+    with pytest.raises(ValidationError, match="word table"):
+        bernstein_sum(words, m)
+    with pytest.raises(ValidationError, match="word table"):
+        l1_bernstein_sum(words, m)
 
 
 def test_boundary_mass_warning_for_non_decaying_field():
-    ones = GridField(np.ones((16, 16), dtype=complex), (0.0, 0.0), (0.1, 0.1))
-    assert boundary_mass_fraction(ones) > 1e-6
+    # a coherent state on a box of 1.5 magnetic lengths has not decayed at the edge
+    box = GridField(np.ones((16, 16), dtype=complex), (0.0, 0.0), (0.1, 0.1))
+    f = sample_ladder(LadderField.coherent(CoherentState((0.75, 0.75), 1.0)), grid=box)
+    assert boundary_mass_fraction(f) > 1e-6
     with pytest.warns(UserWarning):
-        bernstein_sum(ones, 1, 1.0)
+        word_fields(f, 1)
+
+
+# -- sample caps --------------------------------------------------------------
+
+
+def test_grid_above_sample_cap_raises_before_allocating():
+    # B = 1e6 at 16 points per magnetic length: about 48k x 48k samples
+    with pytest.raises(ResourceLimitError):
+        grid_for_centers([(0.0, 0.0), (1.5, 1.5)], 1e6)
+
+
+def test_word_table_above_sample_cap_raises(monkeypatch):
+    f = coherent_field(CoherentState((0.0, 0.0), 1.0), FAST)
+    n = f.samples.size
+    monkeypatch.setattr(landau, "GRID_SAMPLE_CAP", 3 * n - 1)
+
+    def no_words(*args):
+        raise AssertionError("a derivative word was sampled before the cap check")
+
+    monkeypatch.setattr(landau, "magnetic_derivative", no_words)
+    assert len(word_fields(f, 0)) == 1
+    with pytest.raises(ResourceLimitError):
+        word_fields(f, 1)  # f and its two first derivatives: 3 n samples
+    with pytest.raises(ResourceLimitError):
+        word_fields(f, 10**6)
