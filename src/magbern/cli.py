@@ -99,7 +99,7 @@ def _non_negative(key: str):
 
 # command -> {key: (parser, default)}; None default means required
 SCHEMAS = {
-    "fm": {"m": (int, 2)},
+    "fm": {"m": (_int_at_least(0), 2)},
     "weyl-verify": {
         "m-max": (_int_at_least(1), 6),
         "field": (lambda s: tuple(Fraction(p) for p in s.split(",")), (1, 1, 1)),
@@ -122,7 +122,7 @@ SCHEMAS = {
     "specineq": {
         "mask": (str, None),
         "E": (_energy_text, "B"),
-        "n-phi": (int, 2),
+        "n-phi": (_int_at_least(0), 2),
         "L": (_parse_pair, (8.0, 8.0)),
         "N": (_parse_int_pair, (32, 32)),
         "l": (_positive_pair, (2.0, 2.0)),
@@ -150,7 +150,7 @@ SCHEMAS = {
         "flux-per-unit": (int, 1),
         "E": (float, 6.30),
         "eps": (_parse_floats, (0.02, 0.04, 0.08)),
-        "trials": (int, 200),
+        "trials": (_int_at_least(2), 200),
         "coupling": (_parse_pair, (0.0, 1.0)),
         "seed": (int, 0),
     },

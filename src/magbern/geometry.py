@@ -10,6 +10,7 @@ subtracted to stay a certified lower bound.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from itertools import product
@@ -83,17 +84,21 @@ def _snap_cells(ell: float, h: float):
 def _prefix(a: np.ndarray) -> np.ndarray:
     """2-D prefix sums with a zero first row and column, in a's dtype."""
     p = np.zeros((a.shape[0] + 1, a.shape[1] + 1), dtype=a.dtype)
-    p[1:, 1:] = a.cumsum(0).cumsum(1)
+    np.cumsum(a, axis=0, out=p[1:, 1:])
+    np.cumsum(p[1:, 1:], axis=1, out=p[1:, 1:])
     return p
 
 
 def window_counts(cells: np.ndarray, w1: int, w2: int, periodic: bool) -> np.ndarray:
-    """Occupancy counts of all w1 x w2 windows via 2-D prefix sums."""
-    a = cells.astype(np.int64)
+    """Occupancy counts of all w1 x w2 windows via 2-D prefix sums, with no
+    full-size temporary beyond the int64 cells and their prefix sums."""
     if periodic:
-        a = np.pad(a, ((0, w1 - 1), (0, w2 - 1)), mode="wrap")
-    p = _prefix(a)
-    return p[w1:, w2:] - p[:-w1, w2:] - p[w1:, :-w2] + p[:-w1, :-w2]
+        cells = np.pad(cells, ((0, w1 - 1), (0, w2 - 1)), mode="wrap")
+    p = _prefix(cells.astype(np.int64))
+    counts = p[w1:, w2:] - p[:-w1, w2:]
+    counts -= p[w1:, :-w2]
+    counts += p[:-w1, :-w2]
+    return counts
 
 
 def thickness_scan(mask: SetMask, ell: tuple) -> ThicknessReport:
@@ -271,27 +276,40 @@ def write_pbm(mask: SetMask, path) -> None:
             fh.write(" ".join("1" if v else "0" for v in mask.cells[i]) + "\n")
 
 
+# raster byte classes of a plain PBM: 0 and 1 are cells, 2 is whitespace, 3 is invalid
+_PBM_BYTES = np.full(256, 3, dtype=np.uint8)
+_PBM_BYTES[list(b"01")] = (0, 1)
+_PBM_BYTES[list(b" \t\n\r\v\f")] = 2
+_PBM_HEADER = re.compile(rb"\s*(\S*)\s*(\S*)\s*(\S*)")
+
+
 def read_pbm(path, spacing=(1.0, 1.0), periodic: bool = False) -> SetMask:
+    """Plain PBM (P1) mask; `#` starts a comment to the end of its line, and
+    the raster may hold only 0, 1 and whitespace (ValidationError otherwise)."""
     try:
-        with open(path) as fh:
-            tokens = []
-            for line in fh:
-                line = line.split("#", 1)[0]
-                tokens.extend(line.split())
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
         raise ValidationError(f"{path}: cannot read mask: {exc}") from exc
-    if not tokens or tokens[0] != "P1":
+    if b"#" in data:
+        data = b"\n".join(line.split(b"#", 1)[0] for line in data.split(b"\n"))
+    header = _PBM_HEADER.match(data)
+    if header[1] != b"P1":
         raise ValidationError(f"{path}: not a plain PBM (P1) file")
     try:
-        n2, n1 = int(tokens[1]), int(tokens[2])
-    except (IndexError, ValueError):
+        n2, n1 = int(header[2]), int(header[3])
+    except ValueError:
         raise ValidationError(
             f"{path}: malformed PBM header, expected 'P1 <width> <height>'"
         ) from None
     if n1 <= 0 or n2 <= 0:
         raise ValidationError(f"{path}: PBM dimensions must be positive")
-    bits = tokens[3:]
-    if len(bits) != n1 * n2:
-        raise ValidationError(f"{path}: expected {n1 * n2} bits, found {len(bits)}")
-    cells = np.array([b == "1" for b in bits], dtype=bool).reshape(n1, n2)
-    return SetMask(cells, spacing, periodic=periodic)
+    raster = _PBM_BYTES[np.frombuffer(data, dtype=np.uint8, offset=header.end())]
+    if raster.size and raster.max() == 3:
+        char = data[header.end() + np.argmax(raster == 3)]
+        raise ValidationError(
+            f"{path}: PBM raster byte {bytes([char])!r} is not 0, 1 or whitespace")
+    bits = raster[raster < 2]
+    if bits.size != n1 * n2:
+        raise ValidationError(f"{path}: expected {n1 * n2} bits, found {bits.size}")
+    return SetMask(bits.reshape(n1, n2), spacing, periodic=periodic)

@@ -249,6 +249,8 @@ def test_command_outputs_are_plain_rows(tmp_path, command):
     ("short.pbm", "P1\n4"),
     ("negative.pbm", "P1\n-1 -1\n1\n"),
     ("binary.pbm", b"\xff\xfe\x00"),
+    ("digit.pbm", "P1\n2 2\n1 2\n0 1\n"),
+    ("letter.pbm", "P1\n2 2\n1 0\n0 x\n"),
 ])
 def test_unreadable_mask_exits_2(tmp_path, capsys, name, content):
     path = tmp_path / name
@@ -277,6 +279,9 @@ def test_unreadable_mask_exits_2(tmp_path, capsys, name, content):
     ["weyl-verify", "--max-terms", "-5"],
     ["control", "--mask", STRIPS, "--n-phi", "0"],
     ["wegner", "--L", "2", "--trials", "2", "--cells-per-unit", "-1"],
+    ["specineq", "--mask", STRIPS, "--n-phi", "-1"],
+    ["fm", "--m", "-1"],
+    ["wegner", "--L", "2", "--trials", "1"],
 ])
 def test_count_key_below_range_exits_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2

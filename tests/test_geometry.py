@@ -216,6 +216,13 @@ def test_pbm_round_trip(tmp_path):
     assert np.array_equal(back.cells, cells)
 
 
+def test_pbm_comments_and_unspaced_raster(tmp_path):
+    # plain PBM ignores whitespace between raster bits and `#` to the line end
+    p = tmp_path / "mask.pbm"
+    p.write_text("P1 # magic\n# size next\n3 2\n101 # row 0\n0\t1\n1\n")
+    assert read_pbm(p).cells.tolist() == [[True, False, True], [False, True, True]]
+
+
 def test_pbm_rejects_bad_magic(tmp_path):
     p = tmp_path / "bad.pbm"
     p.write_text("P4\n2 2\n")

@@ -4,15 +4,21 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magbern import lattice
-from magbern.errors import ResourceLimitError, ValidationError
+from magbern.errors import NumericalError, ResourceLimitError, ValidationError
 from magbern.landau import GridField
 from magbern.lattice import (
+    SpectralSubspace,
     TorusSetup,
     assemble,
     cluster_eigenvalues,
     commutation_check,
+    dense_matrix,
     eigensolve,
     flux_condition,
     magnetic_translate,
@@ -25,6 +31,43 @@ from util_fields import rng_stream
 
 def small_setup(n_phi=2, L=4.0, N=16):
     return TorusSetup.from_flux(n_phi, (L, L), (N, N))
+
+
+def oracle_eigensolve(op, energy=None, count=None, dense_threshold=255, seed=0):
+    """The 2-D solve `eigensolve` replaced: shift-invert ARPACK on the whole
+    operator (blocks of 16 pairs doubling past the cutoff) above
+    `dense_threshold`, a subset dense `eigh` below it or past ARPACK's cap."""
+    setup = op.setup
+    h1, h2 = setup.spacing
+    dim = setup.dim
+    k = count or 16
+    while dim > dense_threshold and k <= dim - 2:
+        evals, evecs = spla.eigsh(
+            op.matrix, k=k, sigma=-0.05 * (1.0 / max(h1, h2) ** 2), which="LM",
+            v0=np.random.default_rng(seed).standard_normal(dim), maxiter=10000)
+        q, _ = np.linalg.qr(evecs)
+        small = q.conj().T @ (op.matrix @ q)
+        evals, rot = np.linalg.eigh(0.5 * (small + small.conj().T))
+        evecs = q @ rot
+        if count is not None or evals[-1] > energy:
+            break
+        k *= 2
+    else:
+        window = ({"subset_by_index": (0, min(count, dim) - 1)} if count
+                  else {"subset_by_value": (-np.inf, energy)})
+        evals, evecs = scipy.linalg.eigh(dense_matrix(op), **window)
+    if energy is not None:
+        keep = evals <= energy
+        evals, evecs = evals[keep], evecs[:, keep]
+    cutoff = energy if energy is not None else evals[-1]
+    return SpectralSubspace(setup, evals, evecs / np.sqrt(h1 * h2), float(cutoff))
+
+
+def projector_gap(a, b):
+    cell = a.setup.spacing[0] * a.setup.spacing[1]
+    pa = a.vectors @ a.vectors.conj().T
+    pb = b.vectors @ b.vectors.conj().T
+    return np.max(np.abs(pa - pb)) * cell
 
 
 # -- setup validation -----------------------------------------------------------
@@ -122,20 +165,16 @@ def test_iterative_matches_dense_solver():
     dense = eigensolve(op, count=4, dense_threshold=setup.dim)  # forced dense
     iterative = eigensolve(op, count=4, dense_threshold=64, seed=11)
     assert np.allclose(dense.eigenvalues, iterative.eigenvalues, atol=1e-9)
-    # same spectral subspace: projector difference small
-    pd = dense.vectors @ dense.vectors.conj().T
-    pi = iterative.vectors @ iterative.vectors.conj().T
-    cell = setup.spacing[0] * setup.spacing[1]
-    assert np.max(np.abs(pd - pi)) * cell < 1e-8
+    assert projector_gap(dense, iterative) < 1e-8
 
 
 @pytest.mark.parametrize("n_grid,solve", [
     (4, {"count": 16}),
     (4, {"energy": 1e6}),
-    (8, {"energy": 1e6}),  # ARPACK blocks of 16 and 32 pairs first
+    (8, {"energy": 1e6}),
 ])
 def test_request_beyond_arpack_cap_is_solved_dense(n_grid, solve):
-    # ARPACK returns at most dim - 2 pairs; the whole spectrum must come back
+    # ARPACK returns at most M - 2 pairs of a ring; the whole spectrum must come back
     setup = TorusSetup.from_flux(1, (4.0, 4.0), (n_grid, n_grid))
     op = assemble(setup)
     with warnings.catch_warnings():
@@ -147,13 +186,73 @@ def test_request_beyond_arpack_cap_is_solved_dense(n_grid, solve):
 
 
 def test_dense_request_above_the_cap_is_refused(monkeypatch):
-    # past ARPACK's cap the request goes dense; above DENSE_DIM_CAP it must
-    # raise (exit 4) instead of allocating
+    # past ARPACK's cap a ring goes dense; a ring longer than DENSE_DIM_CAP
+    # must raise (exit 4) instead of allocating
     op = assemble(TorusSetup.from_flux(1, (4.0, 4.0), (4, 4)))
     monkeypatch.setattr(lattice, "DENSE_DIM_CAP", op.setup.dim - 1)
     with pytest.raises(ResourceLimitError, match="cap is dim 15") as exc:
         eigensolve(op, count=16, dense_threshold=0)
     assert exc.value.exit_code == 4
+    # n_phi 2 splits the same grid into two rings of length 8: the cap bounds
+    # the ring, not the 2-D dim
+    two_rings = assemble(TorusSetup.from_flux(2, (4.0, 4.0), (4, 4)))
+    monkeypatch.setattr(lattice, "DENSE_DIM_CAP", 8)
+    assert eigensolve(two_rings, count=16, dense_threshold=0).dim == 16
+    monkeypatch.setattr(lattice, "DENSE_DIM_CAP", 7)
+    with pytest.raises(ResourceLimitError, match="cap is dim 7"):
+        eigensolve(two_rings, count=16, dense_threshold=0)
+
+
+def test_potential_varying_along_x2_is_rejected():
+    setup = small_setup(n_phi=2, L=4.0, N=8)
+    potential = np.zeros(setup.N)
+    potential[3, 5] = 0.1
+    with pytest.raises(ValidationError, match="constant along x2"):
+        eigensolve(assemble(setup, potential=potential), count=2)
+
+
+def test_perturbed_link_phase_fails_the_residual_gate():
+    # the rings are built from the gauge of `assemble`; the residual against
+    # op.matrix is what catches an operator with other link phases
+    setup = small_setup(n_phi=2, L=4.0, N=16)
+    op = assemble(setup)
+    op.u2[5, 7] *= np.exp(0.3j)
+    with pytest.raises(NumericalError, match="residual"):
+        eigensolve(op, count=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_phi=st.integers(0, 6),
+    n1=st.integers(5, 12),
+    n2=st.integers(5, 12),
+    sides=st.tuples(st.sampled_from([3.0, 4.0, 5.5]), st.sampled_from([3.0, 4.0, 5.5])),
+    amplitude=st.sampled_from([0.0, 0.5, 3.0]),
+    position=st.floats(0.0, 1.0),
+    by_count=st.booleans(),
+    dense_threshold=st.sampled_from([0, 255]),
+    seed=st.integers(0, 2**16),
+)
+def test_ring_solve_matches_the_2d_oracle(n_phi, n1, n2, sides, amplitude, position,
+                                          by_count, dense_threshold, seed):
+    setup = TorusSetup.from_flux(n_phi, sides, (n1, n2))
+    v1 = amplitude * np.random.default_rng(seed).uniform(-1.0, 1.0, n1)
+    op = assemble(setup, potential=np.repeat(v1[:, None], n2, axis=1))
+    full = np.linalg.eigvalsh(op.matrix.toarray())
+    # cut in the first gap of at least 0.05 from the drawn position on, so
+    # that both subspaces are well defined
+    cuts = [c for c in range(max(1, int(position * setup.dim)), setup.dim)
+            if full[c] - full[c - 1] >= 0.05]
+    cut = cuts[0] if cuts else setup.dim
+    solve = ({"count": cut} if by_count or cut == setup.dim
+             else {"energy": 0.5 * (full[cut - 1] + full[cut])})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # cutoffs above the trusted band
+        ring = eigensolve(op, dense_threshold=dense_threshold, seed=seed, **solve)
+        oracle = oracle_eigensolve(op, dense_threshold=dense_threshold, seed=seed, **solve)
+    assert ring.dim == oracle.dim == cut
+    assert np.max(np.abs(ring.eigenvalues - oracle.eigenvalues)) <= 1e-9
+    assert projector_gap(ring, oracle) <= 1e-8
 
 
 @pytest.mark.parametrize("count", [0, -1])
