@@ -61,9 +61,6 @@ class GaussianRational:
             (self.im * other.re - self.re * other.im) / d,
         )
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
 

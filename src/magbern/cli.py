@@ -87,6 +87,14 @@ def _int_at_least(low: int):
     return parse
 
 
+def _positive(text: str) -> float:
+    """Parser for a float key that must be > 0 (a field strength)."""
+    v = float(text)
+    if not v > 0.0:
+        raise ValueError("must be positive")
+    return v
+
+
 def _non_negative(key: str):
     """Parser for a float key that must be >= 0 (a tolerance or a target)."""
     def parse(text: str) -> float:
@@ -106,7 +114,7 @@ SCHEMAS = {
         "max-terms": (_int_at_least(1), 10**6),
     },
     "bernstein": {
-        "B": (float, 1.0),
+        "B": (_positive, 1.0),
         "m-max": (_int_at_least(1), 3),
         "samples": (_int_at_least(1), 5),
         "levels": (_int_at_least(0), 2),
@@ -147,7 +155,7 @@ SCHEMAS = {
     "wegner": {
         "L": (_parse_floats, (4.0, 8.0)),
         "cells-per-unit": (_int_at_least(1), 5),
-        "flux-per-unit": (int, 1),
+        "flux-per-unit": (_int_at_least(0), 1),
         "E": (float, 6.30),
         "eps": (_parse_floats, (0.02, 0.04, 0.08)),
         "trials": (_int_at_least(2), 200),

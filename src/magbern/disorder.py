@@ -221,7 +221,6 @@ class WegnerStats:
     box_sizes: tuple  # L values, ascending
     mean: np.ndarray  # (n_sizes, n_eps)
     stderr: np.ndarray
-    trials: int
     coupling: tuple
 
     def s2eps(self) -> np.ndarray:
@@ -276,7 +275,6 @@ def wegner_sweep(configs, E: float, eps_list: Sequence[float],
         box_sizes=tuple(sizes),
         mean=np.vstack(means),
         stderr=np.vstack(errs),
-        trials=trials,
         coupling=coupling,
     )
 

@@ -69,8 +69,6 @@ class Covering:
 
     anchors: tuple
     ell: tuple
-    domain: tuple  # (L1, L2) extents from `origin`
-    origin: tuple = (0.0, 0.0)
 
 
 def _snap_cells(ell: float, h: float):
@@ -153,7 +151,7 @@ def build_covering(domain: tuple, ell: tuple, origin: tuple = (0.0, 0.0)) -> Cov
         return s
 
     anchors = tuple(product(starts(origin[0], L1, l1), starts(origin[1], L2, l2)))
-    return Covering(anchors=anchors, ell=(l1, l2), domain=(L1, L2), origin=origin)
+    return Covering(anchors=anchors, ell=(l1, l2))
 
 
 def covering_overlap_counts(cov: Covering, points) -> np.ndarray:

@@ -25,37 +25,11 @@ from .lattice import SpectralSubspace
 LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class ThmConstants:
-    """Constant mode for bound evaluation.
-
-    traced: no free parameters, the proof-chain values above.  structural:
-    (C1/rho)^(C2 + C3 |l|_1 sqrt(E) + C4 |l|_1^2 B) with configurable Ci,
-    for sensitivity sweeps.
-    """
-
-    mode: str = "traced"
-    C1: float = 96.0 * math.pi
-    C2: float = 1.0
-    C3: float = 1.0
-    C4: float = 1.0
-
-    def __post_init__(self):
-        if self.mode not in ("traced", "structural"):
-            raise ValidationError(f"unknown constant mode {self.mode!r}")
-        if self.C1 <= 0:
-            raise ValidationError("C1 must be positive")
-
-
-def spectral_factors_log(B: float, ell: tuple, rho: float,
-                         c: ThmConstants = ThmConstants()) -> tuple:
-    """(log d0, d1) with log C(E) = log d0 + d1 sqrt(E) for the constant mode."""
+def spectral_factors_log(B: float, ell: tuple, rho: float) -> tuple:
+    """(log d0, d1) with log C(E) = log d0 + d1 sqrt(E) for the traced chain."""
     if not 0.0 < rho <= 1.0:
         raise ValidationError("rho must lie in (0, 1]")
     l1 = abs(ell[0]) + abs(ell[1])
-    if c.mode == "structural":
-        base = math.log(c.C1 / rho)
-        return (c.C2 + c.C4 * l1 * l1 * B) * base, c.C3 * l1 * base
     k = 2.0 * 240.0**2
     base = math.log(96.0 * math.pi / rho)
     ln_m_rest = math.log(16.0) + k * (l1 * math.sqrt(B) + l1 * l1 * B)
@@ -64,13 +38,12 @@ def spectral_factors_log(B: float, ell: tuple, rho: float,
     return log_d0, d1
 
 
-def theoretical_constant_log(E: float, B: float, ell: tuple, rho: float,
-                             c: ThmConstants = ThmConstants()) -> float:
+def theoretical_constant_log(E: float, B: float, ell: tuple, rho: float) -> float:
     """Natural log of the spectral-inequality constant (rho is checked in
     spectral_factors_log)."""
     if B < 0 or E < 0 or (B > 0 and E < B):
         raise ValidationError("need E >= B > 0 or B = 0")
-    log_d0, d1 = spectral_factors_log(B, ell, rho, c)
+    log_d0, d1 = spectral_factors_log(B, ell, rho)
     return log_d0 + d1 * math.sqrt(E)
 
 

@@ -282,6 +282,9 @@ def test_unreadable_mask_exits_2(tmp_path, capsys, name, content):
     ["specineq", "--mask", STRIPS, "--n-phi", "-1"],
     ["fm", "--m", "-1"],
     ["wegner", "--L", "2", "--trials", "1"],
+    ["bernstein", "--B", "-1"],
+    ["bernstein", "--B", "0"],
+    ["wegner", "--L", "2", "--trials", "2", "--flux-per-unit", "-1"],
 ])
 def test_count_key_below_range_exits_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2

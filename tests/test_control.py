@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magbern.control import (
     HeatProblem,
@@ -22,7 +24,7 @@ from magbern.control import (
 )
 from magbern.errors import NumericalError, ValidationError
 from magbern.geometry import SetMask, disk_complement_mask, read_pbm, strip_mask
-from magbern.inequality import ThmConstants, empirical_constant, theoretical_constant_log
+from magbern.inequality import empirical_constant, masked_form, theoretical_constant_log
 from magbern.lattice import (
     SpectralSubspace,
     TorusSetup,
@@ -88,6 +90,52 @@ def test_gramian_single_mode_closed_form():
     lam = sub.eigenvalues[0]
     want = (1 - math.exp(-2 * lam * 1.5)) / (2 * lam)
     assert g[0, 0] == pytest.approx(want, rel=1e-12)
+
+
+def quadrature_gramian(subspace, mask, T):
+    """G_T by composite 64-point Gauss-Legendre panels in time (test oracle)."""
+    lam = subspace.eigenvalues
+    panels = int(min(64, max(1, math.ceil(np.max(np.abs(lam)) * T / 20.0))))
+    base_x, base_w = np.polynomial.legendre.leggauss(64)
+    edges = np.linspace(0.0, T, panels + 1)
+    ts = np.concatenate([0.5 * (b - a) * (base_x + 1.0) + a
+                         for a, b in zip(edges[:-1], edges[1:])])
+    ws = np.concatenate([0.5 * (b - a) * base_w for a, b in zip(edges[:-1], edges[1:])])
+    decay = np.exp(-np.outer(T - ts, lam))  # (n, k)
+    g = masked_form(subspace, mask) * (decay.T @ (ws[:, None] * decay))
+    return 0.5 * (g + g.conj().T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lam=st.lists(st.one_of(st.just(0.0), st.floats(-5.0, 50.0)), min_size=1, max_size=6),
+    T=st.floats(1e-4, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gramian_matches_quadrature_oracle(lam, T, seed):
+    # unnormalised random vectors V on a 4 x 4 torus make V^H M_S V cell an
+    # arbitrary Hermitian PSD masked form
+    setup = TorusSetup.from_flux(1, (4.0, 4.0), (4, 4))
+    rng = np.random.default_rng(seed)
+    k = len(lam)
+    vecs = rng.standard_normal((setup.dim, k)) + 1j * rng.standard_normal((setup.dim, k))
+    sub = SpectralSubspace(setup, np.array(lam), vecs, max(lam))
+    mask = SetMask(rng.random(setup.N) < 0.5, setup.spacing, periodic=True)
+    got = gramian(sub, mask, T)
+    want = quadrature_gramian(sub, mask, T)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_gramian_at_zero_eigenvalue_is_horizon_times_masked_form():
+    # the constant mode of the field-free torus Laplacian has eigenvalue 0
+    setup = TorusSetup.from_flux(0, (8.0, 8.0), (16, 16))
+    const = np.full((setup.dim, 1), 1.0 / math.sqrt(setup.L[0] * setup.L[1]), dtype=complex)
+    sub = SpectralSubspace(setup, np.array([0.0]), const, 0.0)
+    mask = strip_mask(setup.N, setup.spacing, 8, 4, periodic=True)
+    T = 0.75
+    g = gramian(sub, mask, T)
+    assert np.array_equal(g, T * masked_form(sub, mask))
+    assert g[0, 0] == pytest.approx(T * 0.5, rel=1e-12)
 
 
 # -- observability ----------------------------------------------------------------
@@ -250,23 +298,20 @@ def test_abstract_cost_examples():
 
 
 def test_spectral_factorization_matches_constant():
-    c = ThmConstants()
     b, ell, rho = 1.0, (0.7, 0.4), 0.35
-    log_d0, d1 = spectral_factors_log(b, ell, rho, c)
+    log_d0, d1 = spectral_factors_log(b, ell, rho)
     for e in (1.0, 4.0, 9.0):
         assert log_d0 + d1 * math.sqrt(e) == pytest.approx(
-            theoretical_constant_log(e, b, ell, rho, c), rel=1e-12
+            theoretical_constant_log(e, b, ell, rho), rel=1e-12
         )
 
 
 def test_cost_bound_limits():
     rho, ell, b = 0.5, (1.0, 1.0), 1.0
-    # large-T slope -B (structural constants keep the exp(c/T) term small;
-    # the traced d1^2 ~ 1e13 pushes that regime out to absurd horizons)
-    c = ThmConstants(mode="structural", C1=2.0, C3=0.1)
-    t1, t2 = 200.0, 400.0
-    slope = (cost_bound_log(rho, ell, b, t2, c=c)
-             - cost_bound_log(rho, ell, b, t1, c=c)) / (t2 - t1)
+    # large-T slope -B: the traced d1^2 ~ 1e13 pushes the regime where the
+    # exp(2 d1^2 / T) term is negligible out to horizons ~ 1e15
+    t1, t2 = 1e15, 2e15
+    slope = (cost_bound_log(rho, ell, b, t2) - cost_bound_log(rho, ell, b, t1)) / (t2 - t1)
     assert slope == pytest.approx(-b, rel=1e-2)
     # small-T blow-up like exp(c/T) in traced mode
     s1 = cost_bound_log(rho, ell, b, 0.01)
@@ -279,16 +324,6 @@ def test_cost_bound_limits():
     l1 = spectral_factors_log(0.0, (1e-12, 1e-12), rho)
     assert l0[0] == pytest.approx(l1[0], abs=1e-3)
     assert l0[1] == pytest.approx(l1[1], abs=1e-3)
-
-
-def test_cost_bound_structural_mode():
-    c = ThmConstants(mode="structural", C1=2.0)
-    val = cost_bound_log(0.5, (1.0, 1.0), 1.0, 1.0, c=c)
-    want = (
-        math.log(2.0) - 0.0 - (2.0 + 2.0 * 4.0 * 1.0) * math.log(0.5)
-        + math.log(2.0 / 0.5) * 2.0 * 4.0 / 1.0 - 1.0
-    )
-    assert val == pytest.approx(want, rel=1e-12)
 
 
 def test_cost_bound_validation():

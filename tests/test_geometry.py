@@ -167,8 +167,7 @@ def test_bad_rectangle_detected_at_field_zero():
     lf = LadderField(B, {(0.0, 0.0): {1: 1.0}})
     f = sample_ladder(lf, QuadratureSpec(tail_sigmas=4.0, points_per_length=128))
     eps = 2 / 128
-    cov = Covering(anchors=((-eps / 2, -eps / 2),), ell=(eps, eps),
-                   domain=(eps, eps), origin=(-eps / 2, -eps / 2))
+    cov = Covering(anchors=((-eps / 2, -eps / 2),), ell=(eps, eps))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         labels = classify_good_bad(f, cov, E=3 * B, m_max=1)

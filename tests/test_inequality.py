@@ -11,7 +11,6 @@ from magbern.errors import NumericalError, ValidationError
 from magbern.geometry import SetMask, disk_complement_mask, strip_mask, thickness_scan
 from magbern.inequality import (
     AnalyticSample,
-    ThmConstants,
     empirical_constant,
     gaussian_tail_bound,
     kovrijkine_check,
@@ -32,30 +31,22 @@ from util_fields import rng_stream
 # -- theoretical constant -------------------------------------------------------
 
 
-def test_structural_homogenization_limit_is_one():
-    c = ThmConstants(mode="structural", C1=7.0, C2=0.0)
-    assert theoretical_constant_log(3.0, 1.0, (0.0, 0.0), 1.0, c) == 0.0
-
-
 def test_constant_monotonicities():
-    c = ThmConstants()
-    base = theoretical_constant_log(4.0, 1.0, (1.0, 1.0), 0.5, c)
-    assert theoretical_constant_log(4.0, 1.0, (1.0, 1.0), 0.25, c) > base
-    assert theoretical_constant_log(9.0, 1.0, (1.0, 1.0), 0.5, c) > base
-    assert theoretical_constant_log(4.0, 2.0, (1.0, 1.0), 0.5, c) > base
-    assert theoretical_constant_log(4.0, 1.0, (2.0, 1.0), 0.5, c) > base
+    base = theoretical_constant_log(4.0, 1.0, (1.0, 1.0), 0.5)
+    assert theoretical_constant_log(4.0, 1.0, (1.0, 1.0), 0.25) > base
+    assert theoretical_constant_log(9.0, 1.0, (1.0, 1.0), 0.5) > base
+    assert theoretical_constant_log(4.0, 2.0, (1.0, 1.0), 0.5) > base
+    assert theoretical_constant_log(4.0, 1.0, (2.0, 1.0), 0.5) > base
 
 
 def test_traced_constant_is_scale_invariant():
-    c = ThmConstants()
-    a = theoretical_constant_log(3.0, 1.0, (1.0, 0.5), 0.3, c)
-    b = theoretical_constant_log(12.0, 4.0, (0.5, 0.25), 0.3, c)
+    a = theoretical_constant_log(3.0, 1.0, (1.0, 0.5), 0.3)
+    b = theoretical_constant_log(12.0, 4.0, (0.5, 0.25), 0.3)
     assert a == pytest.approx(b, rel=1e-14)
 
 
 def test_traced_b_to_zero_recovers_energy_only_exponent():
-    c = ThmConstants()
-    got = theoretical_constant_log(4.0, 0.0, (1.0, 1.0), 0.5, c)
+    got = theoretical_constant_log(4.0, 0.0, (1.0, 1.0), 0.5)
     ln_m = math.log(16.0) + 2 * 240**2 * 2.0 * 2.0
     want = math.log(4.0) + (1 + 2 * ln_m / math.log(2)) * math.log(96 * math.pi / 0.5)
     assert got == pytest.approx(want, rel=1e-14)
@@ -68,17 +59,11 @@ def test_constant_input_validation():
         theoretical_constant_log(1.0, 1.0, (1.0, 1.0), 0.0)
     with pytest.raises(ValidationError):
         theoretical_constant_log(0.5, 1.0, (1.0, 1.0), 0.5)  # E < B
-    with pytest.raises(ValidationError):
-        ThmConstants(mode="weird")
 
 
-def _inline_chain_log(E, B, ell, rho, c):
-    """The constant as first written, one formula per mode (test oracle)."""
+def _inline_chain_log(E, B, ell, rho):
+    """The traced constant as first written, in one formula (test oracle)."""
     l1 = abs(ell[0]) + abs(ell[1])
-    if c.mode == "structural":
-        return (c.C2 + c.C3 * l1 * math.sqrt(E) + c.C4 * l1 * l1 * B) * math.log(
-            c.C1 / rho
-        )
     ln_m = math.log(16.0) + 2.0 * 240.0**2 * (
         l1 * (math.sqrt(E) + math.sqrt(B)) + l1 * l1 * B
     )
@@ -87,18 +72,15 @@ def _inline_chain_log(E, B, ell, rho, c):
     )
 
 
-@pytest.mark.parametrize("mode", ["traced", "structural"])
-def test_constant_matches_inline_chain(mode):
+def test_constant_matches_inline_chain():
     rng = rng_stream(17)
     for _ in range(200):
         b = float(rng.choice([0.0, rng.uniform(0.01, 5.0)]))
         e = b * float(rng.uniform(1.0, 20.0)) if b else float(rng.uniform(0.0, 50.0))
         ell = (float(rng.uniform(0.0, 4.0)), float(rng.uniform(0.0, 4.0)))
         rho = float(rng.uniform(1e-3, 1.0))
-        c = ThmConstants() if mode == "traced" else ThmConstants(
-            mode, *rng.uniform(0.1, 5.0, size=4).tolist())
-        assert theoretical_constant_log(e, b, ell, rho, c) == pytest.approx(
-            _inline_chain_log(e, b, ell, rho, c), rel=1e-13, abs=1e-13)
+        assert theoretical_constant_log(e, b, ell, rho) == pytest.approx(
+            _inline_chain_log(e, b, ell, rho), rel=1e-13, abs=1e-13)
 
 
 def test_traced_value_overflows_to_inf_by_design():
