@@ -11,7 +11,8 @@ w = (x1-y1) - i(x2-y2): applying the raising combination md1 - i*md2 sends
 w^k f_y to -iB w^(k+1) f_y, so w^k f_y is an exact eigenfunction of
 H = md1^2 + md2^2 with eigenvalue (2k+1)B.  Finite linear combinations of
 such terms ("ladder fields") are closed under md1, md2, which gives every
-derivative word in closed form; grids only enter through quadrature.
+derivative word in closed form; grids only enter through quadrature, and a
+word table on a grid is one contraction of those coefficients (`sample_table`).
 
 All values are immutable after construction and all operations are pure.
 """
@@ -91,22 +92,6 @@ class LadderField:
 
     def centers(self):
         return list(self.terms)
-
-    def scale(self, c: complex) -> "LadderField":
-        return LadderField(
-            self.B,
-            {y: {k: c * v for k, v in ks.items()} for y, ks in self.terms.items()},
-        )
-
-    def __add__(self, other: "LadderField") -> "LadderField":
-        if other.B != self.B:
-            raise ValidationError("field strengths differ")
-        out = {y: dict(ks) for y, ks in self.terms.items()}
-        for y, ks in other.terms.items():
-            dst = out.setdefault(y, {})
-            for k, v in ks.items():
-                dst[k] = dst.get(k, 0.0) + v
-        return LadderField(self.B, out)
 
     def magnetic_derivative(self, axis: int) -> "LadderField":
         """Exact action of md1 or md2 on the chiral tower.
@@ -223,6 +208,8 @@ class GridField:
 
 # complex samples one grid or word table may hold (1 GiB), as lattice.DENSE_DIM_CAP^2
 GRID_SAMPLE_CAP = 1 << 26
+# complex samples of the mode basis w^k f_y alive at once while a table is filled
+BASIS_CHUNK_SAMPLES = 1 << 15
 
 
 def grid_for_centers(centers, B: float, spec: QuadratureSpec = QuadratureSpec()):
@@ -254,6 +241,51 @@ def sample_ladder(lf: LadderField, spec: QuadratureSpec = QuadratureSpec(),
         return GridField(vals, origin, spacing, ladder=lf)
     x1, x2 = grid.axes()
     return GridField(lf.eval(x1, x2), grid.origin, grid.spacing, ladder=lf)
+
+
+def _envelope_factors(B: float, y, x1, x2):
+    """Row and column factors of the envelope of centre y on grid axes:
+    exp(-(B/4)|x-y|^2 - i(B/2)(x1 y2 - x2 y1)) = a(x1) b(x2)."""
+    a = np.exp(-(B / 4.0) * (x1 - y[0]) ** 2 - 1j * (B / 2.0) * x1 * y[1])
+    b = np.exp(-(B / 4.0) * (x2 - y[1]) ** 2 + 1j * (B / 2.0) * x2 * y[0])
+    return a, b
+
+
+def _chunk_rows(n_basis: int, n1: int, n2: int) -> int:
+    """Grid rows per basis chunk: BASIS_CHUNK_SAMPLES of the n_basis modes,
+    but at least one row."""
+    return max(1, min(n1, BASIS_CHUNK_SAMPLES // max(1, n_basis * n2)))
+
+
+def sample_table(fields, grid: GridField) -> np.ndarray:
+    """Samples of ladder fields of one strength on `grid`, shape (n, N1, N2):
+    their coefficients over the modes w^k f_y times those modes, built with
+    each centre's envelope evaluated once and w^k by repeated multiplication,
+    one chunk of grid rows (one matmul) at a time."""
+    centres = list(dict.fromkeys(y for lf in fields for y in lf.terms))
+    nk = max(lf.max_level() for lf in fields) + 1
+    coef = np.zeros((len(fields), len(centres), nk), dtype=complex)
+    for row, lf in zip(coef, fields):
+        for y, ks in lf.terms.items():
+            row[centres.index(y), list(ks)] = list(ks.values())
+    coef = coef.reshape(len(fields), -1)
+    n1, n2 = grid.samples.shape
+    x1, x2 = grid.axes()
+    factors = [_envelope_factors(fields[0].B, y, x1, x2) for y in centres]
+    out = np.empty((len(fields), n1, n2), dtype=complex)
+    flat = out.reshape(len(fields), n1 * n2)
+    rows = _chunk_rows(coef.shape[1], n1, n2)
+    basis = np.empty((coef.shape[1], rows * n2), dtype=complex)
+    for r0 in range(0, n1, rows):
+        r1 = min(r0 + rows, n1)
+        part = basis[:, : (r1 - r0) * n2]
+        for i, (y, (a, b)) in enumerate(zip(centres, factors)):
+            w = ((x1[r0:r1] - y[0]) - 1j * (x2 - y[1])).ravel()
+            np.multiply(a[r0:r1], b, out=part[i * nk].reshape(r1 - r0, n2))
+            for k in range(i * nk + 1, (i + 1) * nk):
+                np.multiply(part[k - 1], w, out=part[k])
+        np.matmul(coef, part, out=flat[:, r0 * n2:r1 * n2])
+    return out
 
 
 def coherent_field(state: CoherentState,
@@ -305,11 +337,6 @@ def eval_kernel(E: float, B: float, x, y):
     for k in range(n):
         total += lag[k]
     return (B / (2.0 * np.pi)) * phase * total
-
-
-def kernel_column(E: float, B: float, y, grid: GridField) -> GridField:
-    x1, x2 = grid.axes()
-    return grid.with_samples(eval_kernel(E, B, (x1, x2), y))
 
 
 # -- quadrature --------------------------------------------------------------
@@ -369,37 +396,40 @@ def _ladder(f: GridField) -> LadderField:
 def magnetic_derivative(f: GridField, axis: int) -> GridField:
     """Sampled covariant derivative md_axis f of a ladder-tagged field, in
     closed form (exact up to sampling); the result keeps a tag."""
-    if axis not in (1, 2):
-        raise ValidationError("axis must be 1 or 2")
-    return sample_ladder(_ladder(f).magnetic_derivative(axis), grid=f)
+    g = _ladder(f).magnetic_derivative(axis)
+    return GridField(sample_table([g], f)[0], f.origin, f.spacing, ladder=g)
 
 
 def word_fields(f: GridField, m_max: int) -> dict:
     """Sampled md-word fields of a ladder-tagged field for every word of
     length <= m_max, after one boundary-margin check.
 
-    Keys are tuples over {1,2}; the empty tuple is f itself.  The table holds
-    2^(m_max+1) - 1 grids and must fit under GRID_SAMPLE_CAP samples.
+    Keys are tuples over {1,2}; the empty tuple is f itself, every other
+    value a ladder-tagged view into one `sample_table` of the closed-form
+    words.  The 2^(m_max+1) - 1 grids plus one basis chunk must fit under
+    GRID_SAMPLE_CAP samples, checked on the sizes before anything is built.
     """
-    _ladder(f)
+    lf = _ladder(f)
     if m_max < 0:
         raise ValidationError("m must be non-negative")
+    n1, n2 = f.samples.shape
+    n_basis = len(lf.terms) * (lf.max_level() + m_max + 1)
+    chunk = n_basis * _chunk_rows(n_basis, n1, n2) * n2 if m_max else 0
     # a grid has at least 4 points, so the clamped exponent still exceeds the cap
-    if f.samples.size * ((2 << min(m_max, 26)) - 1) > GRID_SAMPLE_CAP:
-        n1, n2 = f.samples.shape
+    if n1 * n2 * ((2 << min(m_max, 26)) - 1) + chunk > GRID_SAMPLE_CAP:
         raise ResourceLimitError(
             f"derivative words up to length {m_max} on a {n1} x {n2} grid exceed "
             f"the cap of {GRID_SAMPLE_CAP} complex samples")
     _check_margin(f)
-    out = {(): f}
-    frontier = {(): f}
+    tags, frontier = {}, {(): lf}
     for _ in range(m_max):
-        nxt = {}
-        for word, g in frontier.items():
-            for axis in (1, 2):
-                nxt[word + (axis,)] = magnetic_derivative(g, axis)
-        out.update(nxt)
-        frontier = nxt
+        frontier = {word + (axis,): g.magnetic_derivative(axis)
+                    for word, g in frontier.items() for axis in (1, 2)}
+        tags.update(frontier)
+    out = {(): f}
+    if tags:
+        for row, (word, g) in zip(sample_table(list(tags.values()), f), tags.items()):
+            out[word] = GridField(row, f.origin, f.spacing, ladder=g)
     return out
 
 
@@ -463,6 +493,5 @@ def f_m_quadratic_form(f: GridField, m: int) -> float:
     fm = f_poly(m)
     kmax = lf.max_level() + 1
     values = [fm.eval_float((2 * k + 1) * lf.B, lf.B).real for k in range(kmax + 1)]
-    g = sample_ladder(lf.apply_level_function(values), grid=f)
-    val = inner(f, g)
-    return float(val.real)
+    g = sample_table([lf.apply_level_function(values)], f)[0]
+    return float(inner(f, f.with_samples(g)).real)

@@ -314,26 +314,34 @@ def test_non_positive_window_side_exits_2(tmp_path, capsys, argv):
 def test_oversized_ladder_grid_exits_4(tmp_path, capsys, monkeypatch, argv):
     # both caps are checked on the sizes alone, before any array is allocated
     def no_words(*args):
-        raise AssertionError("a derivative word was sampled before the cap check")
+        raise AssertionError("a derivative word was built before the cap check")
 
-    monkeypatch.setattr(landau, "magnetic_derivative", no_words)
+    monkeypatch.setattr(landau, "sample_table", no_words)
+    monkeypatch.setattr(landau.LadderField, "magnetic_derivative", no_words)
     assert main(argv + ["--out", str(tmp_path)]) == 4
     assert "complex samples" in capsys.readouterr().err
 
 
 def test_bernstein_builds_one_word_table_per_sample(tmp_path, monkeypatch):
-    calls = []
-    real_eval = landau.LadderField.eval
+    tables, envelopes = [], []
+    real_table, real_factors = landau.sample_table, landau._envelope_factors
 
-    def counted(self, x1, x2, conjugate_branch=False):
-        calls.append(1)
-        return real_eval(self, x1, x2, conjugate_branch)
+    def counted_table(fields, grid):
+        tables.append((len(fields), list(fields[0].terms)))
+        return real_table(fields, grid)
 
-    monkeypatch.setattr(landau.LadderField, "eval", counted)
+    def counted_factors(B, y, x1, x2):
+        envelopes.append(y)
+        return real_factors(B, y, x1, x2)
+
+    monkeypatch.setattr(landau, "sample_table", counted_table)
+    monkeypatch.setattr(landau, "_envelope_factors", counted_factors)
     argv = ["bernstein", "--samples", "2", "--m-max", "3", "--out", str(tmp_path)]
     assert main(argv) == 0
-    # per sample: the field itself and its 2 + 4 + 8 derivative words
-    assert len(calls) == 2 * 15
+    # per sample: one table of the 2 + 4 + 8 derivative words, which evaluates
+    # each centre's envelope once, whatever the number of words
+    assert [n for n, _ in tables] == [14, 14]
+    assert envelopes == [y for _, centres in tables for y in centres]
 
 
 @pytest.mark.parametrize("argv", [

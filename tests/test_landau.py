@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
 from magbern import landau
@@ -22,7 +24,6 @@ from magbern.landau import (
     f_m_quadratic_form,
     grid_for_centers,
     inner,
-    kernel_column,
     l1_bernstein_sum,
     l1_norm,
     landau_levels_below,
@@ -84,6 +85,27 @@ def _fd_l1_bernstein_sum(f: GridField, m: int) -> float:
             g = _centered_diff(g, axis, f.spacing[axis - 1])
         total += l1_norm(g, f.cell_area)
     return total
+
+
+def oracle_word_fields(f: GridField, m_max: int) -> dict:
+    """The derivative-word table with every word sampled from scratch by
+    `LadderField.eval`, one grid evaluation per word."""
+    out = {(): f}
+    frontier = {(): f}
+    for _ in range(m_max):
+        nxt = {}
+        for word, g in frontier.items():
+            for axis in (1, 2):
+                nxt[word + (axis,)] = sample_ladder(g.ladder.magnetic_derivative(axis), grid=g)
+        out.update(nxt)
+        frontier = nxt
+    return out
+
+
+def kernel_column(E: float, B: float, y, grid: GridField) -> GridField:
+    """The projector kernel K_{E,B}(., y) sampled on a grid."""
+    x1, x2 = grid.axes()
+    return grid.with_samples(eval_kernel(E, B, (x1, x2), y))
 
 
 # -- coherent states ----------------------------------------------------------
@@ -278,6 +300,54 @@ def test_ordinary_derivative_blows_up_while_magnetic_does_not():
         assert ms == pytest.approx(2 * math.pi, rel=1e-6)
 
 
+# -- word tables against the per-word oracle ----------------------------------
+
+
+def _assert_matches_oracle(words: dict, want: dict):
+    assert list(words) == list(want)
+    for word, g in want.items():
+        assert words[word].ladder.B == g.ladder.B
+        assert words[word].ladder.terms == g.ladder.terms
+        scale = np.abs(g.samples).max()
+        assert np.abs(words[word].samples - g.samples).max() <= 1e-13 * scale
+
+
+@st.composite
+def sparse_ladders(draw):
+    """1-4 distinct centres, each with a sparse set of levels in 0..4 and
+    coefficients of modulus in [0.1, 1]."""
+    B = draw(st.floats(0.25, 4.0))
+    centres = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                            min_size=1, max_size=4, unique=True))
+    terms = {}
+    for c1, c2 in centres:
+        levels = draw(st.sets(st.integers(0, 4), min_size=1))
+        terms[(0.5 * c1, 0.5 * c2)] = {
+            k: draw(st.floats(0.1, 1.0)) * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+            for k in levels}
+    return LadderField(B, terms)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lf=sparse_ladders(), m_max=st.integers(0, 4), ppl=st.sampled_from([8, 16]))
+def test_word_table_matches_per_word_sampling(lf, m_max, ppl):
+    f = sample_ladder(lf, QuadratureSpec(tail_sigmas=9.0, points_per_length=ppl))
+    words = word_fields(f, m_max)
+    assert words[()] is f
+    _assert_matches_oracle(words, oracle_word_fields(f, m_max))
+
+
+def test_word_table_with_a_partial_last_chunk(monkeypatch):
+    lf = random_ladder(rng_stream(12), n_terms=3, max_level=2)
+    f = sample_ladder(lf, FAST)
+    n1, n2 = f.samples.shape
+    n_basis = len(lf.terms) * (lf.max_level() + 2 + 1)
+    rows = next(r for r in range(5, n1) if n1 % r)
+    monkeypatch.setattr(landau, "BASIS_CHUNK_SAMPLES", rows * n_basis * n2)
+    assert landau._chunk_rows(n_basis, n1, n2) == rows
+    _assert_matches_oracle(word_fields(f, 2), oracle_word_fields(f, 2))
+
+
 # -- Bernstein sums -----------------------------------------------------------
 
 
@@ -393,11 +463,12 @@ def test_word_table_above_sample_cap_raises(monkeypatch):
     monkeypatch.setattr(landau, "GRID_SAMPLE_CAP", 3 * n - 1)
 
     def no_words(*args):
-        raise AssertionError("a derivative word was sampled before the cap check")
+        raise AssertionError("a derivative word was built before the cap check")
 
-    monkeypatch.setattr(landau, "magnetic_derivative", no_words)
+    monkeypatch.setattr(landau, "sample_table", no_words)
+    monkeypatch.setattr(LadderField, "magnetic_derivative", no_words)
     assert len(word_fields(f, 0)) == 1
     with pytest.raises(ResourceLimitError):
-        word_fields(f, 1)  # f and its two first derivatives: 3 n samples
+        word_fields(f, 1)  # f, its two first derivatives and a basis chunk: > 3 n samples
     with pytest.raises(ResourceLimitError):
         word_fields(f, 10**6)
