@@ -42,7 +42,18 @@ def _parse_int_pair(text: str):
 
 
 def _parse_floats(text: str):
-    return tuple(float(p) for p in str(text).split(",") if p.strip())
+    values = tuple(float(p) for p in str(text).split(",") if p.strip())
+    if not values:
+        raise ValueError("expected one or more comma-separated numbers")
+    return values
+
+
+def _parse_field(text: str):
+    """Parser for a constant 3-D field: three exact fractions 'b1,b2,b3'."""
+    parts = tuple(Fraction(p) for p in str(text).split(","))
+    if len(parts) != 3:
+        raise ValueError(f"expected three components, got {len(parts)}")
+    return parts
 
 
 def _parse_bool(text: str):
@@ -110,7 +121,7 @@ SCHEMAS = {
     "fm": {"m": (_int_at_least(0), 2)},
     "weyl-verify": {
         "m-max": (_int_at_least(1), 6),
-        "field": (lambda s: tuple(Fraction(p) for p in s.split(",")), (1, 1, 1)),
+        "field": (_parse_field, (1, 1, 1)),
         "max-terms": (_int_at_least(1), 10**6),
     },
     "bernstein": {

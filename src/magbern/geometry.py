@@ -154,21 +154,6 @@ def build_covering(domain: tuple, ell: tuple, origin: tuple = (0.0, 0.0)) -> Cov
     return Covering(anchors=anchors, ell=(l1, l2))
 
 
-def covering_overlap_counts(cov: Covering, points) -> np.ndarray:
-    """How many covering rectangles contain each point (closure counted)."""
-    pts = np.asarray(points, dtype=float)
-    counts = np.zeros(len(pts), dtype=int)
-    for a1, a2 in cov.anchors:
-        inside = (
-            (pts[:, 0] >= a1 - 1e-12)
-            & (pts[:, 0] <= a1 + cov.ell[0] + 1e-12)
-            & (pts[:, 1] >= a2 - 1e-12)
-            & (pts[:, 1] <= a2 + cov.ell[1] + 1e-12)
-        )
-        counts += inside
-    return counts
-
-
 @dataclass(frozen=True)
 class RectangleLabel:
     anchor: tuple
@@ -261,17 +246,7 @@ def disk_complement_mask(shape: tuple, spacing: tuple, center: tuple, radius: fl
     return SetMask(r2 >= radius**2, spacing, origin=origin, periodic=periodic)
 
 
-# -- PBM (P1) I/O ---------------------------------------------------------------
-
-
-def write_pbm(mask: SetMask, path) -> None:
-    """Plain PBM: 1 = cell in the set; height = N1 rows, width = N2 columns."""
-    n1, n2 = mask.cells.shape
-    with open(path, "w") as fh:
-        fh.write("P1\n")
-        fh.write(f"{n2} {n1}\n")
-        for i in range(n1):
-            fh.write(" ".join("1" if v else "0" for v in mask.cells[i]) + "\n")
+# -- PBM (P1) input -------------------------------------------------------------
 
 
 # raster byte classes of a plain PBM: 0 and 1 are cells, 2 is whitespace, 3 is invalid

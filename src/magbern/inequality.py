@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .geometry import SetMask
-from .landau import GridField, LadderField
 from .lattice import SpectralSubspace
 
 LN2 = math.log(2.0)
@@ -200,129 +199,6 @@ def kovrijkine_check(phi: AnalyticSample, intervals, n_circle: int = 4096) -> bo
     return sup01 <= bound * sup_e * (1.0 + 1e-12)
 
 
-# -- local estimate ------------------------------------------------------------
-
-
-def _poly_disc_sup(lf: LadderField, anchors, ell: tuple, radii: tuple,
-                   n_q: int = 6) -> float:
-    """Sup of the |f|^2 extension over Q + polydisc(radii), by grid search
-    over n_q^2 base points and 24 angles on both boundary circles."""
-    q1 = np.linspace(anchors[0], anchors[0] + ell[0], n_q)
-    q2 = np.linspace(anchors[1], anchors[1] + ell[1], n_q)
-    th = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
-    e1 = radii[0] * np.exp(1j * th)
-    e2 = radii[1] * np.exp(1j * th)
-    z1 = (q1[:, None, None, None] + e1[None, None, :, None])
-    z2 = (q2[None, :, None, None] + e2[None, None, None, :])
-    phi = lf.eval(z1, z2) * lf.eval(z1, z2, conjugate_branch=True)
-    return float(np.max(np.abs(phi)))
-
-
-@dataclass(frozen=True)
-class LocalEstimateResult:
-    passed: bool
-    lhs: float
-    rhs: float
-    m_value: float
-
-
-def local_estimate_check(f: GridField, rect, u_cells: np.ndarray,
-                         a_map: np.ndarray) -> LocalEstimateResult:
-    """Both sides of the local lower bound for g = |f|^2 on a rectangle.
-
-    rect = (anchor, ell); u_cells is a boolean array on f's grid selecting U;
-    a_map is an invertible 2x2 matrix.  Requires a ladder tag (the analytic
-    extension of |f|^2 is evaluated in closed form).
-    """
-    if f.ladder is None:
-        raise ValidationError("needs a ladder-tagged field")
-    anchor, ell = rect
-    a_map = np.asarray(a_map, dtype=float)
-    det = abs(float(np.linalg.det(a_map)))
-    if det == 0.0:
-        raise ValidationError("A must be invertible")
-    g = np.abs(f.samples) ** 2
-    area = f.cell_area
-    i0, i1, j0, j1 = f.rect_indices(anchor, ell)
-    box = np.zeros_like(g, dtype=bool)
-    box[i0:i1, j0:j1] = True
-    g_q = float(g[box].sum()) * area
-    if g_q <= 0:
-        raise ValidationError("f vanishes on the rectangle")
-    inter = box & u_cells
-    g_qu = float(g[inter].sum()) * area
-    vol_q = ell[0] * ell[1]
-    vol_qu = float(inter.sum()) * area
-    corners = np.array([[ell[0], ell[1]], [ell[0], -ell[1]]], dtype=float)
-    diam = max(float(np.linalg.norm(a_map @ c)) for c in corners)
-    sup = _poly_disc_sup(f.ladder, anchor, ell, (4.0 * ell[0], 4.0 * ell[1]))
-    m_value = max(1.0, vol_q * sup / g_q)
-    base = det * vol_qu / (48.0 * math.pi * diam**2)
-    exponent = 2.0 * math.log(m_value) / LN2
-    rhs = 0.5 * base**exponent * (vol_qu / vol_q) * g_q
-    return LocalEstimateResult(passed=g_qu >= rhs * (1.0 - 1e-9), lhs=g_qu,
-                               rhs=rhs, m_value=m_value)
-
-
-def taylor_extension_sup(f: GridField, x0, radii: tuple, degree: int = 24):
-    """Majorant for the |f|^2 extension on x0 + polydisc(radii) from the
-    truncated Taylor model, with a ratio-test divergence guard.
-
-    Independent surrogate for the closed form.  Ordinary partials of |f|^2
-    commute, so word sums collapse to multi-indices with binomial
-    multiplicities; the multi-index derivatives come from the exact product
-    identity over covariant-derivative values at x0.  The tail is bounded by
-    geometric extrapolation of the last computed order.
-    """
-    if f.ladder is None:
-        raise ValidationError("needs a ladder-tagged field")
-    lf = f.ladder
-    # V[a, b]: value at x0 of md2^b md1^a f (first index applied first)
-    values = {}
-    g1 = lf
-    for a in range(degree + 1):
-        g2 = g1
-        for b in range(degree + 1 - a):
-            values[(a, b)] = complex(g2.eval(x0[0], x0[1]))
-            g2 = g2.magnetic_derivative(2)
-        if a < degree:
-            g1 = g1.magnetic_derivative(1)
-    order_sums = []
-    for m in range(degree + 1):
-        tot = 0.0
-        for j in range(m + 1):
-            k = m - j
-            val = 0j
-            for a in range(j + 1):
-                for b in range(k + 1):
-                    val += (
-                        math.comb(j, a)
-                        * math.comb(k, b)
-                        * (-1) ** (m - a - b)
-                        * values[(a, b)]
-                        * np.conj(values[(j - a, k - b)])
-                    )
-            deriv = ((-1j) ** m * val).real
-            tot += (
-                math.comb(m, j)
-                * abs(deriv)
-                * radii[0] ** j
-                * radii[1] ** k
-                / math.factorial(m)
-            )
-        order_sums.append(tot)
-    partial = math.fsum(order_sums)
-    nonzero = [(m, s) for m, s in enumerate(order_sums) if s > 0.0]
-    if len(nonzero) < 2:
-        return partial
-    (m1, s1), (m2, s2) = nonzero[-2], nonzero[-1]
-    ratio = (s2 / s1) ** (1.0 / (m2 - m1))  # per-order growth factor
-    if ratio >= 1.0:
-        raise NumericalError("M unbounded at truncation: Taylor majorant diverges")
-    tail = s2 * ratio / (1.0 - ratio)
-    return partial + tail
-
-
 # -- series bound ---------------------------------------------------------------
 
 
@@ -349,28 +225,3 @@ def series_bound_check(s: float, m_terms: Optional[int] = None) -> bool:
         raise ValidationError("tail certificate exceeds 1e-12 of the partial sum")
     return partial + tail <= math.exp(2.0 * s * s + s)
 
-
-# -- necessity of thickness -------------------------------------------------------
-
-
-def necessity_decay(n: float, B: float, mask: SetMask) -> float:
-    """||f_0||^2 over the masked set, by cell-sum quadrature.
-
-    For masks whose complement contains most of the radius-n ball around the
-    origin, the value is bounded by vol(S cap ball) + (2 pi / B) exp(-B n^2/2)
-    plus discretization tolerance: the Gaussian tail constant is the exact
-    integral of exp(-B r^2 / 2) outside radius n.
-    """
-    if n <= 0 or B <= 0:
-        raise ValidationError("need n, B > 0")
-    lf = LadderField(B, {(0.0, 0.0): {0: 1.0}})
-    n1, n2 = mask.cells.shape
-    x1 = mask.origin[0] + mask.spacing[0] * (np.arange(n1) + 0.5)[:, None]
-    x2 = mask.origin[1] + mask.spacing[1] * (np.arange(n2) + 0.5)[None, :]
-    vals = np.abs(lf.eval(x1, x2)) ** 2
-    return float(np.sum(vals, where=mask.cells)) * mask.cell_area
-
-
-def gaussian_tail_bound(n: float, B: float) -> float:
-    """Exact mass of exp(-B r^2 / 2) outside radius n: (2 pi / B) e^(-B n^2/2)."""
-    return (2.0 * math.pi / B) * math.exp(-B * n * n / 2.0)

@@ -293,52 +293,6 @@ def coherent_field(state: CoherentState,
     return sample_ladder(LadderField.coherent(state), spec)
 
 
-# -- projector kernel --------------------------------------------------------
-
-
-def _laguerre_stack(n: int, u):
-    """L_0(u) .. L_n(u) by the three-term recurrence."""
-    u = np.asarray(u, dtype=float)
-    out = [np.ones_like(u)]
-    if n >= 1:
-        out.append(1.0 - u)
-    for k in range(1, n):
-        out.append(((2 * k + 1 - u) * out[k] - k * out[k - 1]) / (k + 1))
-    return out
-
-
-def landau_levels_below(E: float, B: float) -> int:
-    """Number of Landau levels (2k+1)B <= E."""
-    if B <= 0:
-        raise ValidationError("B must be positive")
-    if E < B:
-        return 0
-    return int(np.floor((E / B - 1.0) / 2.0)) + 1
-
-
-def eval_kernel(E: float, B: float, x, y):
-    """Spectral projector kernel K_{E,B}(x, y), vectorized over x.
-
-    (B/2pi) sum_{(2k+1)B <= E} exp(-(B/4)|x-y|^2 - i(B/2)(x1 y2 - x2 y1))
-    L_k((B/2)|x-y|^2) with Laguerre polynomials L_k.
-    """
-    n = landau_levels_below(E, B)
-    x1 = np.asarray(x[0], dtype=float)
-    x2 = np.asarray(x[1], dtype=float)
-    shape = np.broadcast(x1, x2).shape
-    if n == 0:
-        return np.zeros(shape, dtype=complex)
-    y1, y2 = float(y[0]), float(y[1])
-    r2 = (x1 - y1) ** 2 + (x2 - y2) ** 2
-    u = (B / 2.0) * r2
-    lag = _laguerre_stack(n - 1, u)
-    phase = np.exp(-(B / 4.0) * r2 - 1j * (B / 2.0) * (x1 * y2 - x2 * y1))
-    total = np.zeros(shape, dtype=complex)
-    for k in range(n):
-        total += lag[k]
-    return (B / (2.0 * np.pi)) * phase * total
-
-
 # -- quadrature --------------------------------------------------------------
 
 

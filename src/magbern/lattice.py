@@ -30,7 +30,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NumericalError, ResourceLimitError, ValidationError
-from .landau import GridField, LadderField
+from .landau import LadderField
 
 TWO_PI = 2.0 * np.pi
 
@@ -123,20 +123,6 @@ class MagneticOperator:
             d = d + self.diag.ravel()
         h = a + a.conj().T + sp.diags(d)
         return h.tocsr()
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        """H acting on an (N1, N2) sample array."""
-        return (self.matrix @ f.ravel()).reshape(self.setup.N)
-
-    def plaquette_phases(self) -> np.ndarray:
-        """Product of link phases around every plaquette (counterclockwise)."""
-        u1, u2 = self.u1, self.u2
-        return (
-            u1
-            * np.roll(u2, -1, axis=0)
-            * np.conj(np.roll(u1, -1, axis=1))
-            * np.conj(u2)
-        )
 
 
 def assemble(setup: TorusSetup, potential: Optional[np.ndarray] = None) -> MagneticOperator:
@@ -321,90 +307,6 @@ def _max_residual(op: MagneticOperator, evals, vectors) -> float:
     r = hv - vectors * evals[None, :]
     scale = np.maximum(np.abs(evals), 1.0)
     return float(np.max(np.linalg.norm(r, axis=0) / (np.linalg.norm(vectors, axis=0) * scale)))
-
-
-def cluster_eigenvalues(evals: np.ndarray, gap: float) -> list:
-    """Split an ascending eigenvalue list at gaps larger than `gap`."""
-    clusters = []
-    current = []
-    for ev in evals:
-        if current and ev - current[-1] > gap:
-            clusters.append(current)
-            current = []
-        current.append(float(ev))
-    if current:
-        clusters.append(current)
-    return clusters
-
-
-# -- magnetic translations -----------------------------------------------------
-
-
-def _site_shift(setup: TorusSetup, y: tuple) -> tuple:
-    h1, h2 = setup.spacing
-    s1 = y[0] / h1
-    s2 = y[1] / h2
-    if abs(s1 - round(s1)) > 1e-9 or abs(s2 - round(s2)) > 1e-9:
-        raise ValidationError("translation vector must lie on the grid")
-    return int(round(s1)) % setup.N[0], int(round(s2)) % setup.N[1]
-
-
-def flux_condition(setup: TorusSetup, y: tuple) -> bool:
-    """Vector flux condition making Gamma_y well defined on the torus:
-    B*y1*L2 and B*y2*L1 both in 2*pi*Z (to within 1e-9)."""
-    q1 = setup.B * y[0] * setup.L[1] / TWO_PI
-    q2 = setup.B * y[1] * setup.L[0] / TWO_PI
-    return abs(q1 - round(q1)) < 1e-9 and abs(q2 - round(q2)) < 1e-9
-
-
-def translations_commute(setup: TorusSetup, y: tuple, yp: tuple) -> bool:
-    """Pairwise condition B*(y1*y2' - y2*y1') in 2*pi*Z (to within 1e-9)."""
-    q = setup.B * (y[0] * yp[1] - y[1] * yp[0]) / TWO_PI
-    return abs(q - round(q)) < 1e-9
-
-
-def translate_array(setup: TorusSetup, values: np.ndarray, y: tuple) -> np.ndarray:
-    """Magnetic translation by a grid vector y on raw samples.
-
-    Composition T1(s1) T2(s2): T2 is a plain roll (x2-link phases do not
-    depend on x2), T1 rolls and applies the gauge-compensating phase
-    exp(i*phi*s1*n2) plus the seam unfolding factor on wrapped rows.
-    """
-    s1, s2 = _site_shift(setup, y)
-    n1, n2 = setup.N
-    phi = setup.B * setup.spacing[0] * setup.spacing[1]
-    out = np.roll(values, s2, axis=1)
-    out = np.roll(out, s1, axis=0)
-    j = np.arange(n2)[None, :]
-    if s1:
-        out[:s1, :] = out[:s1, :] * np.exp(-1j * phi * n1 * j)
-    out = out * np.exp(1j * phi * s1 * j)
-    return out
-
-
-def magnetic_translate(f: GridField, y: tuple, setup: TorusSetup) -> GridField:
-    return f.with_samples(translate_array(setup, f.samples, y))
-
-
-def commutation_check(op: MagneticOperator, y: tuple) -> float:
-    """Max relative norm of (H Gamma_y - Gamma_y H) v over 4 random probes."""
-    setup = op.setup
-    if not flux_condition(setup, y):
-        raise ValidationError("translation vector violates the flux condition")
-    rng = np.random.default_rng(7)
-    n1, n2 = setup.N
-    h1, h2 = setup.spacing
-    scale = 4.0 / h1**2 + 4.0 / h2**2 + (
-        float(np.max(np.abs(op.diag))) if op.diag is not None else 0.0
-    )
-    worst = 0.0
-    for _ in range(4):
-        v = rng.standard_normal((n1, n2)) + 1j * rng.standard_normal((n1, n2))
-        a = op.apply(translate_array(setup, v, y))
-        b = translate_array(setup, op.apply(v), y)
-        num = np.linalg.norm(a - b)
-        worst = max(worst, num / (scale * np.linalg.norm(v)))
-    return worst
 
 
 def coherent_vector(setup: TorusSetup, center: tuple) -> np.ndarray:

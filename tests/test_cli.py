@@ -8,7 +8,8 @@ import pytest
 from magbern import disorder, landau
 from magbern.cli import main, parse_config, parse_energy, read_keyvalue_file
 from magbern.errors import ValidationError
-from magbern.geometry import SetMask, write_pbm
+from magbern.geometry import SetMask
+from util_fields import write_pbm
 
 DATA = Path(__file__).parent / "data"
 STRIPS = str(DATA / "strips.pbm")
@@ -365,6 +366,20 @@ def test_negative_bernstein_tol_exits_2(tmp_path, capsys):
     argv = ["control", "--mask", STRIPS, "--eps-target", "-1", "--out", str(tmp_path)]
     assert main(argv) == 2
     assert "--eps-target must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["weyl-verify", "--field", "1,1"], "expected three components"),
+    (["weyl-verify", "--field", "1,1,1,1"], "expected three components"),
+    (["wegner", "--L", ","], "one or more"),
+    (["control", "--mask", STRIPS, "--T", ","], "one or more"),
+    (["wegner", "--eps", ","], "one or more"),
+], ids=["field-2", "field-4", "wegner-L", "control-T", "wegner-eps"])
+def test_malformed_list_exits_2(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("magbern: error:") and message in err
     assert not (tmp_path / "manifest.txt").exists()
 
 

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from magbern.control import (
     HeatProblem,
+    HumResult,
     abstract_cost_log,
     cost_bound_log,
     gramian,
     hum_control,
     observability_quotient,
     propagate,
-    simulate_controlled,
     spectral_factors_log,
     state_trajectory,
     worst_observability_quotient,
@@ -210,13 +210,59 @@ def test_hum_strip_mask_reaches_target():
     res = hum_control(problem)
     assert res.terminal_residual <= 1e-8
     assert res.cost > 0
-    resim = simulate_controlled(problem, res, n_steps=128)
-    assert resim <= 1e-7
+    _, fine = state_trajectory(problem, res, n_steps=128)
+    assert np.linalg.norm(fine[-1]) / np.linalg.norm(u0) <= 1e-7
     times, states = state_trajectory(problem, res, n_steps=16)
     assert np.allclose(states[0], u0)
     assert times[0] == 0.0 and times[-1] == pytest.approx(1.0)
     # the controlled flow ends near zero and decays monotonically-ish overall
     assert np.linalg.norm(states[-1]) <= 1e-7 * np.linalg.norm(u0)
+
+
+def loop_trajectory(problem, result, n_steps):
+    """`state_trajectory` one Gauss-Legendre node at a time (test oracle)."""
+    lam = problem.subspace.eigenvalues
+    T = problem.horizon
+    g_s = masked_form(problem.subspace, problem.mask)
+    dt = T / n_steps
+    x, w = np.polynomial.legendre.leggauss(8)
+    u = problem.u0.astype(complex)
+    times, states = [0.0], [u.copy()]
+    for n in range(n_steps):
+        t0 = n * dt
+        u = np.exp(-lam * dt) * u
+        for sq, wq in zip(0.5 * dt * (x + 1.0), 0.5 * dt * w):
+            f_t = g_s @ (np.exp(-lam * (T - (t0 + sq))) * result.dual_state)
+            u = u + wq * np.exp(-lam * (dt - sq)) * f_t
+        times.append(t0 + dt)
+        states.append(u.copy())
+    return np.array(times), np.array(states)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    lam=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=6),
+    T=st.floats(1e-3, 5.0),
+    n_steps=st.integers(1, 70),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trajectory_matches_per_node_oracle(lam, T, n_steps, seed):
+    # random subspace, mask, start and dual state on a 4 x 4 torus, as in
+    # test_gramian_matches_quadrature_oracle
+    setup = TorusSetup.from_flux(1, (4.0, 4.0), (4, 4))
+    rng = np.random.default_rng(seed)
+    k = len(lam)
+    vecs = rng.standard_normal((setup.dim, k)) + 1j * rng.standard_normal((setup.dim, k))
+    sub = SpectralSubspace(setup, np.array(lam), vecs, max(lam))
+    mask = SetMask(rng.random(setup.N) < 0.5, setup.spacing, periodic=True)
+    u0 = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    p = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    problem = HeatProblem(sub, mask, T, u0)
+    result = HumResult(cost=0.0, terminal_residual=0.0, gramian_condition=1.0, dual_state=p)
+    times, states = state_trajectory(problem, result, n_steps)
+    want_times, want_states = loop_trajectory(problem, result, n_steps)
+    assert np.array_equal(times, want_times)
+    assert np.max(np.abs(states - want_states)) <= 1e-12 * np.max(np.abs(want_states))
 
 
 @pytest.fixture(scope="module")

@@ -13,14 +13,12 @@ from magbern.geometry import (
     build_covering,
     checkerboard_mask,
     classify_good_bad,
-    covering_overlap_counts,
     disk_complement_mask,
     good_mass_fraction,
     read_pbm,
     strip_mask,
     thickness_scan,
     window_counts,
-    write_pbm,
 )
 from magbern.landau import (
     CoherentState,
@@ -30,7 +28,7 @@ from magbern.landau import (
     norm2,
     sample_ladder,
 )
-from util_fields import random_ladder, rng_stream
+from util_fields import random_ladder, rng_stream, write_pbm
 
 
 def brute_min_window(cells, w1, w2, periodic=False):
@@ -120,6 +118,16 @@ def test_non_multiple_window_is_conservative():
 
 
 # -- coverings -----------------------------------------------------------------
+
+
+def covering_overlap_counts(cov, points):
+    """How many covering rectangles contain each point (closure counted)."""
+    pts = np.asarray(points, dtype=float)
+    counts = np.zeros(len(pts), dtype=int)
+    for a1, a2 in cov.anchors:
+        counts += ((pts[:, 0] >= a1 - 1e-12) & (pts[:, 0] <= a1 + cov.ell[0] + 1e-12)
+                   & (pts[:, 1] >= a2 - 1e-12) & (pts[:, 1] <= a2 + cov.ell[1] + 1e-12))
+    return counts
 
 
 def test_even_covering_is_disjoint_partition():

@@ -12,18 +12,15 @@ from magbern.geometry import SetMask, disk_complement_mask, strip_mask, thicknes
 from magbern.inequality import (
     AnalyticSample,
     empirical_constant,
-    gaussian_tail_bound,
     kovrijkine_check,
-    local_estimate_check,
-    necessity_decay,
+    masked_form,
     remez_bound,
     remez_check,
     series_bound_check,
     sup_abs_on_interval,
-    taylor_extension_sup,
     theoretical_constant_log,
 )
-from magbern.landau import CoherentState, QuadratureSpec, coherent_field, norm2
+from magbern.landau import CoherentState, LadderField, QuadratureSpec, coherent_field, norm2
 from magbern.lattice import TorusSetup, assemble, eigensolve
 from util_fields import rng_stream
 
@@ -287,61 +284,6 @@ def test_kovrijkine_random_sweep():
         assert kovrijkine_check(AnalyticSample(tuple(coeffs)), intervals)
 
 
-# -- local estimate ---------------------------------------------------------------
-
-
-def _coherent_grid(B=1.0, pp=8):
-    return coherent_field(CoherentState((0.0, 0.0), B),
-                          QuadratureSpec(tail_sigmas=9.0, points_per_length=pp))
-
-
-def test_local_estimate_u_equals_q():
-    f = _coherent_grid()
-    rect = ((-0.5, -0.5), (1.0, 1.0))
-    u = np.ones_like(f.samples, dtype=bool)
-    res = local_estimate_check(f, rect, u, np.eye(2))
-    assert res.passed
-    assert res.lhs >= res.rhs
-
-
-def test_local_estimate_half_rectangle():
-    f = _coherent_grid()
-    rect = ((-0.5, -0.5), (1.0, 1.0))
-    x1, _ = f.axes()
-    u = np.broadcast_to(x1 >= 0.0, f.samples.shape)
-    res = local_estimate_check(f, rect, u, np.eye(2))
-    assert res.passed
-
-
-def test_local_estimate_small_density_and_rescaling_map():
-    f = _coherent_grid()
-    rect = ((-1.0, -0.5), (2.0, 1.0))
-    x1, x2 = f.axes()
-    u = np.broadcast_to((x1 >= 0.8) & (x2 >= 0.0), f.samples.shape)
-    a_map = np.diag([0.5, 1.0])  # maps the 2x1 rectangle to a unit square
-    res = local_estimate_check(f, rect, u, a_map)
-    assert res.passed
-    assert res.m_value >= 1.0
-
-
-def test_taylor_model_agrees_with_closed_form_extension():
-    # two independent routes to sup |Phi| on the polydisc: truncated Taylor
-    # majorant vs direct evaluation of the entire closed form
-    from magbern.inequality import _poly_disc_sup
-
-    f = _coherent_grid()
-    radii = (0.8, 0.8)
-    taylor = taylor_extension_sup(f, (0.0, 0.0), radii, degree=24)
-    closed = _poly_disc_sup(f.ladder, (0.0, 0.0), (0.0, 0.0), radii, n_q=1)
-    assert taylor == pytest.approx(closed, rel=1e-6)
-
-
-def test_taylor_divergence_guard():
-    f = _coherent_grid()
-    with pytest.raises(NumericalError):
-        taylor_extension_sup(f, (0.0, 0.0), (40.0, 40.0), degree=10)
-
-
 # -- series bound -----------------------------------------------------------------
 
 
@@ -358,7 +300,19 @@ def test_series_bound_rejects_insufficient_terms():
 # -- necessity of thickness --------------------------------------------------------
 
 
+def f0_mass_on(mask, B):
+    """||f_0||^2 over the set by cell-centre quadrature, f_0 the lowest-level
+    state centred at the origin."""
+    n1, n2 = mask.cells.shape
+    x1 = mask.origin[0] + mask.spacing[0] * (np.arange(n1) + 0.5)[:, None]
+    x2 = mask.origin[1] + mask.spacing[1] * (np.arange(n2) + 0.5)[None, :]
+    f0 = LadderField(B, {(0.0, 0.0): {0: 1.0}}).eval(x1, x2)
+    return float(masked_form(f0[None], mask)[0, 0].real)
+
+
 def test_necessity_decay_with_growing_hole():
+    # off a disk of radius n the mass is below vol(S cap ball) + the exact
+    # Gaussian tail (2 pi / B) e^(-B n^2 / 2) + a discretization edge
     B = 1.0
     h = 1 / 16
     n_cells = 512
@@ -367,9 +321,10 @@ def test_necessity_decay_with_growing_hole():
     for n in (2.0, 3.0):
         mask = disk_complement_mask((n_cells, n_cells), (h, h), center=(0.0, 0.0),
                                     radius=n, origin=origin)
-        v = necessity_decay(n, B, mask)
+        v = f0_mass_on(mask, B)
+        tail = (2 * math.pi / B) * math.exp(-B * n * n / 2)
         edge = 2 * math.pi * n * 2 * h * math.exp(-B * n * n / 2)
-        assert v <= 1.0 / n + gaussian_tail_bound(n, B) + edge
+        assert v <= 1.0 / n + tail + edge
         vals.append(v)
     assert vals[1] < vals[0]
 
@@ -378,4 +333,4 @@ def test_necessity_full_plane_recovers_total_mass():
     B = 1.0
     h = 1 / 16
     mask = SetMask(np.ones((512, 512), dtype=bool), (h, h), origin=(-16.0, -16.0))
-    assert necessity_decay(2.0, B, mask) == pytest.approx(2 * math.pi / B, rel=1e-9)
+    assert f0_mass_on(mask, B) == pytest.approx(2 * math.pi / B, rel=1e-9)

