@@ -12,7 +12,6 @@ takes an exact rational field direction (r1, r2, r3) and uses
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -22,20 +21,30 @@ from .errors import ResourceLimitError, ValidationError
 RationalLike = Union[int, Fraction]
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _rat(x) -> RationalLike:
+    """Exact rational with integral values kept as plain ints."""
+    if type(x) is int:
+        return x
+    x = x if isinstance(x, Fraction) else Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
 class GaussianRational:
-    """Element of Q(i) with exact rational parts."""
+    """Element of Q(i) with exact rational parts; integral parts are ints."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    re: RationalLike = 0
+    im: RationalLike = 0
+
+    def __post_init__(self):
+        if type(self.re) is not int:
+            object.__setattr__(self, "re", _rat(self.re))
+        if type(self.im) is not int:
+            object.__setattr__(self, "im", _rat(self.im))
 
     @staticmethod
     def of(re=0, im=0) -> "GaussianRational":
-        return GaussianRational(_frac(re), _frac(im))
+        return GaussianRational(re, im)
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re + other.re, self.im + other.im)
@@ -57,8 +66,8 @@ class GaussianRational:
         if d == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
         return GaussianRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
+            Fraction(self.re * other.re + self.im * other.im) / d,
+            Fraction(self.im * other.re - self.re * other.im) / d,
         )
 
     def __bool__(self) -> bool:
@@ -311,7 +320,7 @@ class WeylAlgebra:
         if gens == 3:
             if field is None:
                 field = (0, 0, 1)
-            r1, r2, r3 = (_frac(x) for x in field)
+            r1, r2, r3 = (_rat(x) for x in field)
             comm = {
                 (0, 1): BPoly.b_power(1, GaussianRational.of(0, r3)),
                 (1, 2): BPoly.b_power(1, GaussianRational.of(0, r1)),
@@ -452,62 +461,15 @@ class CommPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @staticmethod
-    def one() -> "CommPoly":
-        return CommPoly([BP_ONE])
-
-    @staticmethod
-    def t() -> "CommPoly":
-        return CommPoly([BP_ZERO, BP_ONE])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __eq__(self, other) -> bool:
         return isinstance(other, CommPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other: "CommPoly") -> "CommPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for j in range(n):
-            a = self.coeffs[j] if j < len(self.coeffs) else BP_ZERO
-            b = other.coeffs[j] if j < len(other.coeffs) else BP_ZERO
-            out.append(a + b)
-        return CommPoly(out)
-
-    def scale(self, v) -> "CommPoly":
-        if isinstance(v, BPoly):
-            return CommPoly([c * v for c in self.coeffs])
-        return CommPoly([c.scale(_as_gr(v)) for c in self.coeffs])
-
-    def shift_t(self, c: RationalLike) -> "CommPoly":
-        """Substitute t -> t + c*B."""
-        c = _frac(c)
-        n = len(self.coeffs)
-        out = [BP_ZERO] * n
-        for j, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for i in range(j + 1):
-                s = a.scale(Fraction(math.comb(j, i)) * c ** (j - i)).shift_b(j - i)
-                out[i] = out[i] + s
-        return CommPoly(out)
-
-    def mul_linear(self, c: RationalLike) -> "CommPoly":
-        """Multiply by (t + c*B)."""
-        c = _frac(c)
-        out = [BP_ZERO] + list(self.coeffs)
-        for j, a in enumerate(self.coeffs):
-            out[j] = out[j] + a.scale(c).shift_b(1)
-        return CommPoly(out)
-
     def eval_at_level(self, k: int) -> BPoly:
         """Exact value at t = (2k+1)*B."""
-        lam = Fraction(2 * k + 1)
+        lam = 2 * k + 1
         acc = BP_ZERO
         for j in range(len(self.coeffs) - 1, -1, -1):
             acc = acc.scale(lam).shift_b(1) + self.coeffs[j]
@@ -556,38 +518,94 @@ class CommPoly:
 # -- named operations ------------------------------------------------------
 
 
+def _taylor_shift(a: list, c: int) -> list:
+    """Coefficients (lowest degree first) of p(t + c) from those of p(t)."""
+    a = list(a)
+    n = len(a)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            a[j] += c * a[j + 1]
+    return a
+
+
+def _f_step(f: list) -> list:
+    """Integer coefficients of F_{m+1} at B = 1 from those of F_m.
+
+    (t-1) F_m(t-2) + (t+1) F_m(t+2) = t (lo + hi) + (hi - lo) is even
+    coefficientwise; an odd coefficient means the recursion is broken.
+    """
+    lo, hi = _taylor_shift(f, -2), _taylor_shift(f, 2)
+    twice = [0] + [x + y for x, y in zip(lo, hi)]
+    for j, (x, y) in enumerate(zip(lo, hi)):
+        twice[j] += y - x
+    if any(c & 1 for c in twice):
+        raise ArithmeticError(f"F_{len(f)} half-sum is not integral: {twice}")
+    return [c >> 1 for c in twice]
+
+
 def f_poly(m: int) -> CommPoly:
     """The m-th Bernstein polynomial from the half-sum recursion.
 
-    F0 = 1 and F_{m+1}(t) = ((t-B) F_m(t-2B) + (t+B) F_m(t+2B)) / 2.
+    F0 = 1 and F_{m+1}(t) = ((t-B) F_m(t-2B) + (t+B) F_m(t+2B)) / 2.  F_m is
+    homogeneous of degree m in (t, B), so the recursion runs on the integer
+    coefficients at B = 1 and the t^j coefficient is restored as c_j B^(m-j).
     """
     if m < 0:
         raise ValidationError("m must be non-negative")
-    f = CommPoly.one()
+    f = [1]
     for _ in range(m):
-        left = f.shift_t(-2).mul_linear(-1)
-        right = f.shift_t(2).mul_linear(1)
-        f = (left + right).scale(Fraction(1, 2))
-    return f
+        f = _f_step(f)
+    return CommPoly([BPoly({m - j: c}) for j, c in enumerate(f)])
 
 
-def verify_recursion(m: int, max_terms: int = 10**6) -> bool:
-    """Exact check that R^m(Id) equals F_m(d1^2 + d2^2) in the 2-gen algebra."""
+class _RecursionSweep:
+    """R^m(Id) and the powers H^0..H^m in the 2-gen algebra, carried from m
+    to m + 1 instead of rebuilt for each m."""
+
+    def __init__(self, max_terms: int):
+        self.alg = WeylAlgebra(2, max_terms=max_terms)
+        self.h = self.alg.h_poly()
+        self.lhs = self.alg.one()
+        self.h_powers = [self.alg.one()]
+
+    def advance_to(self, m: int) -> None:
+        if len(self.h_powers) - 1 > m:
+            raise ValueError(f"sweep is already past m = {m}")
+        while len(self.h_powers) - 1 < m:
+            self.lhs = self.alg.apply_r(self.lhs)
+            self.h_powers.append(self.alg.mul(self.h_powers[-1], self.h))
+
+
+def verify_recursion(m: int, max_terms: int = 10**6,
+                     sweep: Optional[_RecursionSweep] = None) -> bool:
+    """Exact check that R^m(Id) equals F_m(d1^2 + d2^2) in the 2-gen algebra.
+
+    R^m(Id) is compared with sum_j c_j B^(m-j) H^j, the t^j coefficients of
+    `f_poly(m)` applied to the powers of H.  `recursion_checks` passes its
+    sweep, advanced here to m; on its own a call starts a fresh one.
+    """
     if m < 0:
         raise ValidationError("m must be non-negative")
-    alg = WeylAlgebra(2, max_terms=max_terms)
-    lhs = alg.one()
-    for _ in range(m):
-        lhs = alg.apply_r(lhs)
-    h = alg.h_poly()
-    fm = f_poly(m)
-    rhs = alg.zero()
-    for j in range(fm.degree, -1, -1):
-        rhs = alg.mul(rhs, h) + alg.one().scale(fm.coeffs[j])
-    return lhs == rhs
+    if sweep is None:
+        sweep = _RecursionSweep(max_terms)
+    sweep.advance_to(m)
+    rhs = sweep.alg.zero()
+    for h_j, c in zip(sweep.h_powers, f_poly(m).coeffs):
+        if c:
+            rhs = rhs + h_j.scale(c)
+    return sweep.lhs == rhs
 
 
-def _real_rational_monomial(p: BPoly, power: int) -> Fraction:
+def recursion_checks(m_max: int, max_terms: int = 10**6) -> list:
+    """`verify_recursion(m)` for m = 1..m_max in one sweep: R^m(Id) and the
+    powers of H are built once for the whole range."""
+    if m_max < 0:
+        raise ValidationError("m must be non-negative")
+    sweep = _RecursionSweep(max_terms)
+    return [verify_recursion(m, sweep=sweep) for m in range(1, m_max + 1)]
+
+
+def _real_rational_monomial(p: BPoly, power: int) -> RationalLike:
     pw, v = p.monomial()
     if pw != power or v.im != 0:
         raise ValidationError(f"expected a real multiple of B^{power}, got {p}")
@@ -640,7 +658,7 @@ def weyl3d_reduction(B1, B2, B3, power: int = 2) -> Weyl3dReduction:
     c_{k,j} of H^k B^j and reports consistency, a witness row on failure, or
     one solution on success.
     """
-    field = tuple(_frac(x) for x in (B1, B2, B3))
+    field = tuple(_rat(x) for x in (B1, B2, B3))
     if not any(field):
         raise ValidationError("field components must not all vanish")
     alg = WeylAlgebra(3, field=field)

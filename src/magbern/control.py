@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -27,6 +28,9 @@ class HeatProblem:
     mask: SetMask
     horizon: float
     u0: np.ndarray  # coefficients in the subspace basis
+    # masked_form(subspace, mask), built here unless the caller shares one
+    # across problems on the same subspace and mask
+    form: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.horizon <= 0:
@@ -35,6 +39,8 @@ class HeatProblem:
         if u0.shape != (self.subspace.dim,):
             raise ValidationError("u0 must be a coefficient vector on the subspace")
         object.__setattr__(self, "u0", u0)
+        if self.form is None:
+            object.__setattr__(self, "form", masked_form(self.subspace, self.mask))
 
 
 @dataclass
@@ -52,16 +58,18 @@ def propagate(subspace: SpectralSubspace, u0: np.ndarray, t: float) -> np.ndarra
     return np.asarray(u0, dtype=complex) * np.exp(-subspace.eigenvalues * t)
 
 
-def gramian(subspace: SpectralSubspace, mask: SetMask, T: float) -> np.ndarray:
-    """G_T = int_0^T e^(-(T-t)H) M_S e^(-(T-t)H) dt on the subspace, in closed
-    form: the masked form times T (1 - e^(-x)) / x with x = (lam_i + lam_j) T,
-    whose limit at x = 0 is T."""
-    lam = subspace.eigenvalues
+def _time_kernel(lam: np.ndarray, T: float) -> np.ndarray:
+    """T (1 - e^(-x)) / x with x = (lam_i + lam_j) T, whose limit at x = 0 is T."""
     x = (lam[:, None] + lam[None, :]) * T
     zero = x == 0.0
     safe = np.where(zero, 1.0, x)
-    kernel = np.where(zero, T, T * (-np.expm1(-safe) / safe))
-    return masked_form(subspace, mask) * kernel
+    return np.where(zero, T, T * (-np.expm1(-safe) / safe))
+
+
+def gramian(subspace: SpectralSubspace, mask: SetMask, T: float) -> np.ndarray:
+    """G_T = int_0^T e^(-(T-t)H) M_S e^(-(T-t)H) dt on the subspace, in closed
+    form: the masked form times the time kernel T (1 - e^(-x)) / x."""
+    return masked_form(subspace, mask) * _time_kernel(subspace.eigenvalues, T)
 
 
 def observability_quotient(problem: HeatProblem) -> float:
@@ -71,7 +79,7 @@ def observability_quotient(problem: HeatProblem) -> float:
     """
     sub = problem.subspace
     T = problem.horizon
-    g_t = gramian(sub, problem.mask, T)
+    g_t = problem.form * _time_kernel(sub.eigenvalues, T)
     denom = float(np.real(problem.u0.conj() @ (g_t @ problem.u0)))
     if denom <= 1e-300:
         raise NumericalError("denominator underflow: the set misses the subspace")
@@ -104,7 +112,7 @@ def hum_control(problem: HeatProblem) -> HumResult:
     """
     sub = problem.subspace
     T = problem.horizon
-    g_t = gramian(sub, problem.mask, T)
+    g_t = problem.form * _time_kernel(sub.eigenvalues, T)
     target = -propagate(sub, problem.u0, T)
     evals, evecs = np.linalg.eigh(g_t)
     cond = float(evals[-1] / evals[0]) if evals[0] > 0 else math.inf
@@ -145,7 +153,7 @@ def state_trajectory(problem: HeatProblem, result: HumResult, n_steps: int = 64)
     ws = 0.5 * dt * w
     t0 = np.arange(n_steps) * dt
     nodes = (t0[:, None] + s).ravel()  # step-major, 8 per step
-    forcing = (masked_form(sub, problem.mask)
+    forcing = (problem.form
                @ (np.exp(-lam[:, None] * (T - nodes)) * result.dual_state[:, None])).T
     # row 0 of a step is the decayed state, rows 1-8 its node kicks
     # ws_q e^(-lam (dt - s_q)) f(t_nq): summing the rows in that order adds

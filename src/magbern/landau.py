@@ -411,23 +411,31 @@ def bernstein_sum(words: dict, m: int) -> float:
 
 
 def mod2_derivative_word(words: dict, alpha: tuple):
-    """Pointwise values of the ordinary derivative word applied to |f|^2.
+    """Real pointwise values of the ordinary derivative word applied to |f|^2.
 
     Uses the exact product identity
     d^alpha |f|^2 = (-i)^m sum_{beta <= alpha} (-1)^(m-|beta|)
                     (md^beta f) conj(md^(alpha\\beta) f),
-    where beta runs over subsequences of alpha.
+    where beta runs over subsequences of alpha.  The term of alpha\\beta is
+    (-1)^m conj(term of beta), so only the half of the subsequences that
+    leave out alpha's last letter are summed: with the (-i)^m folded in,
+    the value is (-1)^(m/2) 2 Re(sum) for even m and (-1)^((m-1)/2) 2 Im(sum)
+    for odd m.
     """
     m = len(alpha)
+    if m == 0:
+        f = words[()].samples
+        return f.real * f.real + f.imag * f.imag
     total = None
-    for mask in range(1 << m):
+    for mask in range(1 << (m - 1)):
         sel = tuple(alpha[i] for i in range(m) if mask >> i & 1)
         com = tuple(alpha[i] for i in range(m) if not mask >> i & 1)
-        sign = (-1) ** (m - len(sel))
-        term = sign * words[sel].samples * np.conj(words[com].samples)
+        term = words[sel].samples * np.conj(words[com].samples)
+        if (m - len(sel)) & 1:
+            term = -term
         total = term if total is None else total + term
-    vals = ((-1j) ** m) * total
-    return vals
+    half = total.real if m % 2 == 0 else total.imag
+    return (2.0 if m % 4 < 2 else -2.0) * half
 
 
 def l1_bernstein_sum(words: dict, m: int) -> float:

@@ -1,5 +1,6 @@
 """Exact checks of the covariant-derivative algebra and Bernstein polynomials."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from magbern.algebra import (
     bernstein_constant,
     check_f_bounds,
     f_poly,
+    recursion_checks,
     verify_recursion,
     weyl3d_counterexample,
     weyl3d_reduction,
@@ -166,17 +168,91 @@ def test_apply_r_3d_field_aligned_reduces_to_2d():
     assert alg.apply_r(h) == want
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
 def test_verify_recursion_small(m):
-    assert verify_recursion(m)
+    assert verify_recursion(m) is True
+
+
+# -- independent oracles: the rational half-sum recursion and per-m Horner ----
+
+
+def _shift_t(coeffs, c):
+    """Substitute t -> t + c*B in a t-polynomial with BPoly coefficients."""
+    out = [BPoly()] * len(coeffs)
+    for j, a in enumerate(coeffs):
+        for i in range(j + 1):
+            s = a.scale(Fraction(math.comb(j, i)) * Fraction(c) ** (j - i)).shift_b(j - i)
+            out[i] = out[i] + s
+    return out
+
+
+def _mul_linear(coeffs, c):
+    """Multiply by (t + c*B)."""
+    out = [BPoly()] + list(coeffs)
+    for j, a in enumerate(coeffs):
+        out[j] = out[j] + a.scale(c).shift_b(1)
+    return out
+
+
+def oracle_f_poly(m):
+    """F_m by the half-sum recursion over Q(i)[B], one Fraction at a time."""
+    f = [BPoly.const(1)]
+    for _ in range(m):
+        left = _mul_linear(_shift_t(f, -2), -1)
+        right = _mul_linear(_shift_t(f, 2), 1)
+        f = [(a + b).scale(Fraction(1, 2)) for a, b in zip(left, right)]
+    return CommPoly(f)
+
+
+def oracle_verify_recursion(m):
+    """R^m(Id) from scratch against F_m(H) by Horner's rule with `alg.mul`."""
+    alg = WeylAlgebra(2)
+    lhs = alg.one()
+    for _ in range(m):
+        lhs = alg.apply_r(lhs)
+    h = alg.h_poly()
+    fm = oracle_f_poly(m)
+    rhs = alg.zero()
+    for j in range(len(fm.coeffs) - 1, -1, -1):
+        rhs = alg.mul(rhs, h) + alg.one().scale(fm.coeffs[j])
+    return lhs == rhs
+
+
+def test_integer_f_poly_matches_the_half_sum_oracle():
+    for m in range(31):
+        assert f_poly(m) == oracle_f_poly(m), m
+
+
+def test_recursion_sweep_matches_the_per_m_oracle():
+    assert recursion_checks(8) == [oracle_verify_recursion(m) for m in range(1, 9)]
+    assert recursion_checks(8) == [True] * 8
+    assert recursion_checks(0) == []
+
+
+def test_recursion_sweep_rejects_negative():
+    with pytest.raises(ValidationError):
+        recursion_checks(-1)
+    with pytest.raises(ValidationError):
+        verify_recursion(-1)
+
+
+def test_gaussian_rational_keeps_integral_parts_as_int():
+    half = GR(Fraction(1, 2), Fraction(-3, 2))
+    for v in (GR(Fraction(4, 2), 3), half * GR(2, 0), GR(6, 4) / GR(3, 2)):
+        assert type(v.re) is int and type(v.im) is int
+    assert GR(Fraction(6, 3)) == GaussianRational(Fraction(2)) == GR(2)
+    assert hash(GR(Fraction(2), Fraction(-1))) == hash(GaussianRational(2, -1))
+    assert str(GR(Fraction(4, 2), Fraction(-2, 1))) == "(2-2*i)"
+    q = GR(1) / GR(0, 2)
+    assert (q.re, q.im) == (0, Fraction(-1, 2)) and type(q.im) is Fraction
 
 
 # -- F_m ---------------------------------------------------------------------
 
 
 def test_f_poly_base_cases():
-    assert f_poly(0) == CommPoly.one()
-    assert f_poly(1) == CommPoly.t()
+    assert f_poly(0) == CommPoly([BPoly.const(1)])
+    assert f_poly(1) == CommPoly([BPoly(), BPoly.const(1)])
     f2 = f_poly(2)
     assert f2.coeffs[2] == BPoly.const(1)
     assert f2.coeffs[1] == BPoly()

@@ -1,5 +1,8 @@
 """Command-line surface: parsing, precedence, outputs, exit codes."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +87,22 @@ def test_weyl_verify_records_reduction(tmp_path, capsys):
     csv = (tmp_path / "weyl.csv").read_text().splitlines()
     assert csv[0] == "m,recursion_ok"
     assert all(line.endswith("true") for line in csv[1:4])
+
+
+def test_weyl_verify_term_cap_binds_in_the_sweep(tmp_path):
+    # R^m(Id) outgrows 10 monomials within the sweep: exit 4 with the cap on
+    # stderr, no traceback and no weyl.csv
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "magbern.cli", "weyl-verify", "--m-max", "12",
+         "--max-terms", "10", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 4
+    assert "cap of 10 monomials" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "weyl.csv").exists()
 
 
 def test_thickness_on_bundled_strips(tmp_path, capsys):

@@ -26,6 +26,7 @@ from magbern.landau import (
     l1_bernstein_sum,
     l1_norm,
     magnetic_derivative,
+    mod2_derivative_word,
     norm2,
     radial_mass_outside,
     sample_ladder,
@@ -354,6 +355,34 @@ def test_word_table_with_a_partial_last_chunk(monkeypatch):
     monkeypatch.setattr(landau, "BASIS_CHUNK_SAMPLES", rows * n_basis * n2)
     assert landau._chunk_rows(n_basis, n1, n2) == rows
     _assert_matches_oracle(word_fields(f, 2), oracle_word_fields(f, 2))
+
+
+def full_mod2_derivative_word(words: dict, alpha: tuple) -> np.ndarray:
+    """d^alpha |f|^2 from all 2^m subsequences beta of alpha,
+    (-i)^m sum_beta (-1)^(m-|beta|) (md^beta f) conj(md^(alpha\\beta) f),
+    as a complex array."""
+    m = len(alpha)
+    total = 0
+    for mask in range(1 << m):
+        sel = tuple(alpha[i] for i in range(m) if mask >> i & 1)
+        com = tuple(alpha[i] for i in range(m) if not mask >> i & 1)
+        total = total + (-1) ** (m - len(sel)) * words[sel].samples * np.conj(words[com].samples)
+    return ((-1j) ** m) * total
+
+
+@settings(max_examples=20, deadline=None)
+@given(lf=sparse_ladders(), m_max=st.integers(1, 4))
+def test_half_sum_derivative_word_matches_the_full_sum(lf, m_max):
+    f = sample_ladder(lf, QuadratureSpec(tail_sigmas=9.0, points_per_length=8))
+    words = word_fields(f, m_max)
+    for m in range(m_max + 1):
+        for alpha in product((1, 2), repeat=m):
+            got = mod2_derivative_word(words, alpha)
+            want = full_mod2_derivative_word(words, alpha)
+            scale = 2**m * max(np.abs(g.samples).max() for g in words.values()) ** 2
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert np.abs(want.imag).max() <= 1e-12 * scale
+            assert np.abs(got - want.real).max() <= 1e-12 * scale
 
 
 # -- Bernstein sums -----------------------------------------------------------
