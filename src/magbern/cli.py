@@ -17,7 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import algebra, control, disorder, geometry, inequality, landau, lattice
+# the torus modules load scipy: only the commands that solve on the lattice
+# (specineq, control, wegner) import them, inside their runners
+from . import algebra, geometry, inequality, landau
 from .errors import MagbernError, NumericalError, ValidationError
 
 
@@ -394,6 +396,8 @@ def _torus_prelude(params):
     """Torus, spectral subspace, mask and rho shared by specineq and control:
     the subspace is cut at 1.001 E when E is given, else the lowest
     n-phi * clusters pairs."""
+    from . import lattice
+
     setup = lattice.TorusSetup.from_flux(params["n-phi"], params["L"], params["N"])
     if "E" in params:
         solve = {"energy": 1.001 * parse_energy(params["E"], setup.B)}
@@ -464,6 +468,8 @@ def run_remez(cfg: RunConfig, bundle: ReportBundle) -> None:
 
 
 def run_control(cfg: RunConfig, bundle: ReportBundle) -> None:
+    from . import control, lattice
+
     p = cfg.params
     setup, sub, mask, rho = _torus_prelude(p)
     u0 = sub.vectors.conj().T @ lattice.coherent_vector(
@@ -497,6 +503,8 @@ def run_control(cfg: RunConfig, bundle: ReportBundle) -> None:
 
 
 def run_wegner(cfg: RunConfig, bundle: ReportBundle) -> None:
+    from . import disorder, lattice
+
     p = cfg.params
     prof = disorder.fat_cantor_disk_profile((p["cells-per-unit"],) * 2)
     configs = []

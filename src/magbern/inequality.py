@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .geometry import SetMask
-from .lattice import SpectralSubspace
 
 LN2 = math.log(2.0)
 
@@ -47,6 +46,8 @@ def theoretical_constant_log(E: float, B: float, ell: tuple, rho: float) -> floa
 
 
 def _basis_matrix(basis, mask: SetMask):
+    from .lattice import SpectralSubspace  # loads scipy: not at module level
+
     if isinstance(basis, SpectralSubspace):
         vecs = basis.vectors
         cell = basis.setup.spacing[0] * basis.setup.spacing[1]
@@ -108,15 +109,17 @@ def remez_bound(n: int, measure: float) -> float:
     return (4.0 / measure) ** n
 
 
-def sup_abs_on_interval(coeffs, lo: float, hi: float, n_grid: int = 10**4) -> float:
-    """Sup of |P| on [lo, hi] for n_grid >= 2.
+def _grid_sups(coeffs, intervals, n_grids) -> np.ndarray:
+    """Sup of |P| on each [lo, hi] of `intervals`, over n_grid points of it
+    (endpoints included) and the critical points of |P|^2 that fall in it.
 
     |P(t)|^2 is a real polynomial of degree 2n on the real line, so the sup is
-    reached at an endpoint or at a real root of its derivative.  |P| is
-    evaluated once on the grid (endpoints included) and at the real parts of
-    all those roots, each also after one Newton step, that fall in [lo, hi].
-    Every candidate lies in [lo, hi], so the result never exceeds the sup
-    beyond rounding; the grid is a floor should a root be lost.
+    reached at an endpoint or at a real root of its derivative.  The roots are
+    solved once for all intervals: their real parts, each also after one
+    Newton step, are the critical points.  Every candidate lies in its
+    interval, so no result exceeds the sup beyond rounding; the grid is a
+    floor should a root be lost.  All candidates go through one evaluation of
+    |P|, and each interval's segment is reduced to its max.
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     dq = np.polyder(np.convolve(c, c.conj()).real)
@@ -127,19 +130,31 @@ def sup_abs_on_interval(coeffs, lo: float, hi: float, n_grid: int = 10**4) -> fl
     with np.errstate(all="ignore"):
         polished = roots - np.polyval(dq, roots) / np.polyval(np.polyder(dq), roots)
     crit = np.concatenate((roots, polished))
-    crit = crit[(crit >= lo) & (crit <= hi)]
-    pts = np.concatenate((np.linspace(lo, hi, n_grid), crit))
-    return float(np.max(np.abs(np.polyval(c, pts))))
+    pieces, starts, size = [], [], 0
+    for (lo, hi), n_grid in zip(intervals, n_grids):
+        starts.append(size)
+        pieces += [np.linspace(lo, hi, n_grid), crit[(crit >= lo) & (crit <= hi)]]
+        size += n_grid + pieces[-1].size
+    return np.maximum.reduceat(np.abs(np.polyval(c, np.concatenate(pieces))), starts)
 
 
-def sup_abs_on_intervals(coeffs, intervals) -> float:
-    total = 0.0
-    for lo, hi in intervals:
-        if hi <= lo:
-            continue
-        n = max(64, int(1e4 * (hi - lo)))
-        total = max(total, sup_abs_on_interval(coeffs, lo, hi, n))
-    return total
+def sup_abs_on_interval(coeffs, lo: float, hi: float, n_grid: int = 10**4) -> float:
+    """Sup of |P| on [lo, hi] for n_grid >= 2, over the grid and the critical
+    points of |P|^2 (see _grid_sups)."""
+    return float(_grid_sups(coeffs, [(lo, hi)], [n_grid])[0])
+
+
+def sup_abs_on_intervals(coeffs, intervals) -> np.ndarray:
+    """Sup of |P| on each interval, 0 on an empty one (hi <= lo), from one
+    critical-point solve; [lo, hi] gets a grid of max(64, int(1e4 (hi - lo)))
+    points, so [0, 1] gets 10^4."""
+    sups = np.zeros(len(intervals))
+    keep = [i for i, (lo, hi) in enumerate(intervals) if hi > lo]
+    if keep:
+        kept = [intervals[i] for i in keep]
+        sups[keep] = _grid_sups(coeffs, kept,
+                                [max(64, int(1e4 * (hi - lo))) for lo, hi in kept])
+    return sups
 
 
 def _intervals_measure(intervals) -> float:
@@ -158,9 +173,8 @@ def remez_check(coeffs: Sequence[complex], intervals) -> bool:
         raise ValidationError("E must have positive measure")
     coeffs = np.asarray(coeffs, dtype=complex)
     n = len(coeffs) - 1
-    sup01 = sup_abs_on_interval(coeffs, 0.0, 1.0)
-    sup_e = sup_abs_on_intervals(coeffs, intervals)
-    return sup01 <= remez_bound(n, measure) * sup_e * (1.0 + 1e-12)
+    sup01, *sup_e = sup_abs_on_intervals(coeffs, [(0.0, 1.0), *intervals]).tolist()
+    return sup01 <= remez_bound(n, measure) * max([0.0, *sup_e]) * (1.0 + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -192,11 +206,9 @@ def kovrijkine_check(phi: AnalyticSample, intervals, n_circle: int = 4096) -> bo
     theta = np.linspace(0.0, 2.0 * np.pi, n_circle, endpoint=False)
     m_phi = max(float(np.max(np.abs(phi(4.0 * np.exp(1j * theta))))),
                 abs(phi.at_zero()), 1.0)
-    coeffs = np.asarray(phi.coeffs, dtype=complex)
-    sup01 = sup_abs_on_interval(coeffs, 0.0, 1.0)
-    sup_e = sup_abs_on_intervals(coeffs, intervals)
+    sup01, *sup_e = sup_abs_on_intervals(phi.coeffs, [(0.0, 1.0), *intervals]).tolist()
     bound = (12.0 / measure) ** (2.0 * math.log(m_phi) / LN2)
-    return sup01 <= bound * sup_e * (1.0 + 1e-12)
+    return sup01 <= bound * max([0.0, *sup_e]) * (1.0 + 1e-12)
 
 
 # -- series bound ---------------------------------------------------------------

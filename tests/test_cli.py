@@ -1,5 +1,6 @@
 """Command-line surface: parsing, precedence, outputs, exit codes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -89,20 +90,59 @@ def test_weyl_verify_records_reduction(tmp_path, capsys):
     assert all(line.endswith("true") for line in csv[1:4])
 
 
-def test_weyl_verify_term_cap_binds_in_the_sweep(tmp_path):
-    # R^m(Id) outgrows 10 monomials within the sweep: exit 4 with the cap on
-    # stderr, no traceback and no weyl.csv
+def _fresh_python(*args):
+    """Run a fresh interpreter with this checkout's src first on the path."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "magbern.cli", "weyl-verify", "--m-max", "12",
-         "--max-terms", "10", "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_weyl_verify_term_cap_binds_in_the_sweep(tmp_path):
+    # R^m(Id) outgrows 10 monomials within the sweep: exit 4 with the cap on
+    # stderr, no traceback and no weyl.csv
+    proc = _fresh_python("-m", "magbern.cli", "weyl-verify", "--m-max", "12",
+                         "--max-terms", "10", "--out", str(tmp_path))
     assert proc.returncode == 4
     assert "cap of 10 monomials" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "weyl.csv").exists()
+
+
+# runs each argv (JSON, argument 2) through main with --out argument 1, then
+# prints the exit codes and the scipy modules loaded by then
+_SCIPY_PROBE = """
+import json, sys
+from magbern.cli import main
+codes = [main([*argv, "--out", sys.argv[1]]) for argv in json.loads(sys.argv[2])]
+print(json.dumps([codes, sorted(m for m in sys.modules
+                                if m == "scipy" or m.startswith("scipy."))]))
+"""
+
+
+def _scipy_probe(out, argvs):
+    proc = _fresh_python("-c", _SCIPY_PROBE, str(out), json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_continuum_commands_never_load_scipy(tmp_path):
+    codes, loaded = _scipy_probe(tmp_path, [
+        ["fm", "--m", "0"],
+        ["weyl-verify", "--m-max", "1"],
+        ["bernstein", "--m-max", "1", "--samples", "1", "--levels", "0"],
+        ["remez", "--count", "1", "--degree-max", "0"],
+    ])
+    assert codes == [0, 0, 0, 0]
+    assert loaded == []
+
+
+def test_lattice_commands_still_load_scipy(tmp_path):
+    # the probe sees scipy when a command does solve on the lattice
+    codes, loaded = _scipy_probe(tmp_path, [["specineq", "--mask", STRIPS]])
+    assert codes == [0]
+    assert "scipy.linalg" in loaded
 
 
 def test_thickness_on_bundled_strips(tmp_path, capsys):

@@ -18,6 +18,7 @@ from magbern.inequality import (
     remez_check,
     series_bound_check,
     sup_abs_on_interval,
+    sup_abs_on_intervals,
     theoretical_constant_log,
 )
 from magbern.landau import CoherentState, LadderField, QuadratureSpec, coherent_field, norm2
@@ -220,6 +221,28 @@ def test_sup_between_golden_oracle_and_lipschitz_bound(parts, ends, n_grid):
     h = (hi - lo) / (n_grid - 1)
     assert sup >= oracle * (1.0 - 1e-14) - slack
     assert sup <= grid_max + 0.5 * h * lip + slack
+
+
+_INTERVAL = st.one_of(st.just((0.0, 1.0)),
+                     st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    parts=st.lists(st.tuples(_COEF, _COEF), min_size=1, max_size=11),
+    intervals=st.lists(_INTERVAL, min_size=1, max_size=3),
+)
+def test_batched_sups_match_one_call_per_interval(parts, intervals):
+    # one shared critical-point solve and one evaluation for all intervals
+    # give, bit for bit, the sup of one call per interval; an unordered pair
+    # (hi <= lo) is an empty interval and contributes 0
+    c = np.array([complex(re, im) for re, im in parts])
+    sups = sup_abs_on_intervals(c, intervals)
+    assert sups.shape == (len(intervals),)
+    for (lo, hi), sup in zip(intervals, sups):
+        want = (sup_abs_on_interval(c, lo, hi, max(64, int(1e4 * (hi - lo))))
+                if hi > lo else 0.0)
+        assert sup == want
 
 
 def test_sup_finds_interior_max_between_grid_points():
