@@ -1,9 +1,9 @@
 """Exact operator algebra for magnetic covariant derivatives.
 
-Everything here is symbolic: coefficients live in Q(i)[B], Gaussian rationals
-times powers of the field strength B, and all identities are checked by exact
-arithmetic.  Floating point enters only through the scalar helper
-:func:`bernstein_constant`.
+Everything here is symbolic: a polynomial maps each monomial B^b d1^a1 ...
+dg^ag, keyed (a1, ..., ag, b), to a Gaussian-rational coefficient, and all
+identities are checked by exact arithmetic.  Floating point enters only
+through the scalar helper :func:`bernstein_constant`.
 
 The two-generator algebra has [d1, d2] = i*B.  The three-generator variant
 takes an exact rational field direction (r1, r2, r3) and uses
@@ -42,10 +42,6 @@ class GaussianRational:
         if type(self.im) is not int:
             object.__setattr__(self, "im", _rat(self.im))
 
-    @staticmethod
-    def of(re=0, im=0) -> "GaussianRational":
-        return GaussianRational(re, im)
-
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re + other.re, self.im + other.im)
 
@@ -73,9 +69,6 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
 
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
     def __str__(self) -> str:
         if self.im == 0:
             return str(self.re)
@@ -90,130 +83,28 @@ class GaussianRational:
 
 
 GR_ZERO = GaussianRational()
-GR_ONE = GaussianRational.of(1)
-GR_I = GaussianRational.of(0, 1)
+GR_ONE = GaussianRational(1)
 
 
 def _as_gr(x) -> GaussianRational:
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, (int, Fraction)):
-        return GaussianRational.of(x)
+        return GaussianRational(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
 
 
-class BPoly:
-    """Polynomial in the symbolic field strength B over GaussianRational."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for p, v in coeffs.items():
-                v = _as_gr(v)
-                if v:
-                    c[int(p)] = v
-        self.c = c
-
-    @staticmethod
-    def const(v) -> "BPoly":
-        return BPoly({0: _as_gr(v)})
-
-    @staticmethod
-    def b_power(p: int, v=1) -> "BPoly":
-        return BPoly({p: _as_gr(v)})
-
-    def __bool__(self) -> bool:
-        return bool(self.c)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BPoly) and self.c == other.c
-
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
-
-    def __add__(self, other: "BPoly") -> "BPoly":
-        out = dict(self.c)
-        for p, v in other.c.items():
-            s = out.get(p, GR_ZERO) + v
-            if s:
-                out[p] = s
-            else:
-                out.pop(p, None)
-        r = BPoly()
-        r.c = out
-        return r
-
-    def __neg__(self) -> "BPoly":
-        r = BPoly()
-        r.c = {p: -v for p, v in self.c.items()}
-        return r
-
-    def __sub__(self, other: "BPoly") -> "BPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "BPoly":
-        if not isinstance(other, BPoly):
-            other = BPoly.const(other)
-        out = {}
-        for p1, v1 in self.c.items():
-            for p2, v2 in other.c.items():
-                p = p1 + p2
-                s = out.get(p, GR_ZERO) + v1 * v2
-                if s:
-                    out[p] = s
-                else:
-                    out.pop(p, None)
-        r = BPoly()
-        r.c = out
-        return r
-
-    def scale(self, v) -> "BPoly":
-        v = _as_gr(v)
-        r = BPoly()
-        if v:
-            r.c = {p: c * v for p, c in self.c.items()}
-        return r
-
-    def shift_b(self, k: int) -> "BPoly":
-        """Multiply by B**k."""
-        r = BPoly()
-        r.c = {p + k: v for p, v in self.c.items()}
-        return r
-
-    def monomial(self) -> tuple[int, GaussianRational]:
-        """The (power, coefficient) pair of a single-term polynomial."""
-        if len(self.c) != 1:
-            raise ValidationError(f"expected a B-monomial, got {self.to_text()}")
-        return next(iter(self.c.items()))
-
-    def eval_float(self, b: float) -> complex:
-        return sum(complex(v) * b**p for p, v in self.c.items()) if self.c else 0j
-
-    def to_text(self) -> str:
-        if not self.c:
-            return "0"
-        parts = []
-        for p in sorted(self.c, reverse=True):
-            v = self.c[p]
-            if p == 0:
-                parts.append(str(v))
-            else:
-                b = "B" if p == 1 else f"B^{p}"
-                if v == GR_ONE:
-                    parts.append(b)
-                elif v == -GR_ONE:
-                    parts.append(f"-{b}")
-                else:
-                    parts.append(f"{v}*{b}")
-        return _join_signed(parts)
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def __repr__(self) -> str:
-        return f"BPoly({self.to_text()})"
+def _term_text(v, powers) -> str:
+    """`v` times the named powers, as in 2*B^2*t; a unit coefficient is dropped."""
+    factors = "*".join(x if p == 1 else f"{x}^{p}" for x, p in powers if p)
+    s = str(v)
+    if not factors:
+        return s
+    if s == "1":
+        return factors
+    if s == "-1":
+        return "-" + factors
+    return f"{s}*{factors}"
 
 
 def _join_signed(parts: Sequence[str]) -> str:
@@ -223,16 +114,12 @@ def _join_signed(parts: Sequence[str]) -> str:
     return out
 
 
-BP_ZERO = BPoly()
-BP_ONE = BPoly.const(1)
-
-
 class WeylPoly:
     """Normal-ordered polynomial in the covariant-derivative generators.
 
-    Terms map exponent tuples (a1, ..., ag), meaning d1^a1 ... dg^ag, to BPoly
-    coefficients.  Zero coefficients are never stored, so equality of term
-    maps is equality in the algebra.
+    Terms map keys (a1, ..., ag, b), meaning B^b d1^a1 ... dg^ag, to
+    GaussianRational coefficients.  Zero coefficients are never stored, so
+    equality of term maps is equality in the algebra.
     """
 
     __slots__ = ("algebra", "terms")
@@ -242,8 +129,7 @@ class WeylPoly:
         self.terms = {}
         if terms:
             for e, v in terms.items():
-                if not isinstance(v, BPoly):
-                    v = BPoly.const(v)
+                v = _as_gr(v)
                 if v:
                     self.terms[tuple(e)] = v
 
@@ -263,27 +149,20 @@ class WeylPoly:
     def __add__(self, other: "WeylPoly") -> "WeylPoly":
         out = dict(self.terms)
         for e, v in other.terms.items():
-            s = out.get(e, BP_ZERO) + v
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            _acc(out, e, v)
         r = WeylPoly(self.algebra)
         r.terms = out
         return r
 
     def __sub__(self, other: "WeylPoly") -> "WeylPoly":
-        return self + other.scale(GaussianRational.of(-1))
+        return self + other.scale(-1)
 
-    def scale(self, v) -> "WeylPoly":
+    def scale(self, v, b: int = 0) -> "WeylPoly":
+        """Multiply by v * B^b."""
+        v = _as_gr(v)
         r = WeylPoly(self.algebra)
-        if isinstance(v, BPoly):
-            if v:
-                r.terms = {e: c * v for e, c in self.terms.items()}
-        else:
-            v = _as_gr(v)
-            if v:
-                r.terms = {e: c.scale(v) for e, c in self.terms.items()}
+        if v:
+            r.terms = {e[:-1] + (e[-1] + b,): c * v for e, c in self.terms.items()}
         return r
 
     def to_text(self) -> str:
@@ -294,12 +173,12 @@ class WeylPoly:
             mono = (
                 "*".join(
                     f"d{k + 1}" if a == 1 else f"d{k + 1}^{a}"
-                    for k, a in enumerate(e)
+                    for k, a in enumerate(e[:-1])
                     if a
                 )
                 or "1"
             )
-            lines.append(f"{mono} : {self.terms[e].to_text()}")
+            lines.append(f"{mono} : {_term_text(self.terms[e], [('B', e[-1])])}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:
@@ -309,9 +188,10 @@ class WeylPoly:
 class WeylAlgebra:
     """Rewriting engine for the 2- or 3-generator covariant-derivative algebra.
 
-    Monomials are kept normal-ordered (d1 before d2 before d3); rewriting uses
-    the closed form  d^e * dk = d^(e+uk) - sum_{j>k} e_j [dk,dj] d^(e-uj),
-    valid because all commutators are central scalars.
+    Monomials are kept normal-ordered (d1 before d2 before d3).  Moving dk
+    across a block dj^a, from either side, into normal order adds the term
+    -a [d_lo, d_hi] dj^(a-1) with (lo, hi) = (j, k) sorted; this closed form
+    holds because all commutators are central scalars.
     """
 
     def __init__(self, gens: int = 2, field: Optional[Sequence] = None, max_terms: int = 10**6):
@@ -321,16 +201,13 @@ class WeylAlgebra:
             if field is None:
                 field = (0, 0, 1)
             r1, r2, r3 = (_rat(x) for x in field)
-            comm = {
-                (0, 1): BPoly.b_power(1, GaussianRational.of(0, r3)),
-                (1, 2): BPoly.b_power(1, GaussianRational.of(0, r1)),
-                (0, 2): BPoly.b_power(1, GaussianRational.of(0, -r2)),
-            }
+            # [d_lo, d_hi] = i*r*B for (lo, hi) -> r
+            comm = {(0, 1): r3, (1, 2): r1, (0, 2): -r2}
             self.field = (r1, r2, r3)
         else:
             if field is not None:
                 raise ValidationError("field components only apply to 3 generators")
-            comm = {(0, 1): BPoly.b_power(1, GR_I)}
+            comm = {(0, 1): 1}
             self.field = None
         self.gens = gens
         self._comm = comm
@@ -343,20 +220,20 @@ class WeylAlgebra:
         return WeylPoly(self)
 
     def one(self) -> WeylPoly:
-        return WeylPoly(self, {(0,) * self.gens: BP_ONE})
+        return WeylPoly(self, {(0,) * (self.gens + 1): GR_ONE})
 
     def gen(self, k: int) -> WeylPoly:
-        e = [0] * self.gens
+        e = [0] * (self.gens + 1)
         e[k] = 1
-        return WeylPoly(self, {tuple(e): BP_ONE})
+        return WeylPoly(self, {tuple(e): GR_ONE})
 
     def h_poly(self) -> WeylPoly:
         """H = d1^2 + ... + dg^2."""
         terms = {}
         for k in range(self.gens):
-            e = [0] * self.gens
+            e = [0] * (self.gens + 1)
             e[k] = 2
-            terms[tuple(e)] = BP_ONE
+            terms[tuple(e)] = GR_ONE
         return WeylPoly(self, terms)
 
     # -- core rewriting ----------------------------------------------------
@@ -367,35 +244,23 @@ class WeylAlgebra:
                 f"term map exceeds configured cap of {self.max_terms} monomials"
             )
 
-    def rmul_gen(self, p: WeylPoly, k: int) -> WeylPoly:
-        """Right-multiply by the generator dk, renormal-ordering."""
+    def mul_gen(self, p: WeylPoly, k: int, left: bool = False) -> WeylPoly:
+        """Multiply by the generator dk on the right (on the left with `left`),
+        renormal-ordering: dk crosses the dj with j > k (j < k on the left)."""
+        crossed = range(k) if left else range(k + 1, self.gens)
         out: dict = {}
         for e, v in p.terms.items():
             up = list(e)
             up[k] += 1
             _acc(out, tuple(up), v)
-            for j in range(k + 1, self.gens):
+            for j in crossed:
                 if e[j]:
                     down = list(e)
                     down[j] -= 1
-                    _acc(out, tuple(down), -(v * self._comm[(k, j)]).scale(e[j]))
-        self._check_size(out)
-        r = WeylPoly(self)
-        r.terms = out
-        return r
-
-    def lmul_gen(self, p: WeylPoly, k: int) -> WeylPoly:
-        """Left-multiply by the generator dk, renormal-ordering."""
-        out: dict = {}
-        for e, v in p.terms.items():
-            up = list(e)
-            up[k] += 1
-            _acc(out, tuple(up), v)
-            for j in range(k):
-                if e[j]:
-                    down = list(e)
-                    down[j] -= 1
-                    _acc(out, tuple(down), -(v * self._comm[(j, k)]).scale(e[j]))
+                    down[-1] += 1
+                    # -e_j [d_lo, d_hi] v = -i s B v
+                    s = e[j] * self._comm[min(j, k), max(j, k)]
+                    _acc(out, tuple(down), GaussianRational(v.im * s, -v.re * s))
         self._check_size(out)
         r = WeylPoly(self)
         r.terms = out
@@ -405,10 +270,10 @@ class WeylAlgebra:
         """Product of two normal-ordered polynomials."""
         result = self.zero()
         for e, v in q.terms.items():
-            part = p.scale(v)
+            part = p.scale(v, e[-1])
             for k in range(self.gens):
                 for _ in range(e[k]):
-                    part = self.rmul_gen(part, k)
+                    part = self.mul_gen(part, k)
             result = result + part
         self._check_size(result.terms)
         return result
@@ -417,7 +282,7 @@ class WeylAlgebra:
         """R(P) = sum_k dk P dk."""
         result = self.zero()
         for k in range(self.gens):
-            result = result + self.lmul_gen(self.rmul_gen(p, k), k)
+            result = result + self.mul_gen(self.mul_gen(p, k), k, left=True)
         return result
 
     def normal_order(self, word_terms: Iterable[tuple]) -> WeylPoly:
@@ -433,86 +298,17 @@ class WeylAlgebra:
             for k in word:
                 if not 0 <= k < self.gens:
                     raise ValidationError(f"generator index {k} out of range")
-                part = self.rmul_gen(part, k)
-            if isinstance(coef, BPoly):
-                part = part.scale(coef)
-            else:
-                part = part.scale(_as_gr(coef))
-            result = result + part
+                part = self.mul_gen(part, k)
+            result = result + part.scale(coef)
         return result
 
 
-def _acc(out: dict, key: tuple, val: BPoly) -> None:
-    s = out.get(key, BP_ZERO) + val
+def _acc(out: dict, key: tuple, val: GaussianRational) -> None:
+    s = out[key] + val if key in out else val
     if s:
         out[key] = s
     else:
         out.pop(key, None)
-
-
-class CommPoly:
-    """Univariate polynomial in t whose coefficients are exact B-polynomials."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[BPoly] = ()):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CommPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def eval_at_level(self, k: int) -> BPoly:
-        """Exact value at t = (2k+1)*B."""
-        lam = 2 * k + 1
-        acc = BP_ZERO
-        for j in range(len(self.coeffs) - 1, -1, -1):
-            acc = acc.scale(lam).shift_b(1) + self.coeffs[j]
-        return acc
-
-    def eval_float(self, t: float, b: float) -> complex:
-        acc = 0j
-        for j in range(len(self.coeffs) - 1, -1, -1):
-            acc = acc * t + self.coeffs[j].eval_float(b)
-        return acc
-
-    def to_text(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for j in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[j]
-            if not c:
-                continue
-            t = "" if j == 0 else ("t" if j == 1 else f"t^{j}")
-            if j == 0:
-                parts.append(c.to_text())
-            elif len(c.c) == 1:
-                p, v = c.monomial()
-                lead = ""
-                if p:
-                    lead = "B" if p == 1 else f"B^{p}"
-                if v == GR_ONE:
-                    coef = lead
-                elif v == -GR_ONE:
-                    coef = f"-{lead}" if lead else "-1"
-                else:
-                    coef = f"{v}*{lead}" if lead else str(v)
-                parts.append(f"{coef}*{t}" if coef and coef != "-" else f"{coef}{t}")
-            else:
-                parts.append(f"({c.to_text()})*{t}")
-        return _join_signed(parts) if parts else "0"
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def __repr__(self) -> str:
-        return f"CommPoly({self.to_text()})"
 
 
 # -- named operations ------------------------------------------------------
@@ -543,19 +339,35 @@ def _f_step(f: list) -> list:
     return [c >> 1 for c in twice]
 
 
-def f_poly(m: int) -> CommPoly:
+def f_poly(m: int) -> tuple:
     """The m-th Bernstein polynomial from the half-sum recursion.
 
     F0 = 1 and F_{m+1}(t) = ((t-B) F_m(t-2B) + (t+B) F_m(t+2B)) / 2.  F_m is
     homogeneous of degree m in (t, B), so the recursion runs on the integer
-    coefficients at B = 1 and the t^j coefficient is restored as c_j B^(m-j).
+    coefficients at B = 1: the result (c_0, ..., c_m) means
+    F_m = sum_j c_j B^(m-j) t^j.
     """
     if m < 0:
         raise ValidationError("m must be non-negative")
     f = [1]
     for _ in range(m):
         f = _f_step(f)
-    return CommPoly([BPoly({m - j: c}) for j, c in enumerate(f)])
+    return tuple(f)
+
+
+def f_text(f: Sequence[int]) -> str:
+    """F_m as text, highest power of t first, from f = f_poly(m)."""
+    m = len(f) - 1
+    return _join_signed([_term_text(c, (("B", m - j), ("t", j)))
+                         for j, c in reversed(list(enumerate(f))) if c])
+
+
+def f_at_level(f: Sequence[int], k: int) -> int:
+    """F_m((2k+1)B) / B^m, exactly, from f = f_poly(m)."""
+    acc = 0
+    for c in reversed(f):
+        acc = acc * (2 * k + 1) + c
+    return acc
 
 
 class _RecursionSweep:
@@ -580,7 +392,7 @@ def verify_recursion(m: int, max_terms: int = 10**6,
                      sweep: Optional[_RecursionSweep] = None) -> bool:
     """Exact check that R^m(Id) equals F_m(d1^2 + d2^2) in the 2-gen algebra.
 
-    R^m(Id) is compared with sum_j c_j B^(m-j) H^j, the t^j coefficients of
+    R^m(Id) is compared with sum_j c_j B^(m-j) H^j, the coefficients of
     `f_poly(m)` applied to the powers of H.  `recursion_checks` passes its
     sweep, advanced here to m; on its own a call starts a fresh one.
     """
@@ -590,9 +402,9 @@ def verify_recursion(m: int, max_terms: int = 10**6,
         sweep = _RecursionSweep(max_terms)
     sweep.advance_to(m)
     rhs = sweep.alg.zero()
-    for h_j, c in zip(sweep.h_powers, f_poly(m).coeffs):
+    for j, (h_j, c) in enumerate(zip(sweep.h_powers, f_poly(m))):
         if c:
-            rhs = rhs + h_j.scale(c)
+            rhs = rhs + h_j.scale(c, m - j)
     return sweep.lhs == rhs
 
 
@@ -605,18 +417,11 @@ def recursion_checks(m_max: int, max_terms: int = 10**6) -> list:
     return [verify_recursion(m, sweep=sweep) for m in range(1, m_max + 1)]
 
 
-def _real_rational_monomial(p: BPoly, power: int) -> RationalLike:
-    pw, v = p.monomial()
-    if pw != power or v.im != 0:
-        raise ValidationError(f"expected a real multiple of B^{power}, got {p}")
-    return v.re
-
-
 def check_f_bounds(m: int, k: int) -> bool:
     """Exact two-sided product bound on F_m at the Landau level t = (2k+1)B."""
     if m < 1 or k < 0:
         raise ValidationError("need m >= 1 and k >= 0")
-    val = _real_rational_monomial(f_poly(m).eval_at_level(k), m)
+    val = f_at_level(f_poly(m), k)
     prod = Fraction(1)
     for i in range(1, m + 1):
         prod *= 2 * k + 2 * i
@@ -672,21 +477,13 @@ def weyl3d_reduction(B1, B2, B3, power: int = 2) -> Weyl3dReduction:
     max_b = 2 * power
     unknowns = [(k, j) for k in range(power + 1) for j in range(max_b + 1)]
 
-    rows = set()
-    for p in h_powers + [target]:
-        for e, v in p.terms.items():
-            for bp in v.c:
-                for j in range(max_b + 1):
-                    rows.add((e, bp + j))
+    # one row per (monomial, B-power) that a term of H^k B^j or the target hits
+    labels = sorted({(e[:-1], e[-1] + j) for p in h_powers + [target]
+                     for e in p.terms for j in range(max_b + 1)})
     matrix = []
-    labels = sorted(rows)
-    for e, bp in labels:
-        row = []
-        for k, j in unknowns:
-            coef = h_powers[k].terms.get(e, BP_ZERO).c.get(bp - j, GR_ZERO)
-            row.append(coef)
-        rhs = target.terms.get(e, BP_ZERO).c.get(bp, GR_ZERO)
-        matrix.append((row, rhs))
+    for mono, bp in labels:
+        row = [h_powers[k].terms.get(mono + (bp - j,), GR_ZERO) for k, j in unknowns]
+        matrix.append((row, target.terms.get(mono + (bp,), GR_ZERO)))
 
     solution, witness_idx = _solve_exact(matrix, len(unknowns))
     if solution is None:

@@ -23,11 +23,11 @@ from . import algebra, geometry, inequality, landau
 from .errors import MagbernError, NumericalError, ValidationError
 
 
-def _parse_pair(text: str):
+def _parse_pair(text: str, kind=float):
     parts = [p.strip() for p in str(text).split(",")]
     if len(parts) != 2:
         raise ValidationError(f"expected 'a,b' pair, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    return kind(parts[0]), kind(parts[1])
 
 
 def _positive_pair(text: str):
@@ -39,8 +39,8 @@ def _positive_pair(text: str):
 
 
 def _parse_int_pair(text: str):
-    a, b = _parse_pair(text)
-    return int(a), int(b)
+    """Parser for a grid size 'n1,n2': two exact integers, so 32.7 is refused."""
+    return _parse_pair(text, int)
 
 
 def _parse_floats(text: str):
@@ -55,6 +55,8 @@ def _parse_field(text: str):
     parts = tuple(Fraction(p) for p in str(text).split(","))
     if len(parts) != 3:
         raise ValueError(f"expected three components, got {len(parts)}")
+    if not any(parts):
+        raise ValueError("field components must not all vanish")
     return parts
 
 
@@ -131,7 +133,7 @@ SCHEMAS = {
         "m-max": (_int_at_least(1), 3),
         "samples": (_int_at_least(1), 5),
         "levels": (_int_at_least(0), 2),
-        "seed": (int, 0),
+        "seed": (_int_at_least(0), 0),
         "tol": (_non_negative("tol"), 1e-4),
     },
     "thickness": {
@@ -147,12 +149,12 @@ SCHEMAS = {
         "L": (_parse_pair, (8.0, 8.0)),
         "N": (_parse_int_pair, (32, 32)),
         "l": (_positive_pair, (2.0, 2.0)),
-        "seed": (int, 0),
+        "seed": (_int_at_least(0), 0),
     },
     "remez": {
         "count": (_int_at_least(1), 200),
         "degree-max": (_int_at_least(0), 10),
-        "seed": (int, 0),
+        "seed": (_int_at_least(0), 0),
     },
     "control": {
         "mask": (str, None),
@@ -163,7 +165,7 @@ SCHEMAS = {
         "l": (_positive_pair, (2.0, 2.0)),
         "eps-target": (_non_negative("eps-target"), 1e-8),
         "clusters": (_int_at_least(1), 2),
-        "seed": (int, 0),
+        "seed": (_int_at_least(0), 0),
     },
     "wegner": {
         "L": (_parse_floats, (4.0, 8.0)),
@@ -173,7 +175,7 @@ SCHEMAS = {
         "eps": (_parse_floats, (0.02, 0.04, 0.08)),
         "trials": (_int_at_least(2), 200),
         "coupling": (_parse_pair, (0.0, 1.0)),
-        "seed": (int, 0),
+        "seed": (_int_at_least(0), 0),
     },
 }
 
@@ -329,8 +331,7 @@ def _load_mask(params, spacing=None, periodic=True) -> geometry.SetMask:
 
 
 def run_fm(cfg: RunConfig, bundle: ReportBundle) -> None:
-    poly = algebra.f_poly(cfg.params["m"])
-    text = poly.to_text()
+    text = algebra.f_text(algebra.f_poly(cfg.params["m"]))
     bundle.messages.append(text)
     _write(bundle, cfg.out_dir / "fm.txt", text + "\n")
 

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import f_poly
+from .algebra import f_at_level, f_poly
 from .errors import ResourceLimitError, ValidationError
 
 
@@ -454,6 +454,6 @@ def f_m_quadratic_form(f: GridField, m: int) -> float:
     lf = _ladder(f)
     fm = f_poly(m)
     kmax = lf.max_level() + 1
-    values = [fm.eval_float((2 * k + 1) * lf.B, lf.B).real for k in range(kmax + 1)]
+    values = [f_at_level(fm, k) * lf.B**m for k in range(kmax + 1)]
     g = sample_table([lf.apply_level_function(values)], f)[0]
     return float(inner(f, f.with_samples(g)).real)

@@ -2,18 +2,20 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from magbern.algebra import (
-    BPoly,
-    CommPoly,
     GaussianRational,
     WeylAlgebra,
+    WeylPoly,
     bernstein_constant,
     check_f_bounds,
+    f_at_level,
     f_poly,
+    f_text,
     recursion_checks,
     verify_recursion,
     weyl3d_counterexample,
@@ -21,34 +23,41 @@ from magbern.algebra import (
 )
 from magbern.errors import ResourceLimitError, ValidationError
 
-GR = GaussianRational.of
+GR = GaussianRational
 I = GR(0, 1)
 
 
 # -- independent oracle: brute-force string rewriter ------------------------
 
 
+def _commutator(alg, k, j):
+    """r with [dk, dj] = i*r*B for k < j, read off the module docstring."""
+    if alg.gens == 2:
+        return 1
+    r1, r2, r3 = alg.field
+    return {(0, 1): r3, (1, 2): r1, (0, 2): -r2}[(k, j)]
+
+
 def brute_normal_order(alg, word_terms):
     """Rewrite words by eliminating the leftmost inversion, one pair at a time.
 
     Uses only dj*dk = dk*dj - [dk,dj] for k < j, so it shares no code with the
-    closed-form block moves in WeylAlgebra.
+    closed-form block moves in WeylAlgebra.  Terms are (coefficient, B-power,
+    word) on plain dicts keyed (a1, ..., ag, b).
     """
-    pending = [(coef, tuple(word)) for coef, word in word_terms]
+    pending = [(coef, 0, tuple(word)) for coef, word in word_terms]
     done = {}
     while pending:
-        coef, word = pending.pop()
+        coef, bpow, word = pending.pop()
         inv = next(
             (i for i in range(len(word) - 1) if word[i] > word[i + 1]), None
         )
         if inv is None:
-            exps = [0] * alg.gens
+            exps = [0] * alg.gens + [bpow]
             for k in word:
                 exps[k] += 1
             key = tuple(exps)
-            prev = done.get(key, BPoly())
-            add = coef if isinstance(coef, BPoly) else BPoly.const(coef)
-            s = prev + add
+            s = done.get(key, GR()) + coef
             if s:
                 done[key] = s
             else:
@@ -57,12 +66,9 @@ def brute_normal_order(alg, word_terms):
         j, k = word[inv], word[inv + 1]
         swapped = word[:inv] + (k, j) + word[inv + 2 :]
         dropped = word[:inv] + word[inv + 2 :]
-        c = coef if isinstance(coef, BPoly) else BPoly.const(coef)
-        pending.append((c, swapped))
-        pending.append((-(c * alg._comm[(k, j)]), dropped))
-    out = alg.zero()
-    out.terms = done
-    return out
+        pending.append((coef, bpow, swapped))
+        pending.append((coef * GR(0, -_commutator(alg, k, j)), bpow + 1, dropped))
+    return WeylPoly(alg, done)
 
 
 def random_word_terms(rng, gens, n_terms=4, max_len=5):
@@ -86,16 +92,14 @@ def test_normal_order_single_generator_unchanged():
 def test_normal_order_swaps_one_inversion():
     alg = WeylAlgebra(2)
     got = alg.normal_order([(1, (1, 0))])
-    want = alg.zero()
-    want.terms = {(1, 1): BPoly.const(1), (0, 0): BPoly.b_power(1, -I)}
+    want = WeylPoly(alg, {(1, 1, 0): 1, (0, 0, 1): -I})  # d1*d2 - i*B
     assert got == want
 
 
 def test_normal_order_double_inversion():
     alg = WeylAlgebra(2)
     got = alg.normal_order([(1, (1, 1, 0))])
-    want = alg.zero()
-    want.terms = {(1, 2): BPoly.const(1), (0, 1): BPoly.b_power(1, GR(0, -2))}
+    want = WeylPoly(alg, {(1, 2, 0): 1, (0, 1, 1): GR(0, -2)})  # d1*d2^2 - 2i*B*d2
     assert got == want
 
 
@@ -117,13 +121,13 @@ def test_normal_order_idempotent_and_linear():
         p = alg.normal_order(terms_p)
         q = alg.normal_order(terms_q)
         # idempotent: re-feeding the ordered monomials changes nothing
-        refed = [(v, _expand(e)) for e, v in p.terms.items()]
-        assert alg.normal_order(refed) == p
+        refed = alg.zero()
+        for e, v in p.terms.items():
+            refed = refed + alg.normal_order([(v, _expand(e[:-1]))]).scale(1, e[-1])
+        assert refed == p
         a = GR(Fraction(3, 2), Fraction(-1, 3))
         b = GR(Fraction(-2, 5), 1)
-        combo = [(_mul(a, c), w) for c, w in terms_p] + [
-            (_mul(b, c), w) for c, w in terms_q
-        ]
+        combo = [(a * c, w) for c, w in terms_p] + [(b * c, w) for c, w in terms_q]
         assert alg.normal_order(combo) == p.scale(a) + q.scale(b)
 
 
@@ -132,10 +136,6 @@ def _expand(exps):
     for k, a in enumerate(exps):
         word.extend([k] * a)
     return tuple(word)
-
-
-def _mul(a, c):
-    return a * c if isinstance(c, GaussianRational) else c.scale(a)
 
 
 def test_term_cap_raises_resource_error():
@@ -157,14 +157,14 @@ def test_apply_r_on_identity_gives_h():
 def test_apply_r_on_h_gives_h_squared_plus_2b2():
     alg = WeylAlgebra(2)
     h = alg.h_poly()
-    want = alg.mul(h, h) + alg.one().scale(BPoly.b_power(2, 2))
+    want = alg.mul(h, h) + alg.one().scale(2, 2)
     assert alg.apply_r(h) == want
 
 
 def test_apply_r_3d_field_aligned_reduces_to_2d():
     alg = WeylAlgebra(3, field=(0, 0, 1))
     h = alg.h_poly()
-    want = alg.mul(h, h) + alg.one().scale(BPoly.b_power(2, 2))
+    want = alg.mul(h, h) + alg.one().scale(2, 2)
     assert alg.apply_r(h) == want
 
 
@@ -176,32 +176,49 @@ def test_verify_recursion_small(m):
 # -- independent oracles: the rational half-sum recursion and per-m Horner ----
 
 
-def _shift_t(coeffs, c):
-    """Substitute t -> t + c*B in a t-polynomial with BPoly coefficients."""
-    out = [BPoly()] * len(coeffs)
-    for j, a in enumerate(coeffs):
+def _add_to(out, key, value):
+    s = out.get(key, 0) + value
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+def _shift_t(f, c):
+    """Substitute t -> t + c*B in {(t-power, B-power): Fraction}."""
+    out = {}
+    for (j, b), a in f.items():
         for i in range(j + 1):
-            s = a.scale(Fraction(math.comb(j, i)) * Fraction(c) ** (j - i)).shift_b(j - i)
-            out[i] = out[i] + s
+            _add_to(out, (i, b + j - i), a * math.comb(j, i) * Fraction(c) ** (j - i))
     return out
 
 
-def _mul_linear(coeffs, c):
+def _mul_linear(f, c):
     """Multiply by (t + c*B)."""
-    out = [BPoly()] + list(coeffs)
-    for j, a in enumerate(coeffs):
-        out[j] = out[j] + a.scale(c).shift_b(1)
+    out = {}
+    for (j, b), a in f.items():
+        _add_to(out, (j + 1, b), a)
+        _add_to(out, (j, b + 1), a * c)
     return out
 
 
 def oracle_f_poly(m):
-    """F_m by the half-sum recursion over Q(i)[B], one Fraction at a time."""
-    f = [BPoly.const(1)]
+    """F_m by the half-sum recursion with B symbolic: {(t-power, B-power):
+    Fraction}, one Fraction at a time, homogeneity not assumed."""
+    f = {(0, 0): Fraction(1)}
     for _ in range(m):
-        left = _mul_linear(_shift_t(f, -2), -1)
-        right = _mul_linear(_shift_t(f, 2), 1)
-        f = [(a + b).scale(Fraction(1, 2)) for a, b in zip(left, right)]
-    return CommPoly(f)
+        out = {}
+        for part in (_mul_linear(_shift_t(f, -2), -1), _mul_linear(_shift_t(f, 2), 1)):
+            for key, a in part.items():
+                _add_to(out, key, a / 2)
+        f = out
+    return f
+
+
+def _as_tb(f):
+    """f_poly(m) on the oracle's keys: c_j B^(m-j) t^j -> {(j, m-j): c_j}."""
+    m = len(f) - 1
+    return {(j, m - j): c for j, c in enumerate(f) if c}
 
 
 def oracle_verify_recursion(m):
@@ -213,14 +230,17 @@ def oracle_verify_recursion(m):
     h = alg.h_poly()
     fm = oracle_f_poly(m)
     rhs = alg.zero()
-    for j in range(len(fm.coeffs) - 1, -1, -1):
-        rhs = alg.mul(rhs, h) + alg.one().scale(fm.coeffs[j])
+    for j in range(m, -1, -1):
+        rhs = alg.mul(rhs, h)
+        for (tj, b), a in fm.items():
+            if tj == j:
+                rhs = rhs + alg.one().scale(a, b)
     return lhs == rhs
 
 
 def test_integer_f_poly_matches_the_half_sum_oracle():
     for m in range(31):
-        assert f_poly(m) == oracle_f_poly(m), m
+        assert _as_tb(f_poly(m)) == oracle_f_poly(m), m
 
 
 def test_recursion_sweep_matches_the_per_m_oracle():
@@ -251,17 +271,41 @@ def test_gaussian_rational_keeps_integral_parts_as_int():
 
 
 def test_f_poly_base_cases():
-    assert f_poly(0) == CommPoly([BPoly.const(1)])
-    assert f_poly(1) == CommPoly([BPoly(), BPoly.const(1)])
-    f2 = f_poly(2)
-    assert f2.coeffs[2] == BPoly.const(1)
-    assert f2.coeffs[1] == BPoly()
-    assert f2.coeffs[0] == BPoly.b_power(2, 2)
+    assert f_poly(0) == (1,)  # F0 = 1
+    assert f_poly(1) == (0, 1)  # F1 = t
+    assert f_poly(2) == (2, 0, 1)  # F2 = t^2 + 2B^2
 
 
 def test_f_poly_text_forms():
-    assert str(f_poly(2)) == "t^2 + 2*B^2"
-    assert str(f_poly(3)) == "t^3 + 10*B^2*t"
+    assert f_text(f_poly(0)) == "1"
+    assert f_text(f_poly(2)) == "t^2 + 2*B^2"
+    assert f_text(f_poly(3)) == "t^3 + 10*B^2*t"
+
+
+def parse_f_text(text):
+    """{(t-power, B-power): Fraction} from the text of F_m."""
+    pieces = re.split(r" ([+-]) ", text)
+    signs = [1] + [1 if s == "+" else -1 for s in pieces[1::2]]
+    out = {}
+    for sign, term in zip(signs, pieces[0::2]):
+        if term.startswith("-"):
+            sign, term = -sign, term[1:]
+        coef, powers = Fraction(sign), {"t": 0, "B": 0}
+        for factor in term.split("*"):
+            name, _, p = factor.partition("^")
+            if name in powers:
+                powers[name] += int(p or 1)
+            else:
+                coef *= Fraction(factor)
+        key = (powers["t"], powers["B"])
+        assert key not in out and coef
+        out[key] = coef
+    return out
+
+
+def test_f_text_parses_back_to_the_oracle():
+    for m in range(25):
+        assert parse_f_text(f_text(f_poly(m))) == oracle_f_poly(m), m
 
 
 def test_f_poly_rejects_negative():
@@ -270,12 +314,15 @@ def test_f_poly_rejects_negative():
 
 
 def test_f_values_at_levels_nonnegative():
+    # F_m((2k+1)B) by the oracle with B symbolic is one positive multiple of
+    # B^m, the integer that f_at_level returns
     for m in range(1, 9):
-        fm = f_poly(m)
+        fm, oracle = f_poly(m), oracle_f_poly(m)
         for k in range(9):
-            val = fm.eval_at_level(k)
-            p, v = val.monomial()
-            assert p == m and v.im == 0 and v.re > 0
+            val = {}
+            for (j, b), a in oracle.items():
+                _add_to(val, j + b, a * (2 * k + 1) ** j)
+            assert val == {m: f_at_level(fm, k)} and f_at_level(fm, k) > 0
 
 
 @pytest.mark.parametrize("m,k", [(2, 0), (1, 3), (10, 10)])
@@ -284,8 +331,7 @@ def test_check_f_bounds_examples(m, k):
 
 
 def test_f2_at_lowest_level_value():
-    p, v = f_poly(2).eval_at_level(0).monomial()
-    assert (p, v.re) == (2, 3)  # F2(B) = 3 B^2, inside [2 B^2, 8 B^2]
+    assert f_at_level(f_poly(2), 0) == 3  # F2(B) = 3 B^2, inside [2 B^2, 8 B^2]
 
 
 def test_bernstein_constant_examples():
@@ -305,10 +351,7 @@ def test_l2_constant_dominates_f_values_exactly():
         fm = f_poly(m)
         for q in range(1, 22, 4):
             e = Fraction(q)
-            best = max(
-                fm.eval_at_level(k).monomial()[1].re
-                for k in range((q - 1) // 2 + 1)
-            )
+            best = max(f_at_level(fm, k) for k in range((q - 1) // 2 + 1))
             assert best <= bernstein_constant(m, e, Fraction(1), "L2")
 
 
@@ -363,9 +406,5 @@ def test_weyl_poly_canonical_text():
     alg = WeylAlgebra(2)
     p = alg.normal_order([(1, (1, 0))])
     assert p.to_text() == "1 : -i*B\nd1*d2 : 1"
+    assert (p - alg.gen(0).scale(1, 1)).to_text() == "1 : -i*B\nd1 : -B\nd1*d2 : 1"
 
-
-def test_comm_poly_rational_coefficients_as_fractions():
-    f = f_poly(4)
-    texts = [c.to_text() for c in f.coeffs]
-    assert all("/" not in t or Fraction(t.split("*")[0]) for t in texts if t != "0")

@@ -345,6 +345,11 @@ def test_unreadable_mask_exits_2(tmp_path, capsys, name, content):
     ["bernstein", "--B", "-1"],
     ["bernstein", "--B", "0"],
     ["wegner", "--L", "2", "--trials", "2", "--flux-per-unit", "-1"],
+    ["bernstein", "--seed", "-1"],
+    ["remez", "--count", "1", "--seed", "-1"],
+    ["wegner", "--L", "2", "--trials", "2", "--seed", "-1"],
+    ["specineq", "--mask", STRIPS, "--seed", "-1"],
+    ["control", "--mask", STRIPS, "--seed", "-1"],
 ])
 def test_count_key_below_range_exits_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -434,7 +439,10 @@ def test_negative_bernstein_tol_exits_2(tmp_path, capsys):
     (["wegner", "--L", ","], "one or more"),
     (["control", "--mask", STRIPS, "--T", ","], "one or more"),
     (["wegner", "--eps", ","], "one or more"),
-], ids=["field-2", "field-4", "wegner-L", "control-T", "wegner-eps"])
+    (["weyl-verify", "--field", "0,0,0"], "must not all vanish"),
+    (["specineq", "--mask", STRIPS, "--N", "32.7,32"], "invalid literal for int()"),
+], ids=["field-2", "field-4", "wegner-L", "control-T", "wegner-eps", "field-0",
+        "specineq-N"])
 def test_malformed_list_exits_2(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
