@@ -39,8 +39,12 @@ def _positive_pair(text: str):
 
 
 def _parse_int_pair(text: str):
-    """Parser for a grid size 'n1,n2': two exact integers, so 32.7 is refused."""
-    return _parse_pair(text, int)
+    """Parser for a grid size 'n1,n2': two exact integers, so 32.7 is
+    refused, each at least 4 (the torus grid's minimum)."""
+    n = _parse_pair(text, int)
+    if min(n) < 4:
+        raise ValueError("need at least 4 grid points per direction")
+    return n
 
 
 def _parse_floats(text: str):
@@ -48,6 +52,25 @@ def _parse_floats(text: str):
     if not values:
         raise ValueError("expected one or more comma-separated numbers")
     return values
+
+
+def _parse_box_sides(text: str):
+    """Parser for wegner's box sides: positive integers (one site of Z^2 per
+    unit cell), kept as floats."""
+    sides = _parse_floats(text)
+    if not all(v > 0 for v in sides):
+        raise ValueError("box sides must be positive")
+    if not all(v.is_integer() for v in sides):
+        raise ValueError("box sides must be integers (site lattice Z^2)")
+    return sides
+
+
+def _parse_coupling(text: str):
+    """Parser for the coupling law's support 'm0,M0' with m0 < M0."""
+    m0, M0 = _parse_pair(text)
+    if not m0 < M0:
+        raise ValueError("need m0 < M0")
+    return m0, M0
 
 
 def _parse_field(text: str):
@@ -168,13 +191,13 @@ SCHEMAS = {
         "seed": (_int_at_least(0), 0),
     },
     "wegner": {
-        "L": (_parse_floats, (4.0, 8.0)),
+        "L": (_parse_box_sides, (4.0, 8.0)),
         "cells-per-unit": (_int_at_least(1), 5),
         "flux-per-unit": (_int_at_least(0), 1),
         "E": (float, 6.30),
         "eps": (_parse_floats, (0.02, 0.04, 0.08)),
         "trials": (_int_at_least(2), 200),
-        "coupling": (_parse_pair, (0.0, 1.0)),
+        "coupling": (_parse_coupling, (0.0, 1.0)),
         "seed": (_int_at_least(0), 0),
     },
 }

@@ -4,13 +4,19 @@ and Monte Carlo Wegner-window statistics.
 Couplings are uniform on [m0, M0] with one Philox counter-based stream per
 trial (spawn key = trial index), so trials are reproducible and
 order-independent across workers.  Window counts come from the Sylvester
-inertia of sparse LDL^H factorizations of H - sigma (spectrum slicing), with
-a dense eigensolve only as the fallback when a factorization is not
-trustworthy; acceptance is statistical (bootstrap bands), never exact.
+inertia of sparse LDL^H factorizations of H - sigma (spectrum slicing).
+The trials of one box share one sparsity pattern: its CSC is built once and
+each trial and shift rewrites only the diagonal in place.  SuperLU eliminates
+one column at a time (relax=1, panel_size=1): on the 5-point stencil its
+supernodal panels cost more than they save.  A shift whose pivots fail the
+guard is refactored under a second fill-reducing ordering, and only if that
+fails too is the operator counted by a dense eigensolve.  Acceptance is
+statistical (bootstrap bands), never exact.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -141,11 +147,16 @@ def sample_operator(config: EnsembleConfig, trial: int) -> MagneticOperator:
 # this fraction of the smallest pivot (both relative to ||H||_1).
 _PIVOT_MARGIN_TOL = 1e-3
 
+# Fill-reducing orderings tried in turn before a shift is densified: the
+# pivot guard can fail on the first ordering's pivot sequence at a shift
+# well inside a spectral gap, and the second one often passes there.
+_ORDERINGS = ("MMD_AT_PLUS_A", "MMD_ATA")
+
 
 def _dense_window_counts(op: MagneticOperator, E: float,
                          eps_arr: np.ndarray) -> np.ndarray:
     """Counts in the closed windows [E - eps, E + eps] from one dense solve:
-    the fallback of `eigen_window_counts` and the oracle of its tests."""
+    the fallback of the inertia counts and the oracle of their tests."""
     evals = scipy.linalg.eigvalsh(dense_matrix(op))
     return np.array(
         [np.count_nonzero((evals >= E - eps) & (evals <= E + eps)) for eps in eps_arr],
@@ -153,17 +164,16 @@ def _dense_window_counts(op: MagneticOperator, E: float,
     )
 
 
-def _inertia_below(a, diag0: np.ndarray, sigma: float,
-                   norm1: float) -> int | None:
-    """Eigenvalues of the Hermitian CSC matrix `a` below `sigma`: negative
-    pivots of H - sigma = P L D L^H P^T (SuperLU with symmetric ordering and
-    no pivoting, so D = diag(U)).  None when the factorization cannot be
-    trusted: row pivoting happened, or a pivot sits within 1e3 roundings of
-    zero."""
-    a.setdiag(diag0 - sigma)
+def _inertia_below(a, norm1: float, permc_spec: str) -> int | None:
+    """Negative eigenvalues of the Hermitian CSC matrix `a` (H - sigma):
+    negative pivots of a = P L D L^H P^T (SuperLU with the symmetric
+    ordering `permc_spec`, no pivoting, so D = diag(U), and one column per
+    elimination step: relax=1, panel_size=1).  None when the factorization
+    cannot be trusted: row pivoting happened, or a pivot sits within 1e3
+    roundings of zero."""
     try:
-        lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
+        lu = spla.splu(a, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                       relax=1, panel_size=1, options={"SymmetricMode": True})
     except RuntimeError:  # an exactly zero pivot
         return None
     if not np.array_equal(lu.perm_r, lu.perm_c):
@@ -178,39 +188,68 @@ def _inertia_below(a, diag0: np.ndarray, sigma: float,
     return int(np.count_nonzero(d.real < 0))
 
 
-def eigen_window_counts(op: MagneticOperator, E: float,
-                        eps_list: Sequence[float]) -> np.ndarray:
-    """Exact counts of eigenvalues in [E - eps, E + eps], one per eps.
+def _diagonal_positions(a) -> np.ndarray:
+    """Positions in `a.data` of the diagonal of the CSC matrix `a`, column
+    by column, among the entries it stores."""
+    cols = np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
+    return np.flatnonzero(a.indices == cols)
+
+
+def _window_counts(a, pos: np.ndarray, diag: np.ndarray, E: float,
+                   eps_arr: np.ndarray, dense_op) -> np.ndarray:
+    """Exact counts of eigenvalues in [E - eps, E + eps] of the Hermitian
+    CSC matrix `a` with diagonal `diag`, which is written into a.data[pos].
 
     Each distinct shift sigma in {E - eps, E + eps} is factored once and the
     count is nu(E + eps) - nu(E - eps), nu(sigma) being the number of
-    eigenvalues below sigma (Sylvester's law of inertia).  If any shift
-    fails the pivot guard of `_inertia_below`, the operator is counted by a
-    dense eigensolve instead, with a RuntimeWarning naming the shift.
+    eigenvalues below sigma (Sylvester's law of inertia).  A shift that
+    fails the pivot guard under every ordering in `_ORDERINGS` sends the
+    operator `dense_op()` to a dense eigensolve, with a RuntimeWarning
+    naming the shift.
     """
-    eps_arr = np.asarray(eps_list, dtype=float)
-    if np.any(eps_arr < 0):
-        raise ValidationError("eps must be non-negative")
-    a = op.matrix.tocsc(copy=True)  # shifted in place below
-    diag0 = a.diagonal()
+    a.data[pos] = diag
     norm1 = spla.norm(a, 1)
     below = {}
     for sigma in sorted({E - e for e in eps_arr} | {E + e for e in eps_arr}):
-        below[sigma] = _inertia_below(a, diag0, sigma, norm1)
-        if below[sigma] is None:
+        a.data[pos] = diag - sigma
+        for spec in _ORDERINGS:
+            below[sigma] = _inertia_below(a, norm1, spec)
+            if below[sigma] is not None:
+                break
+        else:
             warnings.warn(
                 f"inertia count at shift {float(sigma)!r} failed the pivot guard; "
-                f"counting by a dense eigensolve", RuntimeWarning, stacklevel=2)
-            return _dense_window_counts(op, E, eps_arr)
+                f"counting by a dense eigensolve", RuntimeWarning, stacklevel=3)
+            return _dense_window_counts(dense_op(), E, eps_arr)
     return np.array([below[E + eps] - below[E - eps] for eps in eps_arr], dtype=int)
+
+
+def _trial_matrices(config: EnsembleConfig, trials: int):
+    """Yield (a, pos, diag) for trials 0, 1, ...: the trials of one box
+    differ only on the diagonal, so `a` is one CSC of the clean operator,
+    built once, `pos` the positions of its diagonal in `a.data`, and `diag`
+    the trial's diagonal 2/h1^2 + 2/h2^2 + V.  Writing `diag` into
+    a.data[pos] gives `sample_operator(config, t).matrix` bit for bit."""
+    a = assemble(config.setup).matrix.tocsc()
+    pos = _diagonal_positions(a)  # all stored: the clean diagonal is positive
+    clean = a.data[pos].real
+    for t in range(trials):
+        v = potential_from_couplings(config, sample_couplings(config, t))
+        yield a, pos, clean + v.ravel()
 
 
 def window_counts_for_trials(config: EnsembleConfig, E: float,
                              eps_list: Sequence[float], trials: int) -> np.ndarray:
-    """(trials, n_eps) integer counts, one `eigen_window_counts` per trial."""
-    out = np.zeros((trials, len(eps_list)), dtype=int)
-    for t in range(trials):
-        out[t] = eigen_window_counts(sample_operator(config, t), E, eps_list)
+    """(trials, n_eps) integer counts of the eigenvalues of each
+    `sample_operator(config, t)` in the windows, by `_window_counts` on one
+    sparsity pattern per box."""
+    eps_arr = np.asarray(eps_list, dtype=float)
+    if np.any(eps_arr < 0):
+        raise ValidationError("eps must be non-negative")
+    out = np.zeros((trials, eps_arr.size), dtype=int)
+    for t, (a, pos, diag) in enumerate(_trial_matrices(config, trials)):
+        out[t] = _window_counts(a, pos, diag, E, eps_arr,
+                                functools.partial(sample_operator, config, t))
     return out
 
 

@@ -441,8 +441,20 @@ def test_negative_bernstein_tol_exits_2(tmp_path, capsys):
     (["wegner", "--eps", ","], "one or more"),
     (["weyl-verify", "--field", "0,0,0"], "must not all vanish"),
     (["specineq", "--mask", STRIPS, "--N", "32.7,32"], "invalid literal for int()"),
+    # constraints of the models, refused by the key's parser before the manifest
+    (["specineq", "--mask", STRIPS, "--N", "0,32"],
+     "need at least 4 grid points per direction"),
+    (["control", "--mask", STRIPS, "--N", "32,3"],
+     "need at least 4 grid points per direction"),
+    (["wegner", "--L", "2", "--trials", "2", "--coupling", "1,0"], "need m0 < M0"),
+    (["wegner", "--L", "2", "--trials", "2", "--coupling", "0.5,0.5"], "need m0 < M0"),
+    (["wegner", "--trials", "2", "--L", "4.5"],
+     "box sides must be integers (site lattice Z^2)"),
+    (["wegner", "--trials", "2", "--L", "4,8.25"],
+     "box sides must be integers (site lattice Z^2)"),
 ], ids=["field-2", "field-4", "wegner-L", "control-T", "wegner-eps", "field-0",
-        "specineq-N"])
+        "specineq-N", "specineq-N-small", "control-N-small", "coupling-reversed",
+        "coupling-empty", "wegner-L-fraction", "wegner-L-second-fraction"])
 def test_malformed_list_exits_2(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err

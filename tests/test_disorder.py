@@ -6,14 +6,18 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magbern import lattice
+from magbern import disorder, lattice
 from magbern.disorder import (
     EnsembleConfig,
     _dense_window_counts,
-    eigen_window_counts,
+    _diagonal_positions,
+    _inertia_below,
+    _trial_matrices,
+    _window_counts,
     fat_cantor_disk_profile,
     fat_cantor_indices,
     linear_in_eps,
@@ -38,6 +42,16 @@ def box_config(length, coupling=(0.0, 1.0), master_seed=7):
 
 def small_config(master_seed=7):
     return box_config(4, master_seed=master_seed)
+
+
+def eigen_window_counts(op, E, eps_list):
+    """Counts of one operator's eigenvalues in [E - eps, E + eps] by the
+    inertia kernel that `window_counts_for_trials` runs on every trial."""
+    a = op.matrix.tocsc(copy=True)
+    pos = _diagonal_positions(a)
+    assert pos.size == a.shape[0]
+    return _window_counts(a, pos, a.data[pos].real, E,
+                          np.asarray(eps_list, dtype=float), lambda: op)
 
 
 # -- modulus of continuity -------------------------------------------------------
@@ -169,7 +183,7 @@ def test_window_counts_match_per_eps_dense_counts():
             assert counts[t, j] == np.count_nonzero(
                 (evals >= energy - e) & (evals <= energy + e))
     with pytest.raises(ValidationError):
-        eigen_window_counts(op, energy, [0.1, -0.1])
+        window_counts_for_trials(cfg, energy, [0.1, -0.1], trials=1)
 
 
 def counts_and_fallbacks(op, energy, eps):
@@ -219,6 +233,83 @@ def test_shift_on_an_eigenvalue_falls_back_to_dense():
         counts = eigen_window_counts(op, energy, [0.0])
     assert counts.tolist() == _dense_window_counts(op, energy, [0.0]).tolist()
     assert counts[0] >= 1
+
+
+@pytest.mark.parametrize("length", [4, 8])
+def test_refilled_pattern_is_the_trial_operator(length):
+    # box_config is the box `wegner --L <length>` builds at its default keys
+    cfg = box_config(length, master_seed=0)
+    for t, (a, pos, diag) in enumerate(_trial_matrices(cfg, 4)):
+        a = a.copy()
+        a.data[pos] = diag
+        got, want = a.tocsr(), sample_operator(cfg, t).matrix
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+        assert spla.norm(a, 1) == spla.norm(want, 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    length=st.sampled_from([2, 4]),
+    m0=st.floats(-1.0, 1.0),
+    width=st.floats(0.05, 3.0),
+    seed=st.integers(0, 1000),
+    trials=st.integers(1, 3),
+    energy=st.floats(2.0, 20.0),
+    eps=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4),
+)
+def test_trial_counts_match_dense_property(length, m0, width, seed, trials, energy, eps):
+    cfg = box_config(length, coupling=(m0, m0 + width), master_seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # a dense fallback is fine
+        counts = window_counts_for_trials(cfg, energy, eps, trials)
+    want = [_dense_window_counts(sample_operator(cfg, t), energy, np.array(eps)).tolist()
+            for t in range(trials)]
+    assert counts.tolist() == want
+
+
+def test_second_ordering_passes_where_the_first_fails_the_guard():
+    # wegner --L 4,8 --trials 6 --E 6.30 --seed 1537630780, L = 8, trial 4:
+    # at shift 6.38 the first ordering's pivots fail the guard although the
+    # nearest eigenvalue is 3.7e-3 away; the second ordering passes
+    cfg = box_config(8, master_seed=1537630780)
+    op = sample_operator(cfg, 4)
+    a = op.matrix.tocsc(copy=True)
+    norm1 = spla.norm(a, 1)
+    a.setdiag(a.diagonal() - 6.38)
+    assert _inertia_below(a, norm1, "MMD_AT_PLUS_A") is None
+    assert _inertia_below(a, norm1, "MMD_ATA") == 44
+    eps = [0.02, 0.04, 0.08]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = eigen_window_counts(op, 6.30, eps)
+        trial_counts = window_counts_for_trials(cfg, 6.30, eps, 5)[4]
+    assert counts.tolist() == _dense_window_counts(op, 6.30, eps).tolist()
+    assert trial_counts.tolist() == counts.tolist()
+
+
+def test_every_shift_refactored_when_the_first_ordering_fails(monkeypatch):
+    calls = []
+
+    def first_ordering_fails(a, norm1, permc_spec):
+        calls.append(permc_spec)
+        if permc_spec == "MMD_AT_PLUS_A":
+            return None
+        return _inertia_below(a, norm1, permc_spec)
+
+    monkeypatch.setattr(disorder, "_inertia_below", first_ordering_fails)
+    cfg = small_config(master_seed=5)
+    eps = [0.05, 0.3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = window_counts_for_trials(cfg, 6.3, eps, 3)
+    for t in range(3):
+        assert counts[t].tolist() == _dense_window_counts(
+            sample_operator(cfg, t), 6.3, eps).tolist()
+    # 4 shifts per trial, each factored under both orderings
+    assert calls == ["MMD_AT_PLUS_A", "MMD_ATA"] * 12
 
 
 def test_fallback_above_the_dense_cap_is_refused(monkeypatch):
