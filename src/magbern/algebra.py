@@ -1,13 +1,15 @@
 """Exact operator algebra for magnetic covariant derivatives.
 
-Everything here is symbolic: a polynomial maps each monomial B^b d1^a1 ...
-dg^ag, keyed (a1, ..., ag, b), to a Gaussian-rational coefficient, and all
+Everything here is symbolic: a polynomial maps each monomial (iB)^b d1^a1
+... dg^ag, keyed (a1, ..., ag, b), to a rational coefficient, and all
 identities are checked by exact arithmetic.  Floating point enters only
 through the scalar helper :func:`bernstein_constant`.
 
 The two-generator algebra has [d1, d2] = i*B.  The three-generator variant
 takes an exact rational field direction (r1, r2, r3) and uses
-[d1, d2] = i*r3*B, [d2, d3] = i*r1*B, [d3, d1] = i*r2*B.
+[d1, d2] = i*r3*B, [d2, d3] = i*r1*B, [d3, d1] = i*r2*B.  Every commutator
+is a rational multiple of the central element iB, so powers of iB absorb the
+imaginary unit and no coefficient ever leaves Q.
 """
 
 from __future__ import annotations
@@ -29,69 +31,13 @@ def _rat(x) -> RationalLike:
     return x.numerator if x.denominator == 1 else x
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """Element of Q(i) with exact rational parts; integral parts are ints."""
-
-    re: RationalLike = 0
-    im: RationalLike = 0
-
-    def __post_init__(self):
-        if type(self.re) is not int:
-            object.__setattr__(self, "re", _rat(self.re))
-        if type(self.im) is not int:
-            object.__setattr__(self, "im", _rat(self.im))
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            Fraction(self.re * other.re + self.im * other.im) / d,
-            Fraction(self.im * other.re - self.re * other.im) / d,
-        )
-
-    def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
-
-    def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
-                return "i"
-            if self.im == -1:
-                return "-i"
-            return f"{self.im}*i"
-        im = f"+{self.im}*i" if self.im > 0 else f"{self.im}*i"
-        return f"({self.re}{im})"
-
-
-GR_ZERO = GaussianRational()
-GR_ONE = GaussianRational(1)
-
-
-def _as_gr(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
+def i_power_text(c, b: int) -> str:
+    """c * i^b as text for a rational c, as in -3/2*i: the coefficient of B^b
+    in the term c (iB)^b."""
+    c = -c if b % 4 >= 2 else c
+    if b % 2 == 0:
+        return str(c)
+    return {1: "i", -1: "-i"}.get(c, f"{c}*i")
 
 
 def _term_text(v, powers) -> str:
@@ -117,9 +63,9 @@ def _join_signed(parts: Sequence[str]) -> str:
 class WeylPoly:
     """Normal-ordered polynomial in the covariant-derivative generators.
 
-    Terms map keys (a1, ..., ag, b), meaning B^b d1^a1 ... dg^ag, to
-    GaussianRational coefficients.  Zero coefficients are never stored, so
-    equality of term maps is equality in the algebra.
+    Terms map keys (a1, ..., ag, b), meaning (iB)^b d1^a1 ... dg^ag, to
+    rational coefficients, ints or Fractions.  Zero coefficients are never
+    stored, so equality of term maps is equality in the algebra.
     """
 
     __slots__ = ("algebra", "terms")
@@ -129,7 +75,7 @@ class WeylPoly:
         self.terms = {}
         if terms:
             for e, v in terms.items():
-                v = _as_gr(v)
+                v = _rat(v)
                 if v:
                     self.terms[tuple(e)] = v
 
@@ -158,8 +104,8 @@ class WeylPoly:
         return self + other.scale(-1)
 
     def scale(self, v, b: int = 0) -> "WeylPoly":
-        """Multiply by v * B^b."""
-        v = _as_gr(v)
+        """Multiply by v * (iB)^b."""
+        v = _rat(v)
         r = WeylPoly(self.algebra)
         if v:
             r.terms = {e[:-1] + (e[-1] + b,): c * v for e, c in self.terms.items()}
@@ -178,7 +124,8 @@ class WeylPoly:
                 )
                 or "1"
             )
-            lines.append(f"{mono} : {_term_text(self.terms[e], [('B', e[-1])])}")
+            text = i_power_text(self.terms[e], e[-1])
+            lines.append(f"{mono} : {_term_text(text, [('B', e[-1])])}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:
@@ -201,7 +148,7 @@ class WeylAlgebra:
             if field is None:
                 field = (0, 0, 1)
             r1, r2, r3 = (_rat(x) for x in field)
-            # [d_lo, d_hi] = i*r*B for (lo, hi) -> r
+            # [d_lo, d_hi] = r*(iB) for (lo, hi) -> r
             comm = {(0, 1): r3, (1, 2): r1, (0, 2): -r2}
             self.field = (r1, r2, r3)
         else:
@@ -220,12 +167,12 @@ class WeylAlgebra:
         return WeylPoly(self)
 
     def one(self) -> WeylPoly:
-        return WeylPoly(self, {(0,) * (self.gens + 1): GR_ONE})
+        return WeylPoly(self, {(0,) * (self.gens + 1): 1})
 
     def gen(self, k: int) -> WeylPoly:
         e = [0] * (self.gens + 1)
         e[k] = 1
-        return WeylPoly(self, {tuple(e): GR_ONE})
+        return WeylPoly(self, {tuple(e): 1})
 
     def h_poly(self) -> WeylPoly:
         """H = d1^2 + ... + dg^2."""
@@ -233,7 +180,7 @@ class WeylAlgebra:
         for k in range(self.gens):
             e = [0] * (self.gens + 1)
             e[k] = 2
-            terms[tuple(e)] = GR_ONE
+            terms[tuple(e)] = 1
         return WeylPoly(self, terms)
 
     # -- core rewriting ----------------------------------------------------
@@ -258,9 +205,8 @@ class WeylAlgebra:
                     down = list(e)
                     down[j] -= 1
                     down[-1] += 1
-                    # -e_j [d_lo, d_hi] v = -i s B v
-                    s = e[j] * self._comm[min(j, k), max(j, k)]
-                    _acc(out, tuple(down), GaussianRational(v.im * s, -v.re * s))
+                    # -e_j [d_lo, d_hi] v = -e_j r v (iB)
+                    _acc(out, tuple(down), -e[j] * self._comm[min(j, k), max(j, k)] * v)
         self._check_size(out)
         r = WeylPoly(self)
         r.terms = out
@@ -303,7 +249,7 @@ class WeylAlgebra:
         return result
 
 
-def _acc(out: dict, key: tuple, val: GaussianRational) -> None:
+def _acc(out: dict, key: tuple, val: RationalLike) -> None:
     s = out[key] + val if key in out else val
     if s:
         out[key] = s
@@ -393,8 +339,11 @@ def verify_recursion(m: int, max_terms: int = 10**6,
     """Exact check that R^m(Id) equals F_m(d1^2 + d2^2) in the 2-gen algebra.
 
     R^m(Id) is compared with sum_j c_j B^(m-j) H^j, the coefficients of
-    `f_poly(m)` applied to the powers of H.  `recursion_checks` passes its
-    sweep, advanced here to m; on its own a call starts a fresh one.
+    `f_poly(m)` applied to the powers of H, where B^(m-j) is
+    (-1)^((m-j)/2) (iB)^(m-j).  R^m(Id) has rational coefficients on powers
+    of iB, so a nonzero c_j at an odd power of B, an imaginary term, cannot
+    match it.  `recursion_checks` passes its sweep, advanced here to m; on
+    its own a call starts a fresh one.
     """
     if m < 0:
         raise ValidationError("m must be non-negative")
@@ -404,7 +353,9 @@ def verify_recursion(m: int, max_terms: int = 10**6,
     rhs = sweep.alg.zero()
     for j, (h_j, c) in enumerate(zip(sweep.h_powers, f_poly(m))):
         if c:
-            rhs = rhs + h_j.scale(c, m - j)
+            if (m - j) % 2:
+                return False
+            rhs = rhs + h_j.scale((-1) ** ((m - j) // 2) * c, m - j)
     return sweep.lhs == rhs
 
 
@@ -452,16 +403,16 @@ class Weyl3dReduction:
     """Outcome of the exact polynomial-in-H solve for R_(3)^2(Id)."""
 
     consistent: bool
-    witness: Optional[tuple] = None  # (monomial, B-power) of the failing row
-    solution: Optional[dict] = None  # {(h_power, b_power): GaussianRational}
+    witness: Optional[tuple] = None  # (monomial, iB-power) of the failing row
+    solution: Optional[dict] = None  # {(h_power, iB_power): rational}
 
 
 def weyl3d_reduction(B1, B2, B3, power: int = 2) -> Weyl3dReduction:
     """Attempt to write R_(3)^power(Id) as a polynomial in H = d1^2+d2^2+d3^2.
 
-    Sets up the exact linear system over Q(i) for unknown coefficients
-    c_{k,j} of H^k B^j and reports consistency, a witness row on failure, or
-    one solution on success.
+    Sets up the exact linear system over Q for unknown coefficients c_{k,j}
+    of H^k (iB)^j and reports consistency, a witness row (monomial, power of
+    iB) on failure, or one solution on success.
     """
     field = tuple(_rat(x) for x in (B1, B2, B3))
     if not any(field):
@@ -477,20 +428,20 @@ def weyl3d_reduction(B1, B2, B3, power: int = 2) -> Weyl3dReduction:
     max_b = 2 * power
     unknowns = [(k, j) for k in range(power + 1) for j in range(max_b + 1)]
 
-    # one row per (monomial, B-power) that a term of H^k B^j or the target hits
+    # one row per (monomial, iB-power) that a term of H^k (iB)^j or the target hits
     labels = sorted({(e[:-1], e[-1] + j) for p in h_powers + [target]
                      for e in p.terms for j in range(max_b + 1)})
     matrix = []
     for mono, bp in labels:
-        row = [h_powers[k].terms.get(mono + (bp - j,), GR_ZERO) for k, j in unknowns]
-        matrix.append((row, target.terms.get(mono + (bp,), GR_ZERO)))
+        row = [h_powers[k].terms.get(mono + (bp - j,), 0) for k, j in unknowns]
+        matrix.append((row, target.terms.get(mono + (bp,), 0)))
 
     solution, witness_idx = _solve_exact(matrix, len(unknowns))
     if solution is None:
         return Weyl3dReduction(False, witness=labels[witness_idx])
     return Weyl3dReduction(
         True,
-        solution={unknowns[i]: v for i, v in enumerate(solution) if v},
+        solution={unknowns[i]: _rat(v) for i, v in enumerate(solution) if v},
     )
 
 
@@ -500,7 +451,7 @@ def weyl3d_counterexample(B1, B2, B3) -> bool:
 
 
 def _solve_exact(matrix, n_unknowns):
-    """Gaussian elimination over Q(i).
+    """Gaussian elimination over Q.
 
     Returns (solution, None) with free unknowns set to zero when consistent,
     else (None, index) of an original row witnessing inconsistency.
@@ -516,7 +467,7 @@ def _solve_exact(matrix, n_unknowns):
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         prow, prhs, pidx = rows[r]
-        inv = GR_ONE / prow[col]
+        inv = 1 / Fraction(prow[col])
         prow = [c * inv for c in prow]
         prhs = prhs * inv
         rows[r] = (prow, prhs, pidx)
@@ -531,7 +482,7 @@ def _solve_exact(matrix, n_unknowns):
     for row, rhs, idx in rows:
         if rhs and not any(row):
             return None, idx
-    solution = [GR_ZERO] * n_unknowns
+    solution = [0] * n_unknowns
     for r, col in pivots:
         solution[col] = rows[r][1]
     return solution, None

@@ -30,12 +30,15 @@ def _parse_pair(text: str, kind=float):
     return kind(parts[0]), kind(parts[1])
 
 
-def _positive_pair(text: str):
-    """Parser for a window (l1, l2): both sides must be positive."""
-    a, b = _parse_pair(text)
-    if not (a > 0 and b > 0):
-        raise ValueError("window sides must be positive")
-    return a, b
+def _positive_pair(what: str):
+    """Parser for a pair 'a,b' of positive floats: window or box sides, or a
+    grid spacing."""
+    def parse(text: str):
+        a, b = _parse_pair(text)
+        if not (a > 0 and b > 0):
+            raise ValueError(f"{what} must be positive")
+        return a, b
+    return parse
 
 
 def _parse_int_pair(text: str):
@@ -47,19 +50,23 @@ def _parse_int_pair(text: str):
     return n
 
 
-def _parse_floats(text: str):
-    values = tuple(float(p) for p in str(text).split(",") if p.strip())
-    if not values:
-        raise ValueError("expected one or more comma-separated numbers")
-    return values
+def _positive_floats(what: str):
+    """Parser for a list 'a,b,...' of positive floats: horizons, window widths
+    or box sides."""
+    def parse(text: str):
+        values = tuple(float(p) for p in str(text).split(",") if p.strip())
+        if not values:
+            raise ValueError("expected one or more comma-separated numbers")
+        if not all(v > 0 for v in values):
+            raise ValueError(f"{what} must be positive")
+        return values
+    return parse
 
 
 def _parse_box_sides(text: str):
     """Parser for wegner's box sides: positive integers (one site of Z^2 per
     unit cell), kept as floats."""
-    sides = _parse_floats(text)
-    if not all(v > 0 for v in sides):
-        raise ValueError("box sides must be positive")
+    sides = _positive_floats("box sides")(text)
     if not all(v.is_integer() for v in sides):
         raise ValueError("box sides must be integers (site lattice Z^2)")
     return sides
@@ -161,17 +168,17 @@ SCHEMAS = {
     },
     "thickness": {
         "mask": (str, None),
-        "l": (_positive_pair, None),
-        "spacing": (_parse_pair, (1.0, 1.0)),
+        "l": (_positive_pair("window sides"), None),
+        "spacing": (_positive_pair("spacing"), (1.0, 1.0)),
         "periodic": (_parse_bool, False),
     },
     "specineq": {
         "mask": (str, None),
         "E": (_energy_text, "B"),
         "n-phi": (_int_at_least(0), 2),
-        "L": (_parse_pair, (8.0, 8.0)),
+        "L": (_positive_pair("box sides"), (8.0, 8.0)),
         "N": (_parse_int_pair, (32, 32)),
-        "l": (_positive_pair, (2.0, 2.0)),
+        "l": (_positive_pair("window sides"), (2.0, 2.0)),
         "seed": (_int_at_least(0), 0),
     },
     "remez": {
@@ -182,10 +189,10 @@ SCHEMAS = {
     "control": {
         "mask": (str, None),
         "n-phi": (_int_at_least(1), 2),
-        "L": (_parse_pair, (8.0, 8.0)),
+        "L": (_positive_pair("box sides"), (8.0, 8.0)),
         "N": (_parse_int_pair, (32, 32)),
-        "T": (_parse_floats, (0.5, 1.0, 2.0)),
-        "l": (_positive_pair, (2.0, 2.0)),
+        "T": (_positive_floats("horizon"), (0.5, 1.0, 2.0)),
+        "l": (_positive_pair("window sides"), (2.0, 2.0)),
         "eps-target": (_non_negative("eps-target"), 1e-8),
         "clusters": (_int_at_least(1), 2),
         "seed": (_int_at_least(0), 0),
@@ -195,7 +202,7 @@ SCHEMAS = {
         "cells-per-unit": (_int_at_least(1), 5),
         "flux-per-unit": (_int_at_least(0), 1),
         "E": (float, 6.30),
-        "eps": (_parse_floats, (0.02, 0.04, 0.08)),
+        "eps": (_positive_floats("eps"), (0.02, 0.04, 0.08)),
         "trials": (_int_at_least(2), 200),
         "coupling": (_parse_coupling, (0.0, 1.0)),
         "seed": (_int_at_least(0), 0),
@@ -317,6 +324,9 @@ def parse_config(argv) -> RunConfig:
                 raise ValidationError(f"command {command!r} requires --{key}")
             if default is not None:
                 params[key] = default
+    if command == "wegner" and min(params["L"]) * params["cells-per-unit"] < 4:
+        # each box is a grid of L x cells-per-unit points per side
+        raise ValidationError("need at least 4 grid points per direction")
     out_dir = Path(params.pop("out", "."))
     return RunConfig(command=command, params=params, out_dir=out_dir)
 
@@ -326,7 +336,9 @@ def parse_config(argv) -> RunConfig:
 
 def _row(*cells, sep: str = ",") -> str:
     """One CSV (or whitespace .dat) row: floats as repr(float), ints as
-    decimal, bools as true/false, whatever their numpy or Python type."""
+    decimal, bools as true/false, whatever their numpy or Python type.
+
+    A non-finite float ends the run: a verdict beside it would rest on it."""
     out = []
     for c in cells:
         if isinstance(c, (bool, np.bool_)):
@@ -337,7 +349,11 @@ def _row(*cells, sep: str = ",") -> str:
             out.append(repr(float(c)))
         else:
             out.append(str(c))
-    return sep.join(out)
+    text = sep.join(out)
+    for c, o in zip(cells, out):
+        if isinstance(c, (float, np.floating)) and not math.isfinite(c):
+            raise NumericalError(f"non-finite result {o} in row {text!r}: no verdict drawn")
+    return text
 
 
 def _write(bundle: ReportBundle, path: Path, text: str) -> None:
@@ -366,7 +382,8 @@ def run_weyl_verify(cfg: RunConfig, bundle: ReportBundle) -> None:
     red = algebra.weyl3d_reduction(*cfg.params["field"])
     rows.append(_row("weyl3d_counterexample", not red.consistent))
     if red.consistent:
-        sol = "; ".join(f"H^{k}*B^{j}:{v}" for (k, j), v in sorted(red.solution.items()))
+        sol = "; ".join(f"H^{k}*B^{j}:{algebra.i_power_text(v, j)}"
+                        for (k, j), v in sorted(red.solution.items()))
         bundle.messages.append(f"reduction exists: {sol}")
     else:
         bundle.messages.append(f"inconsistent at monomial/B-power {red.witness}")

@@ -44,7 +44,7 @@ def test_criterion_3_weyl3d_dichotomy():
     aligned = algebra.weyl3d_reduction(0, 0, 1)
     for name, red in (("(1,1,1)", generic), ("(0,0,1)", aligned)):
         if red.consistent:
-            sol = {k: str(v) for k, v in sorted(red.solution.items())}
+            sol = {k: algebra.i_power_text(v, k[1]) for k, v in sorted(red.solution.items())}
             print(f"    power-2 solve {name}: consistent, solution {sol}")
         else:
             print(f"    power-2 solve {name}: witness {red.witness}")

@@ -6,16 +6,19 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magbern.algebra import (
-    GaussianRational,
     WeylAlgebra,
     WeylPoly,
+    _RecursionSweep,
     bernstein_constant,
     check_f_bounds,
     f_at_level,
     f_poly,
     f_text,
+    i_power_text,
     recursion_checks,
     verify_recursion,
     weyl3d_counterexample,
@@ -23,15 +26,12 @@ from magbern.algebra import (
 )
 from magbern.errors import ResourceLimitError, ValidationError
 
-GR = GaussianRational
-I = GR(0, 1)
-
 
 # -- independent oracle: brute-force string rewriter ------------------------
 
 
 def _commutator(alg, k, j):
-    """r with [dk, dj] = i*r*B for k < j, read off the module docstring."""
+    """r with [dk, dj] = r*(iB) for k < j, read off the module docstring."""
     if alg.gens == 2:
         return 1
     r1, r2, r3 = alg.field
@@ -42,7 +42,7 @@ def brute_normal_order(alg, word_terms):
     """Rewrite words by eliminating the leftmost inversion, one pair at a time.
 
     Uses only dj*dk = dk*dj - [dk,dj] for k < j, so it shares no code with the
-    closed-form block moves in WeylAlgebra.  Terms are (coefficient, B-power,
+    closed-form block moves in WeylAlgebra.  Terms are (coefficient, iB-power,
     word) on plain dicts keyed (a1, ..., ag, b).
     """
     pending = [(coef, 0, tuple(word)) for coef, word in word_terms]
@@ -57,7 +57,7 @@ def brute_normal_order(alg, word_terms):
             for k in word:
                 exps[k] += 1
             key = tuple(exps)
-            s = done.get(key, GR()) + coef
+            s = done.get(key, 0) + coef
             if s:
                 done[key] = s
             else:
@@ -67,7 +67,7 @@ def brute_normal_order(alg, word_terms):
         swapped = word[:inv] + (k, j) + word[inv + 2 :]
         dropped = word[:inv] + word[inv + 2 :]
         pending.append((coef, bpow, swapped))
-        pending.append((coef * GR(0, -_commutator(alg, k, j)), bpow + 1, dropped))
+        pending.append((-_commutator(alg, k, j) * coef, bpow + 1, dropped))
     return WeylPoly(alg, done)
 
 
@@ -75,8 +75,7 @@ def random_word_terms(rng, gens, n_terms=4, max_len=5):
     terms = []
     for _ in range(n_terms):
         word = tuple(rng.randrange(gens) for _ in range(rng.randrange(max_len + 1)))
-        coef = GR(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-                  Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        coef = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         terms.append((coef, word))
     return terms
 
@@ -92,14 +91,14 @@ def test_normal_order_single_generator_unchanged():
 def test_normal_order_swaps_one_inversion():
     alg = WeylAlgebra(2)
     got = alg.normal_order([(1, (1, 0))])
-    want = WeylPoly(alg, {(1, 1, 0): 1, (0, 0, 1): -I})  # d1*d2 - i*B
+    want = WeylPoly(alg, {(1, 1, 0): 1, (0, 0, 1): -1})  # d1*d2 - iB
     assert got == want
 
 
 def test_normal_order_double_inversion():
     alg = WeylAlgebra(2)
     got = alg.normal_order([(1, (1, 1, 0))])
-    want = WeylPoly(alg, {(1, 2, 0): 1, (0, 1, 1): GR(0, -2)})  # d1*d2^2 - 2i*B*d2
+    want = WeylPoly(alg, {(1, 2, 0): 1, (0, 1, 1): -2})  # d1*d2^2 - 2iB*d2
     assert got == want
 
 
@@ -125,8 +124,8 @@ def test_normal_order_idempotent_and_linear():
         for e, v in p.terms.items():
             refed = refed + alg.normal_order([(v, _expand(e[:-1]))]).scale(1, e[-1])
         assert refed == p
-        a = GR(Fraction(3, 2), Fraction(-1, 3))
-        b = GR(Fraction(-2, 5), 1)
+        a = Fraction(3, 2)
+        b = Fraction(-2, 5)
         combo = [(a * c, w) for c, w in terms_p] + [(b * c, w) for c, w in terms_q]
         assert alg.normal_order(combo) == p.scale(a) + q.scale(b)
 
@@ -157,14 +156,14 @@ def test_apply_r_on_identity_gives_h():
 def test_apply_r_on_h_gives_h_squared_plus_2b2():
     alg = WeylAlgebra(2)
     h = alg.h_poly()
-    want = alg.mul(h, h) + alg.one().scale(2, 2)
+    want = alg.mul(h, h) + alg.one().scale(-2, 2)  # 2B^2 = -2(iB)^2
     assert alg.apply_r(h) == want
 
 
 def test_apply_r_3d_field_aligned_reduces_to_2d():
     alg = WeylAlgebra(3, field=(0, 0, 1))
     h = alg.h_poly()
-    want = alg.mul(h, h) + alg.one().scale(2, 2)
+    want = alg.mul(h, h) + alg.one().scale(-2, 2)
     assert alg.apply_r(h) == want
 
 
@@ -222,7 +221,10 @@ def _as_tb(f):
 
 
 def oracle_verify_recursion(m):
-    """R^m(Id) from scratch against F_m(H) by Horner's rule with `alg.mul`."""
+    """R^m(Id) from scratch against F_m(H) by Horner's rule with `alg.mul`.
+
+    B^b enters as (-1)^(b/2) (iB)^b; at odd b the term is imaginary, which
+    the rational R^m(Id) cannot match."""
     alg = WeylAlgebra(2)
     lhs = alg.one()
     for _ in range(m):
@@ -234,7 +236,9 @@ def oracle_verify_recursion(m):
         rhs = alg.mul(rhs, h)
         for (tj, b), a in fm.items():
             if tj == j:
-                rhs = rhs + alg.one().scale(a, b)
+                if b % 2:
+                    return False
+                rhs = rhs + alg.one().scale((-1) ** (b // 2) * a, b)
     return lhs == rhs
 
 
@@ -249,22 +253,58 @@ def test_recursion_sweep_matches_the_per_m_oracle():
     assert recursion_checks(0) == []
 
 
+# -- properties of the exact identities ---------------------------------------
+
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def algebra_and_word_terms(draw):
+    """The 2-generator algebra or a 3-generator one with a random rational
+    field, and two linear combinations of words in its generators."""
+    field = draw(st.none() | st.tuples(RATIONALS, RATIONALS, RATIONALS).filter(any))
+    alg = WeylAlgebra(2) if field is None else WeylAlgebra(3, field=field)
+    word = st.lists(st.integers(0, alg.gens - 1), max_size=4).map(tuple)
+    terms = st.lists(st.tuples(RATIONALS, word), max_size=3)
+    return alg, draw(terms), draw(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebra_and_word_terms(), RATIONALS, RATIONALS, st.integers(0, 2))
+def test_apply_r_is_rational_linear(case, a, b, k):
+    # linear over Q, and iB is central, so R commutes with multiplying by it
+    alg, terms_p, terms_q = case
+    p, q = alg.normal_order(terms_p), alg.normal_order(terms_q)
+    got = alg.apply_r(p.scale(a, k) + q.scale(b))
+    assert got == alg.apply_r(p).scale(a, k) + alg.apply_r(q).scale(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebra_and_word_terms())
+def test_mul_matches_brute_force_on_concatenated_words(case):
+    alg, terms_p, terms_q = case
+    product = [(c * d, w + v) for c, w in terms_p for d, v in terms_q]
+    got = alg.mul(alg.normal_order(terms_p), alg.normal_order(terms_q))
+    assert got == brute_normal_order(alg, product)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 8), min_size=1, max_size=4).map(sorted))
+def test_recursion_checks_match_the_symbolic_b_oracle(ms):
+    # one sweep carried across gaps and repeats agrees with each m rebuilt
+    # from scratch against F_m with B symbolic
+    sweep = _RecursionSweep(10**6)
+    assert [verify_recursion(m, sweep=sweep) for m in ms] == [
+        oracle_verify_recursion(m) for m in ms]
+    assert recursion_checks(ms[-1]) == [
+        oracle_verify_recursion(m) for m in range(1, ms[-1] + 1)]
+
+
 def test_recursion_sweep_rejects_negative():
     with pytest.raises(ValidationError):
         recursion_checks(-1)
     with pytest.raises(ValidationError):
         verify_recursion(-1)
-
-
-def test_gaussian_rational_keeps_integral_parts_as_int():
-    half = GR(Fraction(1, 2), Fraction(-3, 2))
-    for v in (GR(Fraction(4, 2), 3), half * GR(2, 0), GR(6, 4) / GR(3, 2)):
-        assert type(v.re) is int and type(v.im) is int
-    assert GR(Fraction(6, 3)) == GaussianRational(Fraction(2)) == GR(2)
-    assert hash(GR(Fraction(2), Fraction(-1))) == hash(GaussianRational(2, -1))
-    assert str(GR(Fraction(4, 2), Fraction(-2, 1))) == "(2-2*i)"
-    q = GR(1) / GR(0, 2)
-    assert (q.re, q.im) == (0, Fraction(-1, 2)) and type(q.im) is Fraction
 
 
 # -- F_m ---------------------------------------------------------------------
@@ -361,10 +401,7 @@ def test_l2_constant_dominates_f_values_exactly():
 def test_weyl3d_field_aligned_is_polynomial():
     red = weyl3d_reduction(0, 0, 1)
     assert red.consistent
-    assert red.solution == {
-        (2, 0): GR(1),
-        (0, 2): GR(2),
-    }
+    assert red.solution == {(2, 0): 1, (0, 2): -2}  # H^2 - 2(iB)^2
     assert weyl3d_counterexample(0, 0, 1) is False
 
 
@@ -376,7 +413,7 @@ def test_weyl3d_power2_is_polynomial_for_every_field():
         red = weyl3d_reduction(*field)
         s = sum(Fraction(x) ** 2 for x in field)
         assert red.consistent
-        assert red.solution == {(2, 0): GR(1), (0, 2): GR(2 * s)}
+        assert red.solution == {(2, 0): 1, (0, 2): -2 * s}
         assert weyl3d_counterexample(*field) is False
 
 
@@ -406,5 +443,8 @@ def test_weyl_poly_canonical_text():
     alg = WeylAlgebra(2)
     p = alg.normal_order([(1, (1, 0))])
     assert p.to_text() == "1 : -i*B\nd1*d2 : 1"
-    assert (p - alg.gen(0).scale(1, 1)).to_text() == "1 : -i*B\nd1 : -B\nd1*d2 : 1"
+    # (iB)^2 = -B^2 and (iB)^3 = -i*B^3: the text carries the powers of i
+    q = p + alg.gen(0).scale(1, 2) + alg.gen(1).scale(Fraction(3, 2), 3)
+    assert q.to_text() == "1 : -i*B\nd2 : -3/2*i*B^3\nd1 : -B^2\nd1*d2 : 1"
+    assert [i_power_text(-2, b) for b in range(4)] == ["-2", "-2*i", "2", "2*i"]
 

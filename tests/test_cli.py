@@ -198,6 +198,17 @@ def test_bernstein_command(tmp_path):
     assert all(r.endswith("true") for r in rows[1:])
 
 
+def test_bernstein_draws_no_verdict_from_a_non_finite_sum(tmp_path, capsys):
+    # at B = 1e-300 the ladder grid overflows: the sums are nan and the bounds
+    # inf, so the run ends on the value instead of reporting a falsification
+    argv = ["bernstein", "--B", "1e-300", "--samples", "1", "--out", str(tmp_path)]
+    with np.errstate(all="ignore"):
+        assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "non-finite result nan" in err and "falsified" not in err
+    assert not (tmp_path / "bernstein.csv").exists()
+
+
 def test_control_command(tmp_path):
     code = main([
         "control", "--mask", STRIPS, "--T", "1.0", "--out", str(tmp_path),
@@ -413,11 +424,14 @@ def test_bernstein_builds_one_word_table_per_sample(tmp_path, monkeypatch):
     ["wegner", "--L", "0", "--trials", "2"],
     ["wegner", "--L", "2,0", "--trials", "2"],
     ["specineq", "--mask", STRIPS, "--L", "0,8"],
+    ["specineq", "--mask", STRIPS, "--L", "-8,8"],
+    ["control", "--mask", STRIPS, "--L", "8,0"],
 ])
 def test_non_positive_box_side_exits_2(tmp_path, capsys, argv):
     # the flux B = 2 pi n_phi / (L1 L2) must not be formed from a zero side
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert "box sides must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.txt").exists()
 
 
 def test_negative_bernstein_tol_exits_2(tmp_path, capsys):
@@ -452,9 +466,21 @@ def test_negative_bernstein_tol_exits_2(tmp_path, capsys):
      "box sides must be integers (site lattice Z^2)"),
     (["wegner", "--trials", "2", "--L", "4,8.25"],
      "box sides must be integers (site lattice Z^2)"),
+    (["control", "--mask", STRIPS, "--T", "0"], "horizon must be positive"),
+    (["control", "--mask", STRIPS, "--T", "-1,1"], "horizon must be positive"),
+    (["wegner", "--trials", "2", "--eps", "-0.1"], "eps must be positive"),
+    (["thickness", "--mask", STRIPS, "--l", "2,2", "--spacing", "0,1"],
+     "spacing must be positive"),
+    # a cross-key constraint: each box's grid has L * cells-per-unit points a side
+    (["wegner", "--trials", "2", "--L", "1", "--cells-per-unit", "2"],
+     "need at least 4 grid points per direction"),
+    (["wegner", "--trials", "2", "--L", "1,4", "--cells-per-unit", "3"],
+     "need at least 4 grid points per direction"),
 ], ids=["field-2", "field-4", "wegner-L", "control-T", "wegner-eps", "field-0",
         "specineq-N", "specineq-N-small", "control-N-small", "coupling-reversed",
-        "coupling-empty", "wegner-L-fraction", "wegner-L-second-fraction"])
+        "coupling-empty", "wegner-L-fraction", "wegner-L-second-fraction",
+        "control-T-zero", "control-T-negative", "wegner-eps-negative",
+        "thickness-spacing-zero", "wegner-grid-small", "wegner-grid-small-second"])
 def test_malformed_list_exits_2(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -480,6 +506,7 @@ def test_wegner_rejects_zero_eps_before_any_trial(tmp_path, capsys, monkeypatch)
             "--out", str(tmp_path)]
     assert main(argv) == 2
     assert "eps must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.txt").exists()
 
 
 # -- non-finite input ------------------------------------------------------------
