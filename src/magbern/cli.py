@@ -199,7 +199,7 @@ SCHEMAS = {
     },
     "wegner": {
         "L": (_parse_box_sides, (4.0, 8.0)),
-        "cells-per-unit": (_int_at_least(1), 5),
+        "cells-per-unit": (_int_at_least(2), 5),
         "flux-per-unit": (_int_at_least(0), 1),
         "E": (float, 6.30),
         "eps": (_positive_floats("eps"), (0.02, 0.04, 0.08)),
@@ -258,6 +258,13 @@ def read_keyvalue_file(path) -> dict:
             key, val = line.split("=", 1)
             out[key.strip()] = val.strip()
     return out
+
+
+def _check_window(ell, cell) -> None:
+    """Refuse a thickness window under 2 cells a side, by the scan's own rule,
+    before a manifest is written."""
+    if any(geometry._snap_cells(l, h)[0] < 2 for l, h in zip(ell, cell)):
+        raise ValidationError("window smaller than 2 cells")
 
 
 def parse_config(argv) -> RunConfig:
@@ -327,6 +334,11 @@ def parse_config(argv) -> RunConfig:
     if command == "wegner" and min(params["L"]) * params["cells-per-unit"] < 4:
         # each box is a grid of L x cells-per-unit points per side
         raise ValidationError("need at least 4 grid points per direction")
+    if command == "thickness":
+        _check_window(params["l"], params["spacing"])
+    elif command in ("specineq", "control") and "rho" not in params:
+        # the torus cell side is L/N; a given --rho skips the scan
+        _check_window(params["l"], [L / n for L, n in zip(params["L"], params["N"])])
     out_dir = Path(params.pop("out", "."))
     return RunConfig(command=command, params=params, out_dir=out_dir)
 

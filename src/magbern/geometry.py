@@ -79,24 +79,55 @@ def _snap_cells(ell: float, h: float):
     return int(np.floor(w)), False
 
 
-def _prefix(a: np.ndarray) -> np.ndarray:
-    """2-D prefix sums with a zero first row and column, in a's dtype."""
-    p = np.zeros((a.shape[0] + 1, a.shape[1] + 1), dtype=a.dtype)
-    np.cumsum(a, axis=0, out=p[1:, 1:])
-    np.cumsum(p[1:, 1:], axis=1, out=p[1:, 1:])
+_PREFIX_BLOCK_BYTES = 1 << 20  # one axis-0 row block stays inside a core's L2 cache
+
+
+def _prefix(a: np.ndarray, dtype=None) -> np.ndarray:
+    """2-D prefix sums with a zero first row and column, in `dtype` (a's by default).
+
+    Axis 0 is summed in place in cache-sized row blocks, each block's first
+    row carrying the prefix row before it: every element is added in the
+    order of one cumsum along axis 0, so float tables are bit-identical to it.
+    """
+    n1, n2 = a.shape
+    p = np.zeros((n1 + 1, n2 + 1), dtype=dtype or a.dtype)
+    body = p[1:, 1:]
+    step = max(1, _PREFIX_BLOCK_BYTES // body[0].nbytes)
+    for i in range(0, n1, step):
+        block = body[i:i + step]
+        if i:
+            block[...] = a[i:i + step]
+            block[0] += body[i - 1]
+            np.cumsum(block, axis=0, out=block)
+        else:  # nothing to carry: sum straight from `a`, with no copy first
+            np.cumsum(a[:step], axis=0, dtype=p.dtype, out=block)
+    np.cumsum(body, axis=1, out=body)
     return p
 
 
-def window_counts(cells: np.ndarray, w1: int, w2: int, periodic: bool) -> np.ndarray:
-    """Occupancy counts of all w1 x w2 windows via 2-D prefix sums, with no
-    full-size temporary beyond the int64 cells and their prefix sums."""
+def window_counts(cells: np.ndarray, windows, periodic: bool) -> list:
+    """Occupancy counts of all windows of each size (w1, w2) in `windows`,
+    from one 2-D prefix sum of the cells.
+
+    The sum is int32 when the (padded) grid has fewer than 2^31 cells, so
+    no prefix value or box difference can overflow, and int64 otherwise.  A
+    periodic grid is padded by the largest window and every result holds
+    its N1 x N2 anchors; otherwise each holds the anchors of windows inside.
+    """
+    n1, n2 = cells.shape
     if periodic:
-        cells = np.pad(cells, ((0, w1 - 1), (0, w2 - 1)), mode="wrap")
-    p = _prefix(cells.astype(np.int64))
-    counts = p[w1:, w2:] - p[:-w1, w2:]
-    counts -= p[w1:, :-w2]
-    counts += p[:-w1, :-w2]
-    return counts
+        pad = [(0, max(w[axis] for w in windows) - 1) for axis in (0, 1)]
+        cells = np.pad(cells, pad, mode="wrap")
+    p = _prefix(cells, np.int32 if cells.size < 2**31 else np.int64)
+    found = []
+    for w1, w2 in windows:
+        r1 = n1 if periodic else n1 - w1 + 1
+        r2 = n2 if periodic else n2 - w2 + 1
+        counts = p[w1:w1 + r1, w2:w2 + r2] - p[:r1, w2:w2 + r2]
+        counts -= p[w1:w1 + r1, :r2]
+        counts += p[:r1, :r2]
+        found.append(counts)
+    return found
 
 
 def thickness_scan(mask: SetMask, ell: tuple) -> ThicknessReport:
@@ -111,7 +142,12 @@ def thickness_scan(mask: SetMask, ell: tuple) -> ThicknessReport:
     w2, exact2 = _snap_cells(l2, h2)
     if w1 < 2 or w2 < 2:
         raise ValidationError("window smaller than 2 cells")
-    counts = window_counts(mask.cells, w1, w2, mask.periodic)
+    exact = exact1 and exact2
+    # off the cell multiples, the one-cell-smaller inner window certifies
+    # every sub-cell anchor
+    found = window_counts(mask.cells, [(w1, w2)] if exact else [(w1, w2), (w1 - 1, w2 - 1)],
+                          mask.periodic)
+    counts = found[0]
     idx = np.unravel_index(np.argmin(counts), counts.shape)
     min_count = int(counts[idx])
     anchor = (
@@ -119,12 +155,10 @@ def thickness_scan(mask: SetMask, ell: tuple) -> ThicknessReport:
         mask.origin[1] + idx[1] * h2,
     )
     rho_grid = min_count * mask.cell_area / (w1 * h1 * w2 * h2)
-    if exact1 and exact2:
+    if exact:
         rho_lower = min_count * mask.cell_area / (l1 * l2)
     else:
-        s1, s2 = max(w1 - 1, 1), max(w2 - 1, 1)
-        inner = window_counts(mask.cells, s1, s2, mask.periodic)
-        rho_lower = max(0.0, float(inner.min()) * mask.cell_area / (l1 * l2))
+        rho_lower = max(0.0, float(found[1].min()) * mask.cell_area / (l1 * l2))
     return ThicknessReport(
         ell=(l1, l2),
         rho_lower=float(rho_lower),
@@ -249,10 +283,6 @@ def disk_complement_mask(shape: tuple, spacing: tuple, center: tuple, radius: fl
 # -- PBM (P1) input -------------------------------------------------------------
 
 
-# raster byte classes of a plain PBM: 0 and 1 are cells, 2 is whitespace, 3 is invalid
-_PBM_BYTES = np.full(256, 3, dtype=np.uint8)
-_PBM_BYTES[list(b"01")] = (0, 1)
-_PBM_BYTES[list(b" \t\n\r\v\f")] = 2
 _PBM_HEADER = re.compile(rb"\s*(\S*)\s*(\S*)\s*(\S*)")
 
 
@@ -277,12 +307,12 @@ def read_pbm(path, spacing=(1.0, 1.0), periodic: bool = False) -> SetMask:
         ) from None
     if n1 <= 0 or n2 <= 0:
         raise ValidationError(f"{path}: PBM dimensions must be positive")
-    raster = _PBM_BYTES[np.frombuffer(data, dtype=np.uint8, offset=header.end())]
-    if raster.size and raster.max() == 3:
-        char = data[header.end() + np.argmax(raster == 3)]
+    raster = data[header.end():].translate(None, b" \t\n\r\v\f")
+    bits = np.frombuffer(raster, dtype=np.uint8) - ord("0")  # others wrap above 1
+    if bits.size and bits.max() > 1:
+        char = raster[np.argmax(bits > 1)]
         raise ValidationError(
             f"{path}: PBM raster byte {bytes([char])!r} is not 0, 1 or whitespace")
-    bits = raster[raster < 2]
     if bits.size != n1 * n2:
         raise ValidationError(f"{path}: expected {n1 * n2} bits, found {bits.size}")
     return SetMask(bits.reshape(n1, n2), spacing, periodic=periodic)

@@ -1,5 +1,6 @@
 """Command-line surface: parsing, precedence, outputs, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magbern import disorder, landau
+from magbern import disorder, geometry, inequality, landau
 from magbern.cli import main, parse_config, parse_energy, read_keyvalue_file
 from magbern.errors import ValidationError
 from magbern.geometry import SetMask
@@ -209,6 +210,30 @@ def test_bernstein_draws_no_verdict_from_a_non_finite_sum(tmp_path, capsys):
     assert not (tmp_path / "bernstein.csv").exists()
 
 
+def test_thickness_draws_no_verdict_from_a_non_finite_rho(tmp_path, capsys, monkeypatch):
+    real_scan = geometry.thickness_scan
+
+    def nan_scan(mask, ell):
+        return dataclasses.replace(real_scan(mask, ell), rho_lower=float("nan"))
+
+    monkeypatch.setattr(geometry, "thickness_scan", nan_scan)
+    argv = ["thickness", "--mask", STRIPS, "--l", "8,8", "--out", str(tmp_path)]
+    assert main(argv) == 3
+    assert "non-finite result nan" in capsys.readouterr().err
+    assert not (tmp_path / "thickness.csv").exists()
+
+
+def test_specineq_draws_no_verdict_from_a_non_finite_constant(tmp_path, capsys,
+                                                              monkeypatch):
+    monkeypatch.setattr(inequality, "empirical_constant", lambda sub, mask: float("nan"))
+    argv = ["specineq", "--mask", STRIPS, "--E", "3B", "--out", str(tmp_path)]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert "non-finite result nan" in err and "falsified" not in err
+    assert "pass" not in out
+    assert not (tmp_path / "specineq.csv").exists()
+
+
 def test_control_command(tmp_path):
     code = main([
         "control", "--mask", STRIPS, "--T", "1.0", "--out", str(tmp_path),
@@ -329,7 +354,8 @@ def test_unreadable_mask_exits_2(tmp_path, capsys, name, content):
         path.write_text(content)
     elif content is not None:
         path.write_bytes(content)
-    argv = ["thickness", "--mask", str(path), "--l", "1,1", "--out", str(tmp_path)]
+    # a window the parser accepts, so the mask is the only fault
+    argv = ["thickness", "--mask", str(path), "--l", "2,2", "--out", str(tmp_path)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("magbern: error:") and str(path) in err
@@ -381,6 +407,32 @@ def test_non_positive_window_side_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "--l" in err and "window sides must be positive" in err
     assert not (tmp_path / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["thickness", "--mask", STRIPS, "--l", "1.5,8"], "window smaller than 2 cells"),
+    (["thickness", "--mask", STRIPS, "--l", "2.5,8", "--spacing", "2,2"],
+     "window smaller than 2 cells"),
+    # the cell side of the torus commands is L/N: 8/32 here
+    (["specineq", "--mask", STRIPS, "--l", "2,0.45"], "window smaller than 2 cells"),
+    (["control", "--mask", STRIPS, "--l", "0.2,2", "--T", "1"],
+     "window smaller than 2 cells"),
+    # the ensemble scans unit windows, so a unit needs 2 cells
+    (["wegner", "--L", "4", "--trials", "2", "--cells-per-unit", "1"],
+     "--cells-per-unit '1': must be at least 2"),
+], ids=["thickness", "thickness-spacing", "specineq", "control", "wegner"])
+def test_window_under_two_cells_exits_2_before_the_manifest(tmp_path, capsys, argv,
+                                                             message):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "manifest.txt").exists()
+
+
+def test_window_under_two_cells_is_not_scanned_when_rho_is_given(tmp_path):
+    argv = ["specineq", "--mask", STRIPS, "--l", "0.2,2", "--rho", "0.5",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert (tmp_path / "specineq.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

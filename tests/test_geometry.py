@@ -1,15 +1,21 @@
 """Thick-set scans, coverings, and good/bad rectangle classification."""
 
 import math
+import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from magbern import geometry
 from magbern.errors import ValidationError
 from magbern.geometry import (
     Covering,
     SetMask,
+    ThicknessReport,
     build_covering,
     checkerboard_mask,
     classify_good_bad,
@@ -42,6 +48,45 @@ def brute_min_window(cells, w1, w2, periodic=False):
         r1, r2 = n1 - w1 + 1, n2 - w2 + 1
     return min(
         int(a[i : i + w1, j : j + w2].sum()) for i in range(r1) for j in range(r2)
+    )
+
+
+def int64_window_counts(cells, w1, w2, periodic):
+    """The scan's former kernel: int64 counts of every w1 x w2 window from a
+    prefix sum of its own, built by two plain cumsums."""
+    if periodic:
+        cells = np.pad(cells, ((0, w1 - 1), (0, w2 - 1)), mode="wrap")
+    p = np.zeros((cells.shape[0] + 1, cells.shape[1] + 1), dtype=np.int64)
+    np.cumsum(cells.astype(np.int64), axis=0, out=p[1:, 1:])
+    np.cumsum(p[1:, 1:], axis=1, out=p[1:, 1:])
+    counts = p[w1:, w2:] - p[:-w1, w2:]
+    counts -= p[w1:, :-w2]
+    counts += p[:-w1, :-w2]
+    return counts
+
+
+def two_call_scan(mask, ell):
+    """The former `thickness_scan`: one int64 kernel call for the ell-window
+    and, off the cell multiples, a second one for the inner window."""
+    h1, h2 = mask.spacing
+    l1, l2 = float(ell[0]), float(ell[1])
+    w1, exact1 = geometry._snap_cells(l1, h1)
+    w2, exact2 = geometry._snap_cells(l2, h2)
+    counts = int64_window_counts(mask.cells, w1, w2, mask.periodic)
+    idx = np.unravel_index(np.argmin(counts), counts.shape)
+    min_count = int(counts[idx])
+    if exact1 and exact2:
+        rho_lower = min_count * mask.cell_area / (l1 * l2)
+    else:
+        inner = int64_window_counts(mask.cells, w1 - 1, w2 - 1, mask.periodic)
+        rho_lower = max(0.0, float(inner.min()) * mask.cell_area / (l1 * l2))
+    return ThicknessReport(
+        ell=(l1, l2),
+        rho_lower=float(rho_lower),
+        anchor=(mask.origin[0] + idx[0] * h1, mask.origin[1] + idx[1] * h2),
+        rho_grid=float(min_count * mask.cell_area / (w1 * h1 * w2 * h2)),
+        min_count=min_count,
+        window_cells=(w1, w2),
     )
 
 
@@ -115,6 +160,49 @@ def test_non_multiple_window_is_conservative():
     # certified bound can only be below the grid-anchored density
     assert rep.rho_lower <= rep.rho_grid
     assert rep.rho_lower >= 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    shape=st.tuples(st.integers(4, 40), st.integers(4, 40)),
+    density=st.floats(0.0, 1.0),
+    spacing=st.tuples(st.floats(0.05, 4.0), st.floats(0.05, 4.0)),
+    periodic=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_prefix_scan_matches_the_two_call_int64_scan(data, shape, density, spacing,
+                                                         periodic, seed):
+    cells = np.random.default_rng(seed).random(shape) < density
+    mask = SetMask(cells, spacing, periodic=periodic)
+    ell = []
+    for n, h in zip(shape, spacing):
+        # an exact cell multiple, or one off it by a sub-cell fraction; a
+        # periodic window may wrap past the whole torus
+        frac = data.draw(st.one_of(st.just(0.0), st.floats(0.05, 0.95)))
+        top = n + 3 if periodic else (n if frac == 0.0 else n - 1)
+        ell.append((data.draw(st.integers(2, top)) + frac) * h)
+    rep = thickness_scan(mask, tuple(ell))
+    assert rep == two_call_scan(mask, ell)
+    assert rep.min_count == brute_min_window(cells, *rep.window_cells, periodic)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 1), (7, 5), (40, 33), (3000, 2), (2, 3000), (900, 1)]),
+    block=st.sampled_from([8, 100, 1 << 12, 1 << 20]),
+    scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_prefix_is_bit_identical_to_two_cumsums(shape, block, scale, seed):
+    # blocks down to one row, so the carried row crosses every block boundary
+    a = np.random.default_rng(seed).standard_normal(shape) * scale
+    with mock.patch.object(geometry, "_PREFIX_BLOCK_BYTES", block):
+        p = geometry._prefix(a)
+    want = np.cumsum(np.cumsum(a, axis=0), axis=1)
+    assert p.dtype == a.dtype and p.shape == (shape[0] + 1, shape[1] + 1)
+    assert not p[0].any() and not p[:, 0].any()
+    assert p[1:, 1:].tobytes() == want.tobytes()
 
 
 # -- coverings -----------------------------------------------------------------
@@ -237,6 +325,53 @@ def test_pbm_rejects_bad_magic(tmp_path):
         read_pbm(p)
 
 
+PBM_WHITESPACE = b" \t\n\r\v\f"
+# a run of plain-PBM whitespace; CRLF line ends and comments to the line end
+# count as whitespace too
+pbm_gap = st.lists(
+    st.one_of(st.sampled_from([bytes([c]) for c in PBM_WHITESPACE]), st.just(b"\r\n"),
+              st.binary(max_size=8).map(lambda t: b"#" + t.replace(b"\n", b"") + b"\r\n")),
+    max_size=3,
+).map(b"".join)
+
+
+@st.composite
+def pbm_files(draw, comments=True):
+    """(cells, header, raster): a random raster written with random
+    separators, none at all between some bits."""
+    n1, n2 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cells = np.array(draw(st.lists(st.booleans(), min_size=n1 * n2, max_size=n1 * n2)),
+                     dtype=bool).reshape(n1, n2)
+    gap = pbm_gap if comments else pbm_gap.map(lambda g: g.split(b"#")[0])
+    sep = gap.map(lambda g: g or b"\n")  # header tokens need one at least
+    header = b"".join([draw(gap), b"P1", draw(sep), b"%d" % n2, draw(sep), b"%d" % n1,
+                       draw(sep)])
+    raster = b"".join((b"1" if bit else b"0") + draw(gap) for bit in cells.ravel())
+    return cells, header, raster
+
+
+@settings(max_examples=100, deadline=None)
+@given(pbm=pbm_files())
+def test_pbm_reads_back_whatever_the_separators(tmp_path_factory, pbm):
+    cells, header, raster = pbm
+    p = tmp_path_factory.mktemp("pbm") / "mask.pbm"
+    p.write_bytes(header + raster)
+    assert np.array_equal(read_pbm(p).cells, cells)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pbm=pbm_files(comments=False), data=st.data())
+def test_pbm_names_a_stray_raster_byte(tmp_path_factory, pbm, data):
+    _cells, header, raster = pbm
+    stray = bytes([data.draw(st.integers(0, 255).filter(
+        lambda c: c not in b"01#" + PBM_WHITESPACE))])
+    at = data.draw(st.integers(0, len(raster)))
+    p = tmp_path_factory.mktemp("pbm") / "mask.pbm"
+    p.write_bytes(header + raster[:at] + stray + raster[at:])
+    with pytest.raises(ValidationError, match=re.escape(f"byte {stray!r} is not")):
+        read_pbm(p)
+
+
 def test_checkerboard_measure():
     m = checkerboard_mask((16, 16), (1.0, 1.0), 4, periodic=True)
     assert m.measure() == pytest.approx(128.0)
@@ -245,6 +380,12 @@ def test_checkerboard_measure():
 def test_window_counts_against_slices():
     rng = rng_stream(36)
     cells = rng.random((10, 14)) < 0.5
-    counts = window_counts(cells, 3, 4, periodic=False)
-    assert counts.shape == (8, 11)
+    counts, inner = window_counts(cells, [(3, 4), (2, 3)], periodic=False)
+    assert counts.shape == (8, 11) and inner.shape == (9, 12)
     assert counts[2, 5] == cells[2:5, 5:9].sum()
+    assert inner[2, 5] == cells[2:4, 5:8].sum()
+    counts, inner = window_counts(cells, [(3, 4), (2, 3)], periodic=True)
+    assert counts.shape == inner.shape == (10, 14)
+    wrapped = np.pad(cells, ((0, 2), (0, 3)), mode="wrap")
+    assert counts[9, 12] == wrapped[9:12, 12:16].sum()
+    assert inner[9, 12] == wrapped[9:11, 12:15].sum()
