@@ -336,9 +336,12 @@ def parse_config(argv) -> RunConfig:
         raise ValidationError("need at least 4 grid points per direction")
     if command == "thickness":
         _check_window(params["l"], params["spacing"])
-    elif command in ("specineq", "control") and "rho" not in params:
-        # the torus cell side is L/N; a given --rho skips the scan
-        _check_window(params["l"], [L / n for L, n in zip(params["L"], params["N"])])
+    elif command in ("specineq", "control"):
+        if "rho" not in params:
+            # the torus cell side is L/N; a given --rho skips the scan
+            _check_window(params["l"], [L / n for L, n in zip(params["L"], params["N"])])
+        if geometry.read_pbm(params["mask"]).cells.shape != params["N"]:
+            raise ValidationError("mask grid does not match --N")
     out_dir = Path(params.pop("out", "."))
     return RunConfig(command=command, params=params, out_dir=out_dir)
 
@@ -458,8 +461,6 @@ def _torus_prelude(params):
         solve = {"count": params["n-phi"] * params["clusters"]}
     sub = lattice.eigensolve(lattice.assemble(setup), seed=params["seed"], **solve)
     mask = _load_mask(params, spacing=setup.spacing)
-    if mask.cells.shape != tuple(setup.N):
-        raise ValidationError("mask grid does not match --N")
     rho = params.get("rho") or geometry.thickness_scan(mask, params["l"]).rho_lower
     if rho <= 0:
         raise NumericalError("mask is not thick at the requested window")
@@ -539,12 +540,14 @@ def run_control(cfg: RunConfig, bundle: ReportBundle) -> None:
                          res.terminal_residual))
         plot.append(_row(t, res.cost, sep=" "))
         times, states = control.state_trajectory(problem, res)
-        traj_head = "t," + ",".join(
-            f"re_{k},im_{k}" for k in range(sub.dim)
-        )
-        traj_rows = [traj_head]
-        for ti, ui in zip(times, states):
-            traj_rows.append(_row(ti, *np.column_stack([ui.real, ui.imag]).ravel()))
+        # t, re_0, im_0, re_1, ...: one float table, checked once, as _row writes it
+        table = np.column_stack(
+            [times, np.stack([states.real, states.imag], axis=-1).reshape(len(times), -1)])
+        finite = np.isfinite(table).all(axis=1)
+        if not finite.all():
+            _row(*table[np.argmin(finite)])  # raises _row's non-finite error
+        traj_rows = ["t," + ",".join(f"re_{k},im_{k}" for k in range(sub.dim))]
+        traj_rows += [",".join(map(repr, row)) for row in table.tolist()]
         _write(bundle, cfg.out_dir / f"trajectory_{idx}.csv",
                "\n".join(traj_rows) + "\n")
         if res.terminal_residual > p["eps-target"]:

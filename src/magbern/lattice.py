@@ -13,7 +13,11 @@ g = gcd(n_phi, N2) decoupled rings of length N1*N2/g: real symmetric
 periodic tridiagonal Harper chains (Hofstadter, Phys. Rev. B 14, 1976), in
 which the seam twist carries (N1-1, k) on to (0, k - n_phi).  `eigensolve`
 solves the rings, never the 2-D operator, and checks every pair against
-the assembled matrix.
+the assembled matrix.  A ring is held as its diagonal and one hop; its
+shift-invert operator is an O(M) LAPACK LDL^T solve of the open chain plus
+a Sherman-Morrison term for the closing hop.  With a constant potential
+and n_phi | N1, ring r is ring 0 moved by r*N1/n_phi sites (a magnetic
+translation, Zak, Phys. Rev. 134, 1964), so only ring 0 is solved.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import NumericalError, ResourceLimitError, ValidationError
 from .landau import LadderField
@@ -101,28 +106,34 @@ class MagneticOperator:
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
+        """CSR with 5 stored entries a row, columns sorted, the diagonal
+        always stored."""
         n1, n2 = self.setup.N
         h1, h2 = self.setup.spacing
         dim = n1 * n2
-        idx = np.arange(dim).reshape(n1, n2)
-        rows, cols, vals = [], [], []
-
-        def add_hops(target, phases, weight):
-            rows.append(idx.ravel())
-            cols.append(target.ravel())
-            vals.append(-phases.ravel() * weight)
-
-        add_hops(np.roll(idx, -1, axis=0), self.u1, 1.0 / h1**2)
-        add_hops(np.roll(idx, -1, axis=1), self.u2, 1.0 / h2**2)
-        a = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dim, dim),
-        )
+        idx = np.arange(dim, dtype=np.int32 if 5 * dim < 2**31 else np.int64).reshape(n1, n2)
+        hop1 = -self.u1 * (1.0 / h1**2)  # (i, j) -> (i+1, j)
+        hop2 = -self.u2 * (1.0 / h2**2)  # (i, j) -> (i, j+1)
         d = np.full(dim, 2.0 / h1**2 + 2.0 / h2**2)
         if self.diag is not None:
             d = d + self.diag.ravel()
-        h = a + a.conj().T + sp.diags(d)
-        return h.tocsr()
+        # row (i, j): the hops in from (i-1, j) and (i, j-1), the diagonal,
+        # the hops out to (i, j+1) and (i+1, j)
+        cols = np.empty((n1, n2, 5), dtype=idx.dtype)
+        vals = np.empty((n1, n2, 5), dtype=complex)
+        for k, (col, val) in enumerate([
+                (np.roll(idx, 1, axis=0), np.roll(hop1.conj(), 1, axis=0)),
+                (np.roll(idx, 1, axis=1), np.roll(hop2.conj(), 1, axis=1)),
+                (idx, d.reshape(n1, n2)),
+                (np.roll(idx, -1, axis=1), hop2),
+                (np.roll(idx, -1, axis=0), hop1)]):
+            cols[..., k] = col
+            vals[..., k] = val
+        vals += 0.0  # -0.0 parts become +0.0, as in a sparse sum
+        indptr = np.arange(0, 5 * dim + 1, 5, dtype=idx.dtype)
+        h = sp.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(dim, dim))
+        h.sort_indices()
+        return h
 
 
 def assemble(setup: TorusSetup, potential: Optional[np.ndarray] = None) -> MagneticOperator:
@@ -177,8 +188,8 @@ def dense_matrix(op: MagneticOperator) -> np.ndarray:
     return op.matrix.toarray()
 
 
-def _ring_matrix(setup: TorusSetup, modes: np.ndarray, v1: np.ndarray) -> sp.csc_matrix:
-    """Real symmetric periodic tridiagonal Harper chain of one ring.
+def _ring_diagonal(setup: TorusSetup, modes: np.ndarray, v1: np.ndarray) -> np.ndarray:
+    """Diagonal of one ring, a real symmetric periodic tridiagonal Harper chain.
 
     Site p = t*N1 + i is (i, modes[t]); every hop, the ones across the seam
     and the one closing the ring included, is -1/h1^2, and the diagonal is
@@ -189,30 +200,104 @@ def _ring_matrix(setup: TorusSetup, modes: np.ndarray, v1: np.ndarray) -> sp.csc
     phi = setup.B * h1 * h2
     d = (2.0 / h1**2 + 2.0 / h2**2 + v1[None, :]
          - (2.0 / h2**2) * np.cos(TWO_PI * modes[:, None] / n2 - phi * np.arange(n1)[None, :]))
+    return d.ravel()
+
+
+def _ring_apply(d: np.ndarray, hop: float, x: np.ndarray) -> np.ndarray:
+    """The ring with diagonal d and hop `hop` times the columns of x."""
+    x = x.reshape(d.size, -1)
+    return d[:, None] * x + hop * (np.roll(x, 1, axis=0) + np.roll(x, -1, axis=0))
+
+
+# The Sherman-Morrison term divides by its denominator and so amplifies the
+# rounding of the chain solve by its inverse.  The CLI's rings measure
+# 0.03 - 0.13; a ring of length M at n_phi = 0 about 2/M.
+SM_DENOMINATOR_MIN = 1e-8
+
+
+def _ring_shift_invert(d: np.ndarray, hop: float, sigma: float) -> spla.LinearOperator:
+    """(A - sigma)^-1 of the ring A with diagonal d and hop `hop`, in O(M).
+
+    A - sigma = (T - sigma) - |hop| u u^T with u = e_0 + e_(M-1), where T is
+    the open chain with |hop| added to both end sites.  T >= A, so T - sigma
+    is positive definite for sigma below the spectrum: LAPACK's dpttrf
+    factors it once, and each apply is one dpttrs plus the Sherman-Morrison
+    term along z = (T - sigma)^-1 u.  NumericalError when the factorization or the
+    denominator 1 - |hop| u^T z says sigma is not safely below the spectrum.
+    """
     m = d.size
-    hop = np.full(m - 1, -1.0 / h1**2)
-    return sp.diags([d.ravel(), hop, hop, hop[:1], hop[:1]], [0, 1, -1, m - 1, 1 - m],
-                    format="csc")
+    t = d - sigma
+    t[[0, -1]] -= hop
+    tf, ef, info = dpttrf(t, np.full(m - 1, hop))
+    if info:
+        raise NumericalError(f"ring shift {sigma:.6g} is not below the spectrum "
+                             f"(dpttrf info {info})")
+    u = np.zeros(m)
+    u[[0, -1]] = 1.0
+    z, _ = dpttrs(tf, ef, u)
+    denominator = 1.0 + hop * (z[0] + z[-1])
+    if not denominator > SM_DENOMINATOR_MIN:
+        raise NumericalError(f"ring shift {sigma:.6g}: Sherman-Morrison denominator "
+                             f"{denominator:.2e} not above {SM_DENOMINATOR_MIN:.0e}")
+    w = z * (-hop / denominator)
+
+    def solve(x):
+        y, _ = dpttrs(tf, ef, x.ravel())
+        return y + (y[0] + y[-1]) * w
+
+    return spla.LinearOperator((m, m), matvec=solve, dtype=float)
 
 
-def _solve_ring(a: sp.csc_matrix, k: int, dense_threshold: int, sigma: float,
+# Relative margin inside which two peak magnitudes tie for the sign choice:
+# far above the solvers' disagreement, far below a smooth peak's curvature.
+SIGN_TIE = 1e-6
+
+
+def _solve_ring(d: np.ndarray, hop: float, k: int, dense_threshold: int, sigma: float,
                 seed: int) -> tuple:
     """Lowest min(k, M) eigenpairs of one ring: shift-invert ARPACK, or a
-    subset `eigh` when M <= dense_threshold or k passes ARPACK's cap."""
-    m = a.shape[0]
+    subset `eigh` when M <= dense_threshold or k passes ARPACK's cap.  Each
+    vector is signed so that its largest-magnitude entry is positive; where
+    magnitudes tie to within SIGN_TIE, the first of them."""
+    m = d.size
     if m <= dense_threshold or k > m - 2:
         _refuse_dense(m, 8)
-        return scipy.linalg.eigh(a.toarray(), subset_by_index=(0, min(k, m) - 1))
-    try:
-        _, vecs = spla.eigsh(a, k=k, sigma=sigma, which="LM", maxiter=10000,
-                             v0=np.random.default_rng(seed).standard_normal(m))
-    except spla.ArpackNoConvergence as exc:
-        raise NumericalError(f"eigensolver did not converge: {exc}") from exc
-    # shift-invert ARPACK can lose orthogonality inside near-degenerate
-    # clusters: re-orthonormalize and Rayleigh-Ritz on the block
-    q, _ = np.linalg.qr(vecs)
-    evals, rot = np.linalg.eigh(q.T @ (a @ q))
-    return evals, q @ rot
+        a = np.diag(d)
+        i = np.arange(m)
+        a[i, i - 1] = a[i - 1, i] = hop
+        evals, vecs = scipy.linalg.eigh(a, subset_by_index=(0, min(k, m) - 1))
+    else:
+        a = spla.LinearOperator((m, m), matvec=lambda x: _ring_apply(d, hop, x), dtype=float)
+        try:
+            _, vecs = spla.eigsh(a, k=k, sigma=sigma, which="LM", maxiter=10000,
+                                 v0=np.random.default_rng(seed).standard_normal(m),
+                                 OPinv=_ring_shift_invert(d, hop, sigma))
+        except spla.ArpackNoConvergence as exc:
+            raise NumericalError(f"eigensolver did not converge: {exc}") from exc
+        # shift-invert ARPACK can lose orthogonality inside near-degenerate
+        # clusters: re-orthonormalize and Rayleigh-Ritz on the block
+        q, _ = np.linalg.qr(vecs)
+        evals, rot = np.linalg.eigh(q.T @ _ring_apply(d, hop, q))
+        vecs = q @ rot
+    # a reflection-symmetric ring ties +x and -x at the peak, so the first
+    # entry within SIGN_TIE of the largest magnitude carries the sign
+    mag = np.abs(vecs)
+    peak = np.argmax(mag >= (1.0 - SIGN_TIE) * mag.max(axis=0), axis=0)
+    return evals, vecs * np.copysign(1.0, vecs[peak, np.arange(vecs.shape[1])])
+
+
+def _translation_shifts(setup: TorusSetup, v1: np.ndarray, g: int) -> Optional[list]:
+    """Sites s_r by which ring r is ring 0 moved, or None.
+
+    The cosine term of ring r's diagonal at site p is ring 0's at
+    p - r*N1/n_phi, while v1 stays at p mod N1; so with a constant potential
+    and n_phi | N1 every ring is a magnetic translate of ring 0 (Zak,
+    Phys. Rev. 134, 1964) and has its spectrum.
+    """
+    n1, n_phi = setup.N[0], setup.n_phi
+    if g < 2 or n_phi == 0 or n1 % n_phi or np.any(v1 != v1[0]):
+        return None
+    return [r * n1 // n_phi for r in range(g)]
 
 
 def eigensolve(op: MagneticOperator, energy: Optional[float] = None,
@@ -223,20 +308,28 @@ def eigensolve(op: MagneticOperator, energy: Optional[float] = None,
     Solved on the Fourier rings of `assemble`'s Landau gauge, so the
     operator's potential may vary along x1 only (ValidationError otherwise).
     The x2-Fourier transform splits H into g = gcd(n_phi, N2) decoupled
-    rings of length M = N1*N2/g (`_ring_matrix`); each ring is solved by
-    real shift-invert ARPACK with a start vector drawn from `seed` and a
-    shift B/2 + (2 pi/max(L1, L2))^2/2 below the potential minimum, or by
-    LAPACK `eigh` of the requested subset when M <= `dense_threshold` or
-    the request passes ARPACK's cap of M - 2 pairs (above DENSE_DIM_CAP
-    that raises ResourceLimitError).  Each ring's first block holds
+    rings of length M = N1*N2/g (`_ring_diagonal`, one hop -1/h1^2).  Each
+    ring is solved by real shift-invert ARPACK with a start vector drawn
+    from `seed` and a shift sigma = B/2 + (2 pi/max(L1, L2))^2/2 below the
+    potential minimum, whose (A - sigma)^-1 is an O(M) LAPACK LDL^T solve
+    of the open chain plus a Sherman-Morrison term for the two corner hops
+    (`_ring_shift_invert`); or by LAPACK `eigh` of the requested subset
+    when M <= `dense_threshold` or the request passes ARPACK's cap of M - 2
+    pairs (above DENSE_DIM_CAP that raises ResourceLimitError).  When the
+    potential is constant and n_phi divides N1, ring r is ring 0 moved by
+    r*N1/n_phi sites, so ring 0 alone is solved and its vectors are rolled
+    (`_translation_shifts`).  Each ring's first block holds
     (n_phi/g)*(levels + 1) pairs, at least 2, where `levels` counts the
     Landau levels (2n+1)B below the cutoff (or the levels `count` spans);
     a ring whose block ends at or below the cutoff doubles its block until
-    it passes it or holds the whole ring.  The kept ring vectors go back to
-    the grid by one inverse FFT along x2, so inside a degenerate level the
-    basis is the ring basis.  Every returned pair has relative residual at
-    most 1e-8 against `op.matrix` (NumericalError otherwise), so an operator
-    whose link phases are not `assemble`'s is refused, not mis-solved.
+    it passes it or holds the whole ring.  Each ring vector is signed so
+    that its largest-magnitude entry (the first, on a tie to SIGN_TIE) is
+    positive, whichever solver found it; exactly equal eigenvalues keep
+    ring order; and the kept vectors go back to the grid by one inverse FFT
+    along x2, so inside a degenerate level the basis is the ring basis.
+    Every returned pair has relative residual at most 1e-8 against
+    `op.matrix` (NumericalError otherwise), so an operator whose link
+    phases are not `assemble`'s is refused, not mis-solved.
     """
     if (energy is None) == (count is None):
         raise ValidationError("give exactly one of energy= or count=")
@@ -268,12 +361,16 @@ def eigensolve(op: MagneticOperator, energy: Optional[float] = None,
         levels = ((energy - v1.min()) / setup.B + 1) // 2 if n_phi else 0
     blocks = [int(min(m, max(2, n_phi // g * (max(levels, 0) + 1))))] * g
     sigma = v1.min() - 0.5 * (setup.B + (TWO_PI / max(setup.L)) ** 2)
-    rings = [_ring_matrix(setup, modes[r], v1) for r in range(g)]
+    hop = -1.0 / h1**2
+    shifts = _translation_shifts(setup, v1, g)
+    rings = [_ring_diagonal(setup, modes[r], v1) for r in range(1 if shifts else g)]
     solved = [None] * g
     todo = range(g)
     while todo:
-        for r in todo:
-            solved[r] = _solve_ring(rings[r], blocks[r], dense_threshold, sigma, seed)
+        for r in todo:  # ascending, so ring 0 is solved before its translates
+            solved[r] = (_solve_ring(rings[r], hop, blocks[r], dense_threshold, sigma, seed)
+                         if r == 0 or not shifts else
+                         (solved[0][0], np.roll(solved[0][1], shifts[r], axis=0)))
         evals = np.concatenate([s[0] for s in solved])
         cut = energy
         if count is not None:

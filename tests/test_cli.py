@@ -12,7 +12,7 @@ import pytest
 
 from magbern import disorder, geometry, inequality, landau
 from magbern.cli import main, parse_config, parse_energy, read_keyvalue_file
-from magbern.errors import ValidationError
+from magbern.errors import NumericalError, ValidationError
 from magbern.geometry import SetMask
 from util_fields import write_pbm
 
@@ -232,6 +232,39 @@ def test_specineq_draws_no_verdict_from_a_non_finite_constant(tmp_path, capsys,
     assert "non-finite result nan" in err and "falsified" not in err
     assert "pass" not in out
     assert not (tmp_path / "specineq.csv").exists()
+
+
+@pytest.mark.parametrize("poison", [None, float("nan"), complex(0.0, float("inf"))])
+def test_trajectory_rows_are_the_per_cell_rows(tmp_path, capsys, monkeypatch, poison):
+    from magbern import control
+    from magbern.cli import _row
+
+    real = control.state_trajectory
+    seen = []
+
+    def trajectory(problem, result):
+        times, states = real(problem, result)
+        if poison is not None:
+            states[5, 1] = poison
+        seen.append((times, states))
+        return times, states
+
+    def per_cell(t, u):  # a row as `_row` writes it, one cell at a time
+        return _row(t, *np.column_stack([u.real, u.imag]).ravel())
+
+    monkeypatch.setattr(control, "state_trajectory", trajectory)
+    code = main(["control", "--mask", STRIPS, "--T", "0.5", "--out", str(tmp_path)])
+    (times, states), = seen
+    if poison is None:
+        assert code == 0
+        lines = (tmp_path / "trajectory_0.csv").read_text().splitlines()
+        assert lines[1:] == [per_cell(t, u) for t, u in zip(times, states)]
+    else:
+        assert code == 3
+        with pytest.raises(NumericalError) as want:
+            per_cell(times[5], states[5])
+        assert f"magbern: error: {want.value}" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory_0.csv").exists()
 
 
 def test_control_command(tmp_path):
@@ -484,6 +517,22 @@ def test_non_positive_box_side_exits_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert "box sides must be positive" in capsys.readouterr().err
     assert not (tmp_path / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["specineq", "control"])
+def test_mask_grid_other_than_n_exits_2_before_the_solve(tmp_path, capsys, monkeypatch,
+                                                          command):
+    from magbern import lattice
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve ran before the mask grid was checked")
+
+    monkeypatch.setattr(lattice, "eigensolve", no_solve)
+    out = tmp_path / "out"
+    # STRIPS is a 32 x 32 mask
+    assert main([command, "--mask", STRIPS, "--N", "80,80", "--out", str(out)]) == 2
+    assert "mask grid does not match --N" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_negative_bernstein_tol_exits_2(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Discretized torus Landau operator: flux, spectra, magnetic translations."""
 
+import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +57,55 @@ def oracle_eigensolve(op, energy=None, count=None, dense_threshold=255, seed=0):
         evals, evecs = evals[keep], evecs[:, keep]
     cutoff = energy if energy is not None else evals[-1]
     return SpectralSubspace(setup, evals, evecs / np.sqrt(h1 * h2), float(cutoff))
+
+
+def sparse_sum_matrix(op):
+    """The construction `MagneticOperator.matrix` replaced: COO hops to CSR,
+    then a + a^H + diag."""
+    n1, n2 = op.setup.N
+    h1, h2 = op.setup.spacing
+    dim = n1 * n2
+    idx = np.arange(dim).reshape(n1, n2)
+    rows, cols, vals = [], [], []
+    for target, phases, weight in [(np.roll(idx, -1, axis=0), op.u1, 1.0 / h1**2),
+                                   (np.roll(idx, -1, axis=1), op.u2, 1.0 / h2**2)]:
+        rows.append(idx.ravel())
+        cols.append(target.ravel())
+        vals.append(-phases.ravel() * weight)
+    a = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
+    )
+    d = np.full(dim, 2.0 / h1**2 + 2.0 / h2**2)
+    if op.diag is not None:
+        d = d + op.diag.ravel()
+    return (a + a.conj().T + sp.diags(d)).tocsr()
+
+
+def ring_setup(setup, potential=None):
+    """(rings' modes, v1, sigma) as `eigensolve` forms them."""
+    n1, n2 = setup.N
+    n_phi = setup.n_phi
+    g = math.gcd(n_phi, n2)
+    modes = (np.arange(g)[:, None] - n_phi * np.arange(n2 // g)[None, :]) % n2
+    v1 = np.zeros(n1) if potential is None else potential
+    sigma = v1.min() - 0.5 * (setup.B + (2 * np.pi / max(setup.L)) ** 2)
+    return modes, v1, sigma
+
+
+def ring_matrix(setup, modes, v1):
+    """The CSC ring that the SuperLU shift-invert factored: periodic
+    tridiagonal, every hop -1/h1^2, on the diagonal of `_ring_diagonal`."""
+    n1, n2 = setup.N
+    h1, h2 = setup.spacing
+    phi = setup.B * h1 * h2
+    d = (2.0 / h1**2 + 2.0 / h2**2 + v1[None, :]
+         - (2.0 / h2**2) * np.cos(2 * np.pi * modes[:, None] / n2
+                                  - phi * np.arange(n1)[None, :]))
+    m = d.size
+    hop = np.full(m - 1, -1.0 / h1**2)
+    return sp.diags([d.ravel(), hop, hop, hop[:1], hop[:1]], [0, 1, -1, m - 1, 1 - m],
+                    format="csc")
 
 
 def projector_gap(a, b):
@@ -251,6 +303,161 @@ def test_ring_solve_matches_the_2d_oracle(n_phi, n1, n2, sides, amplitude, posit
     assert ring.dim == oracle.dim == cut
     assert np.max(np.abs(ring.eigenvalues - oracle.eigenvalues)) <= 1e-9
     assert projector_gap(ring, oracle) <= 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n1=st.integers(4, 30),
+    n2=st.integers(4, 30),
+    n_phi=st.integers(0, 6),
+    sides=st.tuples(st.sampled_from([3.0, 4.0, 5.5, 8.0]), st.sampled_from([3.0, 4.0, 8.0])),
+    with_potential=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_matrix_is_the_sparse_sum_bit_for_bit(n1, n2, n_phi, sides, with_potential, seed):
+    setup = TorusSetup.from_flux(n_phi, sides, (n1, n2))
+    potential = (np.random.default_rng(seed).uniform(-3.0, 3.0, setup.N)
+                 if with_potential else None)
+    op = assemble(setup, potential=potential)
+    got, want = op.matrix, sparse_sum_matrix(op)
+    assert got.indptr.dtype == want.indptr.dtype and got.indices.dtype == want.indices.dtype
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()  # signed zeros included
+    assert np.array_equal(got.indptr, np.arange(0, 5 * setup.dim + 1, 5))
+
+
+def test_matrix_stores_a_vanishing_diagonal():
+    # the sparse sum dropped an on-site entry that cancels to 0; the direct
+    # CSR keeps 5 entries a row, which Wegner's in-place diagonal relies on
+    setup = TorusSetup.from_flux(1, (4.0, 4.0), (8, 8))
+    h1, h2 = setup.spacing
+    potential = np.zeros(setup.N)
+    potential[2, 3] = -(2.0 / h1**2 + 2.0 / h2**2)
+    m = assemble(setup, potential=potential).matrix
+    row = 2 * 8 + 3
+    assert m.indptr[row + 1] - m.indptr[row] == 5
+    assert row in m.indices[m.indptr[row]:m.indptr[row + 1]]
+    assert m[row, row] == 0
+
+
+@pytest.mark.parametrize("m", [5, 6, 17, 64, 255, 1000, 4096])
+def test_shift_invert_matches_superlu_on_the_ring(m):
+    # at n_phi = 0 there are N2 rings of length N1
+    rng = rng_stream(60 + m)
+    setup = TorusSetup.from_flux(0, (float(rng.uniform(2.0, 9.0)), 4.0), (m, 4))
+    v1 = rng.uniform(-2.0, 2.0, m)
+    modes, v1, sigma = ring_setup(setup, v1)
+    hop = -1.0 / setup.spacing[0] ** 2
+    x = rng.standard_normal((m, 3))
+    for ring in modes:
+        csc = ring_matrix(setup, ring, v1)
+        d = lattice._ring_diagonal(setup, ring, v1)
+        assert np.array_equal(d, csc.diagonal())
+        assert np.allclose(lattice._ring_apply(d, hop, x), csc @ x, rtol=0, atol=1e-12 * abs(hop))
+        want = spla.splu(csc - sigma * sp.identity(m, format="csc")).solve(x)
+        op = lattice._ring_shift_invert(d, hop, sigma)
+        got = np.column_stack([op.matvec(col) for col in x.T])
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_shift_invert_refuses_a_shift_inside_the_spectrum():
+    setup = TorusSetup.from_flux(2, (4.0, 4.0), (16, 16))
+    modes, v1, _sigma = ring_setup(setup)
+    d = lattice._ring_diagonal(setup, modes[0], v1)
+    hop = -1.0 / setup.spacing[0] ** 2
+    lowest = scipy.linalg.eigvalsh(ring_matrix(setup, modes[0], v1).toarray())[0]
+    # the open chain is still positive definite just above the lowest eigenvalue:
+    # only the Sherman-Morrison denominator sees the shift
+    with pytest.raises(NumericalError, match="Sherman-Morrison denominator"):
+        lattice._ring_shift_invert(d, hop, lowest + 1e-3)
+    with pytest.raises(NumericalError, match="not below the spectrum"):
+        lattice._ring_shift_invert(d, hop, float(d.max()) + 4.0 * abs(hop))
+
+
+@pytest.mark.parametrize("dense_threshold", [0, 10**4])
+def test_ring_vectors_have_a_positive_peak(dense_threshold):
+    setup = TorusSetup.from_flux(3, (6.0, 6.0), (24, 24))
+    modes, v1, sigma = ring_setup(setup)
+    d = lattice._ring_diagonal(setup, modes[0], v1)
+    evals, vecs = lattice._solve_ring(d, -1.0 / setup.spacing[0] ** 2, 6, dense_threshold,
+                                      sigma, seed=5)
+    mag = np.abs(vecs)
+    top = np.sort(mag, axis=0)
+    tied = top[-2] >= (1 - lattice.SIGN_TIE) * top[-1]
+    assert tied.any() and not tied.all()  # odd vectors tie +x and -x at the peak
+    cols = np.arange(vecs.shape[1])
+    assert np.all(vecs[mag.argmax(axis=0), cols][~tied] > 0)
+    first = np.argmax(mag >= (1 - lattice.SIGN_TIE) * top[-1], axis=0)
+    assert np.all(vecs[first, cols] > 0)
+    if dense_threshold == 0:  # the same vectors from the other solver
+        dense = lattice._solve_ring(d, -1.0 / setup.spacing[0] ** 2, 6, 10**4, sigma, seed=5)
+        assert np.allclose(evals, dense[0], atol=1e-10)
+        assert np.allclose(vecs, dense[1], atol=1e-8)
+
+
+def count_ring_solves(op, **solve):
+    with mock.patch.object(lattice, "_solve_ring", wraps=lattice._solve_ring) as spy:
+        sub = eigensolve(op, **solve)
+    return sub, spy.call_count
+
+
+@pytest.mark.parametrize("n", [32, 48, 80])
+@pytest.mark.parametrize("by_energy", [True, False])
+def test_bench_grids_solve_one_ring(n, by_energy):
+    # specineq cuts at 1.001 * 3B, control keeps n_phi * clusters = 4 pairs;
+    # with n_phi = 2 both rings are translates, and the first block suffices
+    setup = TorusSetup.from_flux(2, (8.0, 8.0), (n, n))
+    solve = {"energy": 1.001 * 3 * setup.B} if by_energy else {"count": 4}
+    sub, calls = count_ring_solves(assemble(setup), seed=1, **solve)
+    assert calls == 1
+    assert sub.dim == 4
+
+
+@st.composite
+def translation_cases(draw):
+    n_phi = draw(st.integers(1, 6))
+    # about half the sides are multiples of n_phi: in N2 for more than one
+    # ring, in N1 for rings that are translates
+    side = st.one_of(st.integers(8, 40),
+                     st.integers(-(-8 // n_phi), 40 // n_phi).map(lambda q: q * n_phi))
+    n1, n2 = draw(side), draw(side)
+    sides = draw(st.tuples(st.sampled_from([3.0, 4.0, 6.0]), st.sampled_from([3.0, 4.0, 6.0])))
+    potential = draw(st.sampled_from(["none", "constant", "varying"]))
+    return n_phi, n1, n2, sides, potential, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=translation_cases(), position=st.floats(0.0, 1.0),
+       dense_threshold=st.sampled_from([0, 255]))
+def test_translation_reuse_matches_solving_every_ring(case, position, dense_threshold):
+    n_phi, n1, n2, sides, potential, seed = case
+    setup = TorusSetup.from_flux(n_phi, sides, (n1, n2))
+    v1 = {"none": np.zeros(n1), "constant": np.full(n1, 0.7),
+          "varying": np.random.default_rng(seed).uniform(-1.0, 1.0, n1)}[potential]
+    op = assemble(setup, potential=np.repeat(v1[:, None], n2, axis=1))
+    g = math.gcd(n_phi, n2)
+    reuse = g > 1 and n1 % n_phi == 0 and potential != "varying"
+    with mock.patch.object(lattice, "_translation_shifts", return_value=None):
+        ev = eigensolve(op, count=min(3 * n_phi + 2, setup.dim),
+                        dense_threshold=dense_threshold, seed=seed).eigenvalues
+    # cut in the first gap of at least 0.05 from the drawn position on
+    cuts = [c for c in range(max(1, int(position * ev.size)), ev.size)
+            if ev[c] - ev[c - 1] >= 0.05]
+    if not cuts:
+        return
+    energy = 0.5 * (ev[cuts[0] - 1] + ev[cuts[0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # cutoffs above the trusted band
+        with mock.patch.object(lattice, "_translation_shifts", return_value=None):
+            every, every_calls = count_ring_solves(op, energy=energy,
+                                                   dense_threshold=dense_threshold, seed=seed)
+        fast, fast_calls = count_ring_solves(op, energy=energy,
+                                             dense_threshold=dense_threshold, seed=seed)
+    assert fast_calls == (every_calls // g if reuse else every_calls)
+    assert fast.dim == every.dim == cuts[0]
+    assert np.max(np.abs(fast.eigenvalues - every.eigenvalues)) <= 1e-10
+    assert projector_gap(fast, every) <= 1e-10
 
 
 @pytest.mark.parametrize("count", [0, -1])
