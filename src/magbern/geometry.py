@@ -217,10 +217,12 @@ def classify_good_bad(f: GridField, covering: Covering, E: float,
         stacklevel=2,
     )
     words = word_fields(f, m_max)
-    deriv_prefix = {}
-    for m in range(1, m_max + 1):
-        for alpha in product((1, 2), repeat=m):
-            deriv_prefix[alpha] = _prefix(np.abs(mod2_derivative_word(words, alpha).real))
+    # d^alpha |f|^2 depends only on the multi-index (a, m-a) of alpha, so one
+    # sorted word 1^a 2^(m-a) stands for all C(m, a) words of that index
+    deriv_prefix = [
+        (m, _prefix(np.abs(mod2_derivative_word(words, (1,) * a + (2,) * (m - a)))))
+        for m in range(1, m_max + 1) for a in range(m + 1)
+    ]
     mass_prefix = _prefix(np.abs(f.samples) ** 2)
     area = f.cell_area
     thresholds = {
@@ -231,15 +233,8 @@ def classify_good_bad(f: GridField, covering: Covering, E: float,
     for a1, a2 in covering.anchors:
         i0, i1, j0, j1 = f.rect_indices((a1, a2), covering.ell)
         mass = _box_sum(mass_prefix, i0, i1, j0, j1) * area
-        good = True
-        for m in range(1, m_max + 1):
-            bound = thresholds[m] * mass
-            for alpha in product((1, 2), repeat=m):
-                if _box_sum(deriv_prefix[alpha], i0, i1, j0, j1) * area > bound:
-                    good = False
-                    break
-            if not good:
-                break
+        good = not any(_box_sum(p, i0, i1, j0, j1) * area > thresholds[m] * mass
+                       for m, p in deriv_prefix)
         labels.append(RectangleLabel(anchor=(a1, a2), good=good, mass=mass))
     return labels
 

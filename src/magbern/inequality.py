@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -109,17 +110,44 @@ def remez_bound(n: int, measure: float) -> float:
     return (4.0 / measure) ** n
 
 
+def _abs_polyval(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """|P(x)| by Horner's rule in place: the products and sums of np.polyval."""
+    y = np.full(x.shape, c[0], dtype=complex)
+    for cv in c[1:]:
+        y *= x
+        y += cv
+    return np.abs(y)
+
+
+def _linspaces(lo: np.ndarray, hi: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The grids np.linspace(lo[i], hi[i], n[i]) for n[i] >= 2, concatenated,
+    built in one pass with np.linspace's arithmetic: lo + k*step, the last
+    point hi."""
+    ends = np.cumsum(n)
+    k = np.arange(ends[-1], dtype=float) - np.repeat(ends - n, n)
+    step = (hi - lo) / (n - 1)
+    tiny = (step == 0) & (hi != lo)  # subnormal width: np.linspace divides k first
+    if tiny.any():
+        k /= np.repeat(np.where(tiny, n - 1, 1), n)
+        step = np.where(tiny, hi - lo, step)
+    grid = k * np.repeat(step, n) + np.repeat(lo, n)
+    grid[ends - 1] = hi
+    return grid
+
+
 def _grid_sups(coeffs, intervals, n_grids) -> np.ndarray:
-    """Sup of |P| on each [lo, hi] of `intervals`, over n_grid points of it
-    (endpoints included) and the critical points of |P|^2 that fall in it.
+    """Sup of |P| on each [lo, hi] of `intervals`, over n_grid >= 2 points of
+    it (endpoints included) and the critical points of |P|^2 that fall in it.
 
     |P(t)|^2 is a real polynomial of degree 2n on the real line, so the sup is
     reached at an endpoint or at a real root of its derivative.  The roots are
     solved once for all intervals: their real parts, each also after one
     Newton step, are the critical points.  Every candidate lies in its
     interval, so no result exceeds the sup beyond rounding; the grid is a
-    floor should a root be lost.  All candidates go through one evaluation of
-    |P|, and each interval's segment is reduced to its max.
+    floor should a root be lost.  All grids are built in one pass
+    (`_linspaces`) and go through one evaluation of |P|, reduced to each
+    interval's max; the critical points in some interval are evaluated once
+    and merged into the maxima of the intervals that hold them.
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     dq = np.polyder(np.convolve(c, c.conj()).real)
@@ -130,12 +158,17 @@ def _grid_sups(coeffs, intervals, n_grids) -> np.ndarray:
     with np.errstate(all="ignore"):
         polished = roots - np.polyval(dq, roots) / np.polyval(np.polyder(dq), roots)
     crit = np.concatenate((roots, polished))
-    pieces, starts, size = [], [], 0
-    for (lo, hi), n_grid in zip(intervals, n_grids):
-        starts.append(size)
-        pieces += [np.linspace(lo, hi, n_grid), crit[(crit >= lo) & (crit <= hi)]]
-        size += n_grid + pieces[-1].size
-    return np.maximum.reduceat(np.abs(np.polyval(c, np.concatenate(pieces))), starts)
+    lo, hi = np.asarray(intervals, dtype=float).reshape(-1, 2).T
+    n = np.asarray(n_grids)
+    starts = np.cumsum(n) - n
+    grid = _linspaces(lo, hi, n)
+    sups = np.maximum.reduceat(_abs_polyval(c, grid), starts)
+    inside = (crit >= lo[:, None]) & (crit <= hi[:, None])
+    hit = inside.any(axis=0)
+    if hit.any():
+        at_crit = np.where(inside[:, hit], _abs_polyval(c, crit[hit]), -np.inf)
+        sups = np.maximum(sups, at_crit.max(axis=1))
+    return sups
 
 
 def sup_abs_on_interval(coeffs, lo: float, hi: float, n_grid: int = 10**4) -> float:
@@ -190,6 +223,15 @@ class AnalyticSample:
         return complex(self.coeffs[-1]) if self.coeffs else 0.0
 
 
+@lru_cache(maxsize=4)
+def _circle_points(n_circle: int) -> np.ndarray:
+    """n_circle equispaced points of |z| = 4 (read-only: the array is shared)."""
+    theta = np.linspace(0.0, 2.0 * np.pi, n_circle, endpoint=False)
+    z = 4.0 * np.exp(1j * theta)
+    z.flags.writeable = False
+    return z
+
+
 def kovrijkine_check(phi: AnalyticSample, intervals, n_circle: int = 4096) -> bool:
     """sup_[0,1]|phi| <= (12/|E|)^(2 log2 M) sup_E|phi| with M from |z| = 4.
 
@@ -203,8 +245,7 @@ def kovrijkine_check(phi: AnalyticSample, intervals, n_circle: int = 4096) -> bo
     measure = _intervals_measure(intervals)
     if measure <= 0:
         raise ValidationError("E must have positive measure")
-    theta = np.linspace(0.0, 2.0 * np.pi, n_circle, endpoint=False)
-    m_phi = max(float(np.max(np.abs(phi(4.0 * np.exp(1j * theta))))),
+    m_phi = max(float(np.max(np.abs(phi(_circle_points(n_circle))))),
                 abs(phi.at_zero()), 1.0)
     sup01, *sup_e = sup_abs_on_intervals(phi.coeffs, [(0.0, 1.0), *intervals]).tolist()
     bound = (12.0 / measure) ** (2.0 * math.log(m_phi) / LN2)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import product
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -138,27 +138,19 @@ class LadderField:
         x2 = np.asarray(x2, dtype=cast)
         total = np.zeros(np.broadcast(x1, x2).shape, dtype=complex)
         sgn = 1.0 if not conjugate_branch else -1.0
-        for (y1, y2), raw in self.terms.items():
+        for y, raw in self.terms.items():
             ks = raw if not conjugate_branch else {k: np.conj(c) for k, c in raw.items()}
-            u1 = x1 - y1
-            u2 = x2 - y2
-            w = u1 - sgn * 1j * u2
-            envelope = np.exp(
-                -(self.B / 4.0) * (u1 * u1 + u2 * u2)
-                - sgn * 1j * (self.B / 2.0) * (x1 * y2 - x2 * y1)
-            )
-            # Horner over possibly sparse exponents
-            poly = None
-            last = None
-            for k in sorted(ks, reverse=True):
-                if poly is None:
-                    poly = np.full(total.shape, ks[k], dtype=complex)
-                else:
-                    poly = poly * w ** (last - k) + ks[k]
-                last = k
-            if last:
-                poly = poly * w**last
-            total += envelope * poly
+            a, b = _envelope_factors(self.B, y, x1, x2, sgn)
+            # Horner over possibly sparse exponents, from a scalar leading term
+            levels = sorted(ks, reverse=True)
+            poly = ks[levels[0]]
+            if levels[0]:
+                w = (x1 - y[0]) - sgn * 1j * (x2 - y[1])
+                for hi, lo in zip(levels, levels[1:]):
+                    poly = poly * w ** (hi - lo) + ks[lo]
+                if levels[-1]:
+                    poly = poly * w ** levels[-1]
+            total += (a * poly) * b
         return total
 
 
@@ -243,11 +235,12 @@ def sample_ladder(lf: LadderField, spec: QuadratureSpec = QuadratureSpec(),
     return GridField(lf.eval(x1, x2), grid.origin, grid.spacing, ladder=lf)
 
 
-def _envelope_factors(B: float, y, x1, x2):
-    """Row and column factors of the envelope of centre y on grid axes:
-    exp(-(B/4)|x-y|^2 - i(B/2)(x1 y2 - x2 y1)) = a(x1) b(x2)."""
-    a = np.exp(-(B / 4.0) * (x1 - y[0]) ** 2 - 1j * (B / 2.0) * x1 * y[1])
-    b = np.exp(-(B / 4.0) * (x2 - y[1]) ** 2 + 1j * (B / 2.0) * x2 * y[0])
+def _envelope_factors(B: float, y, x1, x2, sgn: float = 1.0):
+    """Row and column factors of the envelope of centre y:
+    exp(-(B/4)|x-y|^2 - sgn i(B/2)(x1 y2 - x2 y1)) = a(x1) b(x2), with
+    sgn = -1 for the entire extension of its conjugate."""
+    a = np.exp(-(B / 4.0) * (x1 - y[0]) ** 2 - sgn * 1j * (B / 2.0) * x1 * y[1])
+    b = np.exp(-(B / 4.0) * (x2 - y[1]) ** 2 + sgn * 1j * (B / 2.0) * x2 * y[0])
     return a, b
 
 
@@ -298,7 +291,7 @@ def coherent_field(state: CoherentState,
 
 def norm2(f: GridField) -> float:
     """Squared L2 norm by the trapezoid rule (= cell sums for decaying f)."""
-    return float(np.sum(np.abs(f.samples) ** 2)) * f.cell_area
+    return float(np.vdot(f.samples, f.samples).real) * f.cell_area
 
 
 def inner(f: GridField, g: GridField) -> complex:
@@ -416,37 +409,49 @@ def mod2_derivative_word(words: dict, alpha: tuple):
     Uses the exact product identity
     d^alpha |f|^2 = (-i)^m sum_{beta <= alpha} (-1)^(m-|beta|)
                     (md^beta f) conj(md^(alpha\\beta) f),
-    where beta runs over subsequences of alpha.  The term of alpha\\beta is
-    (-1)^m conj(term of beta), so only the half of the subsequences that
-    leave out alpha's last letter are summed: with the (-i)^m folded in,
-    the value is (-1)^(m/2) 2 Re(sum) for even m and (-1)^((m-1)/2) 2 Im(sum)
-    for odd m.
+    where beta runs over subsequences of alpha.  Ordinary derivatives
+    commute, so alpha is first sorted to 1^a 2^b; its subsequences are then
+    the sorted words 1^i 2^j, each C(a, i) C(b, j) times.  The term of
+    (a-i, b-j) is (-1)^m conj(term of (i, j)), so only one of each such pair
+    is summed (a self-paired (a/2, b/2) at half weight): with the (-i)^m
+    folded in, the value is (-1)^(m/2) 2 Re(sum) for even m and
+    (-1)^((m-1)/2) 2 Im(sum) for odd m (m = 0 gives |f|^2 itself).
     """
     m = len(alpha)
-    if m == 0:
-        f = words[()].samples
-        return f.real * f.real + f.imag * f.imag
+    a = alpha.count(1)
+    b = m - a
     total = None
-    for mask in range(1 << (m - 1)):
-        sel = tuple(alpha[i] for i in range(m) if mask >> i & 1)
-        com = tuple(alpha[i] for i in range(m) if not mask >> i & 1)
-        term = words[sel].samples * np.conj(words[com].samples)
-        if (m - len(sel)) & 1:
-            term = -term
-        total = term if total is None else total + term
-    half = total.real if m % 2 == 0 else total.imag
-    return (2.0 if m % 4 < 2 else -2.0) * half
+    for i in range(a + 1):
+        for j in range(b + 1):
+            if (2 * i, 2 * j) > (a, b):
+                continue  # the conjugate partner (a-i, b-j) carries it
+            weight = comb(a, i) * comb(b, j) * (2.0 if m % 4 < 2 else -2.0)
+            if (2 * i, 2 * j) == (a, b):
+                weight *= 0.5
+            if (m - i - j) & 1:
+                weight = -weight
+            term = words[(1,) * i + (2,) * j].samples * np.conj(
+                words[(1,) * (a - i) + (2,) * (b - j)].samples)
+            term *= weight
+            if total is None:
+                total = term
+            else:
+                total += term
+    return total.real if m % 2 == 0 else total.imag
 
 
 def l1_bernstein_sum(words: dict, m: int) -> float:
     """Sum over all 2^m ordinary-derivative words of ||d^alpha |f|^2||_L1,
-    by the product identity over a `word_fields` table."""
+    by the product identity over a `word_fields` table.  The word depends
+    only on its multi-index (a, m-a), so the sum is over the m+1 sorted words
+    1^a 2^(m-a), each weighted by the C(m, a) words it stands for."""
     _check_depth(words, m)
     f = words[()]
     if m == 0:
         return norm2(f)
-    return sum(l1_norm(mod2_derivative_word(words, alpha).real, f.cell_area)
-               for alpha in product((1, 2), repeat=m))
+    return sum(comb(m, a) * l1_norm(mod2_derivative_word(words, (1,) * a + (2,) * (m - a)),
+                                    f.cell_area)
+               for a in range(m + 1))
 
 
 def f_m_quadratic_form(f: GridField, m: int) -> float:

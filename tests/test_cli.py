@@ -234,6 +234,36 @@ def test_specineq_draws_no_verdict_from_a_non_finite_constant(tmp_path, capsys,
     assert not (tmp_path / "specineq.csv").exists()
 
 
+def test_control_draws_no_verdict_from_a_non_finite_cost(tmp_path, capsys, monkeypatch):
+    from magbern import control
+
+    real = control.hum_control
+    monkeypatch.setattr(control, "hum_control",
+                        lambda problem: dataclasses.replace(real(problem), cost=float("nan")))
+    argv = ["control", "--mask", STRIPS, "--T", "0.5,1", "--out", str(tmp_path)]
+    assert main(argv) == 3
+    assert "non-finite result nan" in capsys.readouterr().err
+    assert not (tmp_path / "control.csv").exists()
+    assert not (tmp_path / "cost_vs_T.dat").exists()
+
+
+def test_wegner_draws_no_verdict_from_a_non_finite_mean(tmp_path, capsys, monkeypatch):
+    real = disorder.wegner_sweep
+
+    def nan_sweep(*args):
+        stats = real(*args)
+        mean = stats.mean.copy()
+        mean[-1, 0] = float("nan")
+        return dataclasses.replace(stats, mean=mean)
+
+    monkeypatch.setattr(disorder, "wegner_sweep", nan_sweep)
+    argv = ["wegner", "--L", "2", "--trials", "2", "--out", str(tmp_path)]
+    assert main(argv) == 3
+    assert "non-finite result nan" in capsys.readouterr().err
+    assert not (tmp_path / "wegner.csv").exists()
+    assert not (tmp_path / "count_vs_eps.dat").exists()
+
+
 @pytest.mark.parametrize("poison", [None, float("nan"), complex(0.0, float("inf"))])
 def test_trajectory_rows_are_the_per_cell_rows(tmp_path, capsys, monkeypatch, poison):
     from magbern import control
@@ -491,18 +521,19 @@ def test_bernstein_builds_one_word_table_per_sample(tmp_path, monkeypatch):
         tables.append((len(fields), list(fields[0].terms)))
         return real_table(fields, grid)
 
-    def counted_factors(B, y, x1, x2):
+    def counted_factors(B, y, x1, x2, sgn=1.0):
         envelopes.append(y)
-        return real_factors(B, y, x1, x2)
+        return real_factors(B, y, x1, x2, sgn)
 
     monkeypatch.setattr(landau, "sample_table", counted_table)
     monkeypatch.setattr(landau, "_envelope_factors", counted_factors)
     argv = ["bernstein", "--samples", "2", "--m-max", "3", "--out", str(tmp_path)]
     assert main(argv) == 0
-    # per sample: one table of the 2 + 4 + 8 derivative words, which evaluates
-    # each centre's envelope once, whatever the number of words
+    # per sample: sampling f evaluates each centre's envelope once, and one
+    # table of the 2 + 4 + 8 derivative words once more, whatever the number
+    # of words
     assert [n for n, _ in tables] == [14, 14]
-    assert envelopes == [y for _, centres in tables for y in centres]
+    assert envelopes == [y for _, centres in tables for y in centres * 2]
 
 
 @pytest.mark.parametrize("argv", [

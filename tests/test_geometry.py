@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magbern import geometry
+from magbern.algebra import bernstein_constant
 from magbern.errors import ValidationError
 from magbern.geometry import (
     Covering,
@@ -28,13 +30,15 @@ from magbern.geometry import (
 )
 from magbern.landau import (
     CoherentState,
+    GridField,
     LadderField,
     QuadratureSpec,
     coherent_field,
     norm2,
     sample_ladder,
+    word_fields,
 )
-from util_fields import random_ladder, rng_stream, write_pbm
+from util_fields import full_mod2_derivative_word, random_ladder, rng_stream, write_pbm
 
 
 def brute_min_window(cells, w1, w2, periodic=False):
@@ -175,16 +179,45 @@ def test_one_prefix_scan_matches_the_two_call_int64_scan(data, shape, density, s
                                                          periodic, seed):
     cells = np.random.default_rng(seed).random(shape) < density
     mask = SetMask(cells, spacing, periodic=periodic)
+    ell = _draw_window(data, shape, spacing, periodic)
+    rep = thickness_scan(mask, ell)
+    assert rep == two_call_scan(mask, ell)
+    assert rep.min_count == brute_min_window(cells, *rep.window_cells, periodic)
+
+
+def _draw_window(data, shape, spacing, periodic) -> tuple:
+    """Window sides that are an exact cell multiple, or off one by a sub-cell
+    fraction; a periodic window may wrap past the whole torus."""
     ell = []
     for n, h in zip(shape, spacing):
-        # an exact cell multiple, or one off it by a sub-cell fraction; a
-        # periodic window may wrap past the whole torus
         frac = data.draw(st.one_of(st.just(0.0), st.floats(0.05, 0.95)))
         top = n + 3 if periodic else (n if frac == 0.0 else n - 1)
         ell.append((data.draw(st.integers(2, top)) + frac) * h)
-    rep = thickness_scan(mask, tuple(ell))
-    assert rep == two_call_scan(mask, ell)
-    assert rep.min_count == brute_min_window(cells, *rep.window_cells, periodic)
+    return tuple(ell)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    shape=st.tuples(st.integers(4, 40), st.integers(4, 40)),
+    density=st.floats(0.0, 1.0),
+    added=st.floats(0.0, 1.0),
+    spacing=st.tuples(st.floats(0.05, 4.0), st.floats(0.05, 4.0)),
+    periodic=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adding_cells_never_lowers_rho(data, shape, density, added, spacing, periodic,
+                                       seed):
+    # the certified density is a minimum of window counts over a fixed set of
+    # windows, and each count can only grow when cells join the set
+    rng = np.random.default_rng(seed)
+    cells = rng.random(shape) < density
+    bigger = cells | (rng.random(shape) < added)
+    ell = _draw_window(data, shape, spacing, periodic)
+    small = thickness_scan(SetMask(cells, spacing, periodic=periodic), ell)
+    large = thickness_scan(SetMask(bigger, spacing, periodic=periodic), ell)
+    assert large.window_cells == small.window_cells
+    assert large.rho_lower >= small.rho_lower
 
 
 @settings(max_examples=60, deadline=None)
@@ -255,6 +288,53 @@ def test_coherent_state_rectangle_is_good():
     assert center and center[0].good
 
 
+def all_words_labels(f, covering, E, m_max) -> list:
+    """Good/bad labels testing every one of the 2^m ordinary-derivative
+    words, each from the full subsequence sum, by direct slice sums."""
+    words = word_fields(f, m_max)
+    area = f.cell_area
+    derivs = [(m, np.abs(full_mod2_derivative_word(words, alpha).real))
+              for m in range(1, m_max + 1) for alpha in product((1, 2), repeat=m)]
+    labels = []
+    for anchor in covering.anchors:
+        i0, i1, j0, j1 = f.rect_indices(anchor, covering.ell)
+        mass = float(np.sum(np.abs(f.samples[i0:i1, j0:j1]) ** 2)) * area
+        labels.append(all(
+            float(np.sum(d[i0:i1, j0:j1])) * area
+            <= 4 ** (m + 1) * float(bernstein_constant(m, E, f.ladder.B, "L1")) * mass
+            for m, d in derivs))
+    return labels
+
+
+def test_labels_test_one_sorted_word_per_multi_index(monkeypatch):
+    # d^alpha |f|^2 depends only on the multi-index of alpha: one prefix sum
+    # per (a, m-a), 14 at m_max = 4, gives the labels of testing all 30 words.
+    # The 64^2 box of side 0.5 holds the zero of the level-1 term, so some
+    # rectangles are bad, and no rectangle is in the far tail, where prefix
+    # sums decide by rounding
+    lf = LadderField(1.0, {(0.0, 0.0): {1: 1.0, 2: 0.3 - 0.2j}, (0.8, -0.5): {0: 0.05j}})
+    h = 1 / 128
+    box = GridField(np.zeros((64, 64), dtype=complex), (-0.25, -0.25), (h, h))
+    f = sample_ladder(lf, grid=box)
+    cov = build_covering((63 * h, 63 * h), (2 * h, 2 * h), origin=box.origin)
+    calls = []
+    real = geometry.mod2_derivative_word
+
+    def counted(words, alpha):
+        calls.append(alpha)
+        return real(words, alpha)
+
+    monkeypatch.setattr(geometry, "mod2_derivative_word", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        labels = classify_good_bad(f, cov, E=lf.energy_ceiling(), m_max=4)
+        want = all_words_labels(f, cov, lf.energy_ceiling(), 4)
+    assert calls == [(1,) * a + (2,) * (m - a) for m in range(1, 5) for a in range(m + 1)]
+    good = [lbl.good for lbl in labels]
+    assert good == want
+    assert 0 < sum(good) < len(good)
+
+
 def test_bad_rectangle_detected_at_field_zero():
     # w f_y vanishes linearly at its centre: a small rectangle there has
     # derivative L1 mass ~ eps^3 against squared mass ~ eps^4, beating the
@@ -276,8 +356,6 @@ def test_bad_rectangle_detected_at_field_zero():
     mass = float(np.mean(r2 * np.exp(-B * r2 / 2))) * eps**2
     d1 = np.abs((2 * u1 - B * u1 * r2) * np.exp(-B * r2 / 2))
     l1 = float(np.mean(d1)) * eps**2
-    from magbern.algebra import bernstein_constant
-
     assert l1 > 16 * float(bernstein_constant(1, 3 * B, B, "L1")) * mass
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magbern import inequality
 from magbern.errors import NumericalError, ValidationError
 from magbern.geometry import SetMask, disk_complement_mask, strip_mask, thickness_scan
 from magbern.inequality import (
@@ -243,6 +244,71 @@ def test_batched_sups_match_one_call_per_interval(parts, intervals):
         want = (sup_abs_on_interval(c, lo, hi, max(64, int(1e4 * (hi - lo))))
                 if hi > lo else 0.0)
         assert sup == want
+
+
+def per_interval_sups(coeffs, intervals) -> np.ndarray:
+    """`sup_abs_on_intervals` one interval at a time: a np.linspace grid of
+    max(64, int(1e4 (hi - lo))) points plus the critical points of |P|^2 in
+    it, through np.polyval; 0 on an empty interval."""
+    c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
+    dq = np.polyder(np.convolve(c, c.conj()).real)
+    small = np.abs(dq) <= np.finfo(float).eps * np.max(np.abs(dq), initial=0.0)
+    roots = np.roots(np.where(small, 0.0, dq)).real
+    with np.errstate(all="ignore"):
+        polished = roots - np.polyval(dq, roots) / np.polyval(np.polyder(dq), roots)
+    crit = np.concatenate((roots, polished))
+    out = []
+    for lo, hi in intervals:
+        if hi <= lo:
+            out.append(0.0)
+            continue
+        t = np.concatenate((np.linspace(lo, hi, max(64, int(1e4 * (hi - lo)))),
+                            crit[(crit >= lo) & (crit <= hi)]))
+        out.append(np.max(np.abs(np.polyval(c, t))))
+    return np.array(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    parts=st.lists(st.tuples(_COEF, _COEF), min_size=1, max_size=11),
+    intervals=st.lists(_INTERVAL, min_size=1, max_size=3),
+    at=st.floats(0.0, 1.0 - 1e-6),
+)
+def test_batched_sups_are_the_per_interval_linspace_sups(parts, intervals, at):
+    # one vectorized grid, one in-place Horner pass and the critical points
+    # merged afterwards give, bit for bit, one linspace and polyval per
+    # interval; with an empty interval and one 1e-6 wide (64 grid points)
+    c = np.array([complex(re, im) for re, im in parts])
+    intervals = intervals + [(at, at), (at + 1e-6, at), (at, at + 1e-6)]
+    got = sup_abs_on_intervals(c, intervals)
+    assert got.tobytes() == per_interval_sups(c, intervals).tobytes()
+
+
+@pytest.mark.parametrize("lo, hi, n", [
+    ([0.0, 0.25, -3.0], [1.0, 0.5, 7.5], [10**4, 64, 2]),
+    ([0.5, 0.0, 1e-300], [0.5, 5e-324, 2e-300], [64, 64, 1000]),  # zero, subnormal widths
+    ([0.123456789, 0.3], [0.123457789, 0.9], [64, 3]),  # lo + 2 step rounds past 0.9
+])
+def test_one_pass_grids_are_linspace_bit_for_bit(lo, hi, n):
+    got = inequality._linspaces(np.array(lo), np.array(hi), np.array(n))
+    want = np.concatenate([np.linspace(a, b, k) for a, b, k in zip(lo, hi, n)])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_horner_in_place_is_polyval_bit_for_bit():
+    rng = rng_stream(23)
+    for deg in range(12):
+        c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        t = rng.uniform(-2.0, 2.0, 997)
+        assert (inequality._abs_polyval(c, t).tobytes()
+                == np.abs(np.polyval(c, t)).tobytes())
+
+
+def test_circle_points_are_made_once_per_size():
+    z = inequality._circle_points(4096)
+    assert z is inequality._circle_points(4096) and not z.flags.writeable
+    theta = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    assert z.tobytes() == (4.0 * np.exp(1j * theta)).tobytes()
 
 
 def test_sup_finds_interior_max_between_grid_points():

@@ -32,7 +32,7 @@ from magbern.landau import (
     sample_ladder,
     word_fields,
 )
-from util_fields import random_ladder, rng_stream
+from util_fields import full_mod2_derivative_word, random_ladder, rng_stream
 
 FAST = QuadratureSpec(tail_sigmas=9.0, points_per_length=8)
 
@@ -357,32 +357,83 @@ def test_word_table_with_a_partial_last_chunk(monkeypatch):
     _assert_matches_oracle(word_fields(f, 2), oracle_word_fields(f, 2))
 
 
-def full_mod2_derivative_word(words: dict, alpha: tuple) -> np.ndarray:
-    """d^alpha |f|^2 from all 2^m subsequences beta of alpha,
-    (-i)^m sum_beta (-1)^(m-|beta|) (md^beta f) conj(md^(alpha\\beta) f),
-    as a complex array."""
-    m = len(alpha)
-    total = 0
-    for mask in range(1 << m):
-        sel = tuple(alpha[i] for i in range(m) if mask >> i & 1)
-        com = tuple(alpha[i] for i in range(m) if not mask >> i & 1)
-        total = total + (-1) ** (m - len(sel)) * words[sel].samples * np.conj(words[com].samples)
-    return ((-1j) ** m) * total
-
-
 @settings(max_examples=20, deadline=None)
 @given(lf=sparse_ladders(), m_max=st.integers(1, 4))
 def test_half_sum_derivative_word_matches_the_full_sum(lf, m_max):
+    # mod2_derivative_word sorts alpha to 1^a 2^b and sums half the pairs of
+    # sorted words 1^i 2^j; the oracle sums all 2^m subsequences of alpha as
+    # given, for every permutation.  l1_bernstein_sum weights the m+1 sorted
+    # words by C(m, a) where the oracle sums all 2^m words
     f = sample_ladder(lf, QuadratureSpec(tail_sigmas=9.0, points_per_length=8))
     words = word_fields(f, m_max)
     for m in range(m_max + 1):
+        l1_all_words = 0.0
         for alpha in product((1, 2), repeat=m):
             got = mod2_derivative_word(words, alpha)
             want = full_mod2_derivative_word(words, alpha)
             scale = 2**m * max(np.abs(g.samples).max() for g in words.values()) ** 2
             assert got.dtype == np.float64 and got.shape == want.shape
             assert np.abs(want.imag).max() <= 1e-12 * scale
-            assert np.abs(got - want.real).max() <= 1e-12 * scale
+            assert np.abs(got - want.real).max() <= 1e-12 * np.abs(want.real).max()
+            l1_all_words += l1_norm(want.real, f.cell_area)
+        assert l1_bernstein_sum(words, m) == pytest.approx(l1_all_words, rel=1e-12)
+
+
+def test_l1_sum_reads_one_word_per_multi_index(monkeypatch):
+    words = word_fields(sample_ladder(random_ladder(rng_stream(14)), FAST), 4)
+    calls = []
+    real = landau.mod2_derivative_word
+
+    def counted(words, alpha):
+        calls.append(alpha)
+        return real(words, alpha)
+
+    monkeypatch.setattr(landau, "mod2_derivative_word", counted)
+    for m in range(1, 5):
+        calls.clear()
+        l1_bernstein_sum(words, m)
+        assert calls == [(1,) * a + (2,) * (m - a) for a in range(m + 1)]
+
+
+def joint_exp_eval(lf: LadderField, x1, x2, conjugate_branch=False) -> np.ndarray:
+    """LadderField.eval with each centre's envelope from one joint complex
+    exp over the broadcast coordinates and its polynomial summed term by
+    term."""
+    cast = complex if np.iscomplexobj(x1) or np.iscomplexobj(x2) else float
+    x1 = np.asarray(x1, dtype=cast)
+    x2 = np.asarray(x2, dtype=cast)
+    total = np.zeros(np.broadcast(x1, x2).shape, dtype=complex)
+    sgn = -1.0 if conjugate_branch else 1.0
+    for (y1, y2), raw in lf.terms.items():
+        ks = {k: np.conj(c) for k, c in raw.items()} if conjugate_branch else raw
+        u1, u2 = x1 - y1, x2 - y2
+        w = u1 - sgn * 1j * u2
+        envelope = np.exp(-(lf.B / 4.0) * (u1 * u1 + u2 * u2)
+                          - sgn * 1j * (lf.B / 2.0) * (x1 * y2 - x2 * y1))
+        poly = sum(c * w**k for k, c in ks.items())
+        total += envelope * poly
+    return total
+
+
+@pytest.mark.parametrize("conjugate_branch", [False, True])
+def test_separable_envelope_matches_the_joint_exp(conjugate_branch):
+    # sparse levels, so Horner skips powers; grid axes as sample_ladder
+    # passes them, and 2-D complex points of the analytic extension
+    lf = LadderField(1.7, {(0.3, -0.2): {0: 1 + 1j, 2: 0.5, 3: -0.25j},
+                           (-1.0, 0.7): {1: 0.8},
+                           (0.5, 1.1): {4: 0.1 - 0.3j}})
+    rng = rng_stream(15)
+    x1, x2 = sample_ladder(lf, FAST).axes()
+    z1, z2 = (rng.uniform(-4.0, 4.0, (30, 20)) + 1j * rng.uniform(-1.0, 1.0, (30, 20))
+              for _ in range(2))
+    for a, b in ((x1, x2), (z1, z2)):
+        got = lf.eval(a, b, conjugate_branch=conjugate_branch)
+        want = joint_exp_eval(lf, a, b, conjugate_branch)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    on_grid = lf.eval(x1, x2)
+    conj = lf.eval(x1, x2, conjugate_branch=True)
+    assert np.abs(conj - np.conj(on_grid)).max() <= 1e-13 * np.abs(on_grid).max()
 
 
 # -- Bernstein sums -----------------------------------------------------------

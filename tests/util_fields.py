@@ -17,6 +17,19 @@ def random_ladder(rng, B=1.0, n_terms=3, max_level=2, box=1.5):
     return LadderField(B, terms)
 
 
+def full_mod2_derivative_word(words: dict, alpha: tuple) -> np.ndarray:
+    """d^alpha |f|^2 from all 2^m subsequences beta of alpha,
+    (-i)^m sum_beta (-1)^(m-|beta|) (md^beta f) conj(md^(alpha\\beta) f),
+    as a complex array."""
+    m = len(alpha)
+    total = 0
+    for mask in range(1 << m):
+        sel = tuple(alpha[i] for i in range(m) if mask >> i & 1)
+        com = tuple(alpha[i] for i in range(m) if not mask >> i & 1)
+        total = total + (-1) ** (m - len(sel)) * words[sel].samples * np.conj(words[com].samples)
+    return ((-1j) ** m) * total
+
+
 def rng_stream(seed):
     return np.random.default_rng(np.random.SeedSequence(seed))
 
