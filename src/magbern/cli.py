@@ -179,6 +179,7 @@ SCHEMAS = {
         "L": (_positive_pair("box sides"), (8.0, 8.0)),
         "N": (_parse_int_pair, (32, 32)),
         "l": (_positive_pair("window sides"), (2.0, 2.0)),
+        "rho": (_parse_rho, None),
         "seed": (_int_at_least(0), 0),
     },
     "remez": {
@@ -195,6 +196,7 @@ SCHEMAS = {
         "l": (_positive_pair("window sides"), (2.0, 2.0)),
         "eps-target": (_non_negative("eps-target"), 1e-8),
         "clusters": (_int_at_least(1), 2),
+        "rho": (_parse_rho, None),
         "seed": (_int_at_least(0), 0),
     },
     "wegner": {
@@ -209,7 +211,7 @@ SCHEMAS = {
     },
 }
 
-GLOBAL_KEYS = {"out": (str, "."), "rho": (_parse_rho, None)}
+GLOBAL_KEYS = {"out": (str, ".")}
 
 
 @dataclass
@@ -258,13 +260,6 @@ def read_keyvalue_file(path) -> dict:
             key, val = line.split("=", 1)
             out[key.strip()] = val.strip()
     return out
-
-
-def _check_window(ell, cell) -> None:
-    """Refuse a thickness window under 2 cells a side, by the scan's own rule,
-    before a manifest is written."""
-    if any(geometry._snap_cells(l, h)[0] < 2 for l, h in zip(ell, cell)):
-        raise ValidationError("window smaller than 2 cells")
 
 
 def parse_config(argv) -> RunConfig:
@@ -334,12 +329,13 @@ def parse_config(argv) -> RunConfig:
     if command == "wegner" and min(params["L"]) * params["cells-per-unit"] < 4:
         # each box is a grid of L x cells-per-unit points per side
         raise ValidationError("need at least 4 grid points per direction")
+    # a window the thickness scan would refuse is refused before the manifest
     if command == "thickness":
-        _check_window(params["l"], params["spacing"])
+        geometry.snap_window(params["l"], params["spacing"])
     elif command in ("specineq", "control"):
         if "rho" not in params:
             # the torus cell side is L/N; a given --rho skips the scan
-            _check_window(params["l"], [L / n for L, n in zip(params["L"], params["N"])])
+            geometry.snap_window(params["l"], [L / n for L, n in zip(params["L"], params["N"])])
         if geometry.read_pbm(params["mask"]).cells.shape != params["N"]:
             raise ValidationError("mask grid does not match --N")
     out_dir = Path(params.pop("out", "."))
@@ -485,34 +481,33 @@ def run_specineq(cfg: RunConfig, bundle: ReportBundle) -> None:
         raise NumericalError("spectral inequality bound falsified")
 
 
+def _random_polynomial(rng, degree_max: int, n_intervals: int):
+    """A complex polynomial of random degree <= degree_max (highest degree
+    first) and n_intervals disjoint subintervals of [0, 1], replaced by
+    [0, 0.5] when they measure under 1e-3."""
+    deg = int(rng.integers(0, degree_max + 1))
+    coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+    cuts = np.sort(rng.uniform(0.0, 1.0, size=2 * n_intervals))
+    intervals = list(zip(cuts[::2], cuts[1::2]))
+    if sum(b - a for a, b in intervals) < 1e-3:
+        intervals = [(0.0, 0.5)]
+    return coeffs, intervals
+
+
 def run_remez(cfg: RunConfig, bundle: ReportBundle) -> None:
     p = cfg.params
     rng = np.random.default_rng(np.random.SeedSequence(p["seed"]))
     n_fail = 0
     rows = ["kind,index,pass"]
     for i in range(p["count"]):
-        deg = int(rng.integers(0, p["degree-max"] + 1))
-        coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-        cuts = np.sort(rng.uniform(0.0, 1.0, size=6))
-        intervals = [(cuts[0], cuts[1]), (cuts[2], cuts[3]), (cuts[4], cuts[5])]
-        if sum(b - a for a, b in intervals) < 1e-3:
-            intervals = [(0.0, 0.5)]
-        ok = inequality.remez_check(coeffs, intervals)
+        ok = inequality.remez_check(*_random_polynomial(rng, p["degree-max"], 3))
         n_fail += not ok
         rows.append(_row("remez", i, ok))
     for i in range(p["count"]):
-        deg = int(rng.integers(0, p["degree-max"] + 1))
-        coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        coeffs, intervals = _random_polynomial(rng, p["degree-max"], 2)
         if abs(coeffs[-1]) < 1e-9:
             coeffs[-1] = 1.0
-        coeffs = coeffs / coeffs[-1]
-        cuts = np.sort(rng.uniform(0.0, 1.0, size=4))
-        intervals = [(cuts[0], cuts[1]), (cuts[2], cuts[3])]
-        if sum(b - a for a, b in intervals) < 1e-3:
-            intervals = [(0.0, 0.5)]
-        ok = inequality.kovrijkine_check(
-            inequality.AnalyticSample(tuple(coeffs)), intervals
-        )
+        ok = inequality.kovrijkine_check(coeffs / coeffs[-1], intervals)  # P(0) = 1
         n_fail += not ok
         rows.append(_row("kovrijkine", i, ok))
     _write(bundle, cfg.out_dir / "remez.csv", "\n".join(rows) + "\n")
@@ -529,11 +524,10 @@ def run_control(cfg: RunConfig, bundle: ReportBundle) -> None:
     u0 = sub.vectors.conj().T @ lattice.coherent_vector(
         setup, (setup.L[0] / 2, setup.L[1] / 2)
     ).ravel() * setup.spacing[0] * setup.spacing[1]
-    form = control.masked_form(sub, mask)  # shared by every horizon
     rows = ["T,rho,l1,l2,B,E_max,hum_cost,log_bound_traced,residual"]
     plot = []
     for idx, t in enumerate(p["T"]):
-        problem = control.HeatProblem(sub, mask, t, u0, form)
+        problem = control.HeatProblem(sub, mask, t, u0)
         res = control.hum_control(problem)
         log_bound = control.cost_bound_log(rho, p["l"], setup.B, t)
         rows.append(_row(t, rho, *p["l"], setup.B, sub.cutoff, res.cost, log_bound,

@@ -11,8 +11,7 @@ with per-step Gauss-Legendre Duhamel quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,9 +27,7 @@ class HeatProblem:
     mask: SetMask
     horizon: float
     u0: np.ndarray  # coefficients in the subspace basis
-    # masked_form(subspace, mask), built here unless the caller shares one
-    # across problems on the same subspace and mask
-    form: Optional[np.ndarray] = None
+    form: np.ndarray = field(init=False)  # masked_form(subspace, mask)
 
     def __post_init__(self):
         if self.horizon <= 0:
@@ -39,8 +36,7 @@ class HeatProblem:
         if u0.shape != (self.subspace.dim,):
             raise ValidationError("u0 must be a coefficient vector on the subspace")
         object.__setattr__(self, "u0", u0)
-        if self.form is None:
-            object.__setattr__(self, "form", masked_form(self.subspace, self.mask))
+        object.__setattr__(self, "form", masked_form(self.subspace, self.mask))
 
 
 @dataclass
@@ -58,18 +54,14 @@ def propagate(subspace: SpectralSubspace, u0: np.ndarray, t: float) -> np.ndarra
     return np.asarray(u0, dtype=complex) * np.exp(-subspace.eigenvalues * t)
 
 
-def _time_kernel(lam: np.ndarray, T: float) -> np.ndarray:
-    """T (1 - e^(-x)) / x with x = (lam_i + lam_j) T, whose limit at x = 0 is T."""
-    x = (lam[:, None] + lam[None, :]) * T
+def gramian(form: np.ndarray, eigenvalues: np.ndarray, T: float) -> np.ndarray:
+    """G_T = int_0^T e^(-(T-t)H) M_S e^(-(T-t)H) dt on the subspace, in closed
+    form: the masked form M_S times the time kernel T (1 - e^(-x)) / x with
+    x = (lam_i + lam_j) T, whose limit at x = 0 is T."""
+    x = (eigenvalues[:, None] + eigenvalues[None, :]) * T
     zero = x == 0.0
     safe = np.where(zero, 1.0, x)
-    return np.where(zero, T, T * (-np.expm1(-safe) / safe))
-
-
-def gramian(subspace: SpectralSubspace, mask: SetMask, T: float) -> np.ndarray:
-    """G_T = int_0^T e^(-(T-t)H) M_S e^(-(T-t)H) dt on the subspace, in closed
-    form: the masked form times the time kernel T (1 - e^(-x)) / x."""
-    return masked_form(subspace, mask) * _time_kernel(subspace.eigenvalues, T)
+    return form * np.where(zero, T, T * (-np.expm1(-safe) / safe))
 
 
 def observability_quotient(problem: HeatProblem) -> float:
@@ -79,7 +71,7 @@ def observability_quotient(problem: HeatProblem) -> float:
     """
     sub = problem.subspace
     T = problem.horizon
-    g_t = problem.form * _time_kernel(sub.eigenvalues, T)
+    g_t = gramian(problem.form, sub.eigenvalues, T)
     denom = float(np.real(problem.u0.conj() @ (g_t @ problem.u0)))
     if denom <= 1e-300:
         raise NumericalError("denominator underflow: the set misses the subspace")
@@ -93,7 +85,7 @@ def worst_observability_quotient(subspace: SpectralSubspace, mask: SetMask,
 
     Equals the squared worst-case HUM cost on the subspace (duality).
     """
-    g_t = gramian(subspace, mask, T)
+    g_t = gramian(masked_form(subspace, mask), subspace.eigenvalues, T)
     e = np.exp(-subspace.eigenvalues * T)
     evals, evecs = np.linalg.eigh(g_t)
     if evals[0] <= 0 or evals[-1] / evals[0] > 1e16:
@@ -112,7 +104,7 @@ def hum_control(problem: HeatProblem) -> HumResult:
     """
     sub = problem.subspace
     T = problem.horizon
-    g_t = problem.form * _time_kernel(sub.eigenvalues, T)
+    g_t = gramian(problem.form, sub.eigenvalues, T)
     target = -propagate(sub, problem.u0, T)
     evals, evecs = np.linalg.eigh(g_t)
     cond = float(evals[-1] / evals[0]) if evals[0] > 0 else math.inf

@@ -10,13 +10,12 @@ each trial and shift rewrites only the diagonal in place.  SuperLU eliminates
 one column at a time (relax=1, panel_size=1): on the 5-point stencil its
 supernodal panels cost more than they save.  A shift whose pivots fail the
 guard is refactored under a second fill-reducing ordering, and only if that
-fails too is the operator counted by a dense eigensolve.  Acceptance is
+fails too is the trial matrix counted by a dense eigensolve.  Acceptance is
 statistical (bootstrap bands), never exact.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ValidationError
 from .geometry import SetMask, thickness_scan
-from .lattice import MagneticOperator, TorusSetup, assemble, dense_matrix
+from .lattice import TorusSetup, assemble, dense_matrix
 
 
 def fat_cantor_indices(n: int) -> np.ndarray:
@@ -137,12 +136,6 @@ def potential_from_couplings(config: EnsembleConfig, omegas: np.ndarray) -> np.n
     return np.kron(omegas, config.site_profile)
 
 
-def sample_operator(config: EnsembleConfig, trial: int) -> MagneticOperator:
-    """Deterministic disordered Hamiltonian for one trial."""
-    v = potential_from_couplings(config, sample_couplings(config, trial))
-    return assemble(config.setup, potential=v)
-
-
 # A pivot is trusted only while the rounding scale n*u*growth stays below
 # this fraction of the smallest pivot (both relative to ||H||_1).
 _PIVOT_MARGIN_TOL = 1e-3
@@ -153,11 +146,11 @@ _PIVOT_MARGIN_TOL = 1e-3
 _ORDERINGS = ("MMD_AT_PLUS_A", "MMD_ATA")
 
 
-def _dense_window_counts(op: MagneticOperator, E: float,
-                         eps_arr: np.ndarray) -> np.ndarray:
-    """Counts in the closed windows [E - eps, E + eps] from one dense solve:
-    the fallback of the inertia counts and the oracle of their tests."""
-    evals = scipy.linalg.eigvalsh(dense_matrix(op))
+def _dense_window_counts(matrix, E: float, eps_arr: np.ndarray) -> np.ndarray:
+    """Counts of the eigenvalues of the Hermitian sparse `matrix` in the
+    closed windows [E - eps, E + eps] from one dense solve: the fallback of
+    the inertia counts and the oracle of their tests."""
+    evals = scipy.linalg.eigvalsh(dense_matrix(matrix))
     return np.array(
         [np.count_nonzero((evals >= E - eps) & (evals <= E + eps)) for eps in eps_arr],
         dtype=int,
@@ -196,16 +189,16 @@ def _diagonal_positions(a) -> np.ndarray:
 
 
 def _window_counts(a, pos: np.ndarray, diag: np.ndarray, E: float,
-                   eps_arr: np.ndarray, dense_op) -> np.ndarray:
+                   eps_arr: np.ndarray) -> np.ndarray:
     """Exact counts of eigenvalues in [E - eps, E + eps] of the Hermitian
     CSC matrix `a` with diagonal `diag`, which is written into a.data[pos].
 
     Each distinct shift sigma in {E - eps, E + eps} is factored once and the
     count is nu(E + eps) - nu(E - eps), nu(sigma) being the number of
     eigenvalues below sigma (Sylvester's law of inertia).  A shift that
-    fails the pivot guard under every ordering in `_ORDERINGS` sends the
-    operator `dense_op()` to a dense eigensolve, with a RuntimeWarning
-    naming the shift.
+    fails the pivot guard under every ordering in `_ORDERINGS` sends `a`,
+    its diagonal `diag` restored, to a dense eigensolve, with a
+    RuntimeWarning naming the shift.
     """
     a.data[pos] = diag
     norm1 = spla.norm(a, 1)
@@ -220,7 +213,8 @@ def _window_counts(a, pos: np.ndarray, diag: np.ndarray, E: float,
             warnings.warn(
                 f"inertia count at shift {float(sigma)!r} failed the pivot guard; "
                 f"counting by a dense eigensolve", RuntimeWarning, stacklevel=3)
-            return _dense_window_counts(dense_op(), E, eps_arr)
+            a.data[pos] = diag
+            return _dense_window_counts(a, E, eps_arr)
     return np.array([below[E + eps] - below[E - eps] for eps in eps_arr], dtype=int)
 
 
@@ -229,7 +223,8 @@ def _trial_matrices(config: EnsembleConfig, trials: int):
     differ only on the diagonal, so `a` is one CSC of the clean operator,
     built once, `pos` the positions of its diagonal in `a.data`, and `diag`
     the trial's diagonal 2/h1^2 + 2/h2^2 + V.  Writing `diag` into
-    a.data[pos] gives `sample_operator(config, t).matrix` bit for bit."""
+    a.data[pos] gives the matrix of `assemble(config.setup, potential=V)`
+    bit for bit."""
     a = assemble(config.setup).matrix.tocsc()
     pos = _diagonal_positions(a)  # all stored: the clean diagonal is positive
     clean = a.data[pos].real
@@ -240,16 +235,15 @@ def _trial_matrices(config: EnsembleConfig, trials: int):
 
 def window_counts_for_trials(config: EnsembleConfig, E: float,
                              eps_list: Sequence[float], trials: int) -> np.ndarray:
-    """(trials, n_eps) integer counts of the eigenvalues of each
-    `sample_operator(config, t)` in the windows, by `_window_counts` on one
-    sparsity pattern per box."""
+    """(trials, n_eps) integer counts of the eigenvalues of each trial's
+    operator in the windows, by `_window_counts` on one sparsity pattern per
+    box."""
     eps_arr = np.asarray(eps_list, dtype=float)
     if np.any(eps_arr < 0):
         raise ValidationError("eps must be non-negative")
     out = np.zeros((trials, eps_arr.size), dtype=int)
     for t, (a, pos, diag) in enumerate(_trial_matrices(config, trials)):
-        out[t] = _window_counts(a, pos, diag, E, eps_arr,
-                                functools.partial(sample_operator, config, t))
+        out[t] = _window_counts(a, pos, diag, E, eps_arr)
     return out
 
 

@@ -71,12 +71,20 @@ class Covering:
     ell: tuple
 
 
-def _snap_cells(ell: float, h: float):
-    w = ell / h
-    r = round(w)
-    if abs(w - r) < 1e-9 * max(1.0, w):
-        return int(r), True
-    return int(np.floor(w)), False
+def snap_window(ell: tuple, spacing: tuple) -> tuple:
+    """((w1, w2), exact): the cells each side of an ell-window spans on a grid
+    of `spacing` (a side within 1e-9 of a cell multiple snaps to it), and
+    whether both sides did.  ValidationError when a side spans fewer than 2
+    cells, the smallest window `thickness_scan` certifies."""
+    cells, exact = [], True
+    for l, h in zip(ell, spacing):
+        w = float(l) / h
+        snapped = abs(w - round(w)) < 1e-9 * max(1.0, w)
+        cells.append(int(round(w)) if snapped else int(np.floor(w)))
+        exact &= snapped
+    if min(cells) < 2:
+        raise ValidationError("window smaller than 2 cells")
+    return tuple(cells), exact
 
 
 _PREFIX_BLOCK_BYTES = 1 << 20  # one axis-0 row block stays inside a core's L2 cache
@@ -138,11 +146,7 @@ def thickness_scan(mask: SetMask, ell: tuple) -> ThicknessReport:
     ext = mask.extent
     if not mask.periodic and (l1 > ext[0] * (1 + 1e-12) or l2 > ext[1] * (1 + 1e-12)):
         raise ValidationError("window exceeds the mask domain")
-    w1, exact1 = _snap_cells(l1, h1)
-    w2, exact2 = _snap_cells(l2, h2)
-    if w1 < 2 or w2 < 2:
-        raise ValidationError("window smaller than 2 cells")
-    exact = exact1 and exact2
+    (w1, w2), exact = snap_window((l1, l2), mask.spacing)
     # off the cell multiples, the one-cell-smaller inner window certifies
     # every sub-cell anchor
     found = window_counts(mask.cells, [(w1, w2)] if exact else [(w1, w2), (w1 - 1, w2 - 1)],
@@ -196,7 +200,11 @@ class RectangleLabel:
 
 
 def _box_sum(p: np.ndarray, i0: int, i1: int, j0: int, j1: int) -> float:
-    return float(p[i1, j1] - p[i0, j1] - p[i1, j0] + p[i0, j0])
+    """Box sum of non-negative data from its prefix table `p`, 0 below the
+    table's rounding level eps * p[-1, -1], where far-tail boxes read
+    rounding noise of either sign."""
+    s = float(p[i1, j1] - p[i0, j1] - p[i1, j0] + p[i0, j0])
+    return s if s > np.finfo(float).eps * p[-1, -1] else 0.0
 
 
 def classify_good_bad(f: GridField, covering: Covering, E: float,
@@ -208,7 +216,9 @@ def classify_good_bad(f: GridField, covering: Covering, E: float,
 
     Truncation at m_max can only enlarge the good family, so downstream
     good-mass lower bounds remain valid; a warning records the caveat.
-    Rectangle sums are O(1) via 2-D prefix sums over grid cells.
+    Rectangle sums are O(1) via 2-D prefix sums over grid cells.  A sum
+    below its table's rounding level reads 0, and a rectangle of mass 0 is
+    good: it adds nothing to the good mass.
     """
     if m_max < 1:
         raise ValidationError("m_max must be >= 1")
@@ -233,8 +243,9 @@ def classify_good_bad(f: GridField, covering: Covering, E: float,
     for a1, a2 in covering.anchors:
         i0, i1, j0, j1 = f.rect_indices((a1, a2), covering.ell)
         mass = _box_sum(mass_prefix, i0, i1, j0, j1) * area
-        good = not any(_box_sum(p, i0, i1, j0, j1) * area > thresholds[m] * mass
-                       for m, p in deriv_prefix)
+        good = mass == 0.0 or not any(
+            _box_sum(p, i0, i1, j0, j1) * area > thresholds[m] * mass
+            for m, p in deriv_prefix)
         labels.append(RectangleLabel(anchor=(a1, a2), good=good, mass=mass))
     return labels
 

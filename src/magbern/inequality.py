@@ -12,7 +12,6 @@ natural log is computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -210,19 +209,6 @@ def remez_check(coeffs: Sequence[complex], intervals) -> bool:
     return sup01 <= remez_bound(n, measure) * max([0.0, *sup_e]) * (1.0 + 1e-12)
 
 
-@dataclass(frozen=True)
-class AnalyticSample:
-    """Polynomial stand-in for the analytic function in the 1-D lemma."""
-
-    coeffs: tuple
-
-    def __call__(self, z):
-        return np.polyval(np.asarray(self.coeffs, dtype=complex), z)
-
-    def at_zero(self) -> complex:
-        return complex(self.coeffs[-1]) if self.coeffs else 0.0
-
-
 @lru_cache(maxsize=4)
 def _circle_points(n_circle: int) -> np.ndarray:
     """n_circle equispaced points of |z| = 4 (read-only: the array is shared)."""
@@ -232,22 +218,26 @@ def _circle_points(n_circle: int) -> np.ndarray:
     return z
 
 
-def kovrijkine_check(phi: AnalyticSample, intervals, n_circle: int = 4096) -> bool:
-    """sup_[0,1]|phi| <= (12/|E|)^(2 log2 M) sup_E|phi| with M from |z| = 4.
+def kovrijkine_check(coeffs: Sequence[complex], intervals, n_circle: int = 4096) -> bool:
+    """sup_[0,1]|P| <= (12/|E|)^(2 log2 M) sup_E|P| with M from |z| = 4, for
+    the polynomial P of `coeffs` (highest degree first), the stand-in for the
+    analytic function of the 1-D lemma.
 
-    The circle sup invokes the maximum principle.  M is the max of |phi| over
+    The circle sup invokes the maximum principle.  M is the max of |P| over
     n_circle equispaced points of the circle, a slight underestimate, which
     only tightens the verified inequality; the sups on [0, 1] and E are taken
-    over the grid and the critical points of |phi|^2, as in remez_check.
+    over the grid and the critical points of |P|^2, as in remez_check.
     """
-    if abs(phi.at_zero()) < 1.0 - 1e-12:
-        raise ValidationError("need |phi(0)| >= 1")
+    coeffs = np.asarray(coeffs, dtype=complex)
+    at_zero = abs(coeffs[-1]) if coeffs.size else 0.0
+    if at_zero < 1.0 - 1e-12:
+        raise ValidationError("need |P(0)| >= 1")
     measure = _intervals_measure(intervals)
     if measure <= 0:
         raise ValidationError("E must have positive measure")
-    m_phi = max(float(np.max(np.abs(phi(_circle_points(n_circle))))),
-                abs(phi.at_zero()), 1.0)
-    sup01, *sup_e = sup_abs_on_intervals(phi.coeffs, [(0.0, 1.0), *intervals]).tolist()
+    m_phi = max(float(np.max(np.abs(np.polyval(coeffs, _circle_points(n_circle))))),
+                at_zero, 1.0)
+    sup01, *sup_e = sup_abs_on_intervals(coeffs, [(0.0, 1.0), *intervals]).tolist()
     bound = (12.0 / measure) ** (2.0 * math.log(m_phi) / LN2)
     return sup01 <= bound * max([0.0, *sup_e]) * (1.0 + 1e-12)
 

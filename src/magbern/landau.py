@@ -90,9 +90,6 @@ class LadderField:
         """Smallest Landau level bound E with all terms below it."""
         return (2 * self.max_level() + 1) * self.B
 
-    def centers(self):
-        return list(self.terms)
-
     def magnetic_derivative(self, axis: int) -> "LadderField":
         """Exact action of md1 or md2 on the chiral tower.
 
@@ -179,10 +176,7 @@ class GridField:
         return self.spacing[0] * self.spacing[1]
 
     def axes(self):
-        n1, n2 = self.samples.shape
-        x1 = self.origin[0] + self.spacing[0] * np.arange(n1)
-        x2 = self.origin[1] + self.spacing[1] * np.arange(n2)
-        return x1[:, None], x2[None, :]
+        return _axes(self.origin, self.spacing, self.samples.shape)
 
     def rect_indices(self, anchor, ell):
         """Index ranges (i0, i1, j0, j1) of the grid points in the half-open
@@ -222,17 +216,22 @@ def grid_for_centers(centers, B: float, spec: QuadratureSpec = QuadratureSpec())
     return (lo1, lo2), (h, h), (n1, n2)
 
 
+def _axes(origin, spacing, shape):
+    """Coordinate column and row of the grid origin + spacing * (i, j)."""
+    x1 = origin[0] + spacing[0] * np.arange(shape[0])
+    x2 = origin[1] + spacing[1] * np.arange(shape[1])
+    return x1[:, None], x2[None, :]
+
+
 def sample_ladder(lf: LadderField, spec: QuadratureSpec = QuadratureSpec(),
                   grid: Optional[GridField] = None) -> GridField:
     """Sample a ladder field on its covering grid (or a given grid)."""
     if grid is None:
-        origin, spacing, shape = grid_for_centers(lf.centers(), lf.B, spec)
-        x1 = origin[0] + spacing[0] * np.arange(shape[0])
-        x2 = origin[1] + spacing[1] * np.arange(shape[1])
-        vals = lf.eval(x1[:, None], x2[None, :])
-        return GridField(vals, origin, spacing, ladder=lf)
-    x1, x2 = grid.axes()
-    return GridField(lf.eval(x1, x2), grid.origin, grid.spacing, ladder=lf)
+        origin, spacing, shape = grid_for_centers(lf.terms, lf.B, spec)
+    else:
+        origin, spacing, shape = grid.origin, grid.spacing, grid.samples.shape
+    x1, x2 = _axes(origin, spacing, shape)
+    return GridField(lf.eval(x1, x2), origin, spacing, ladder=lf)
 
 
 def _envelope_factors(B: float, y, x1, x2, sgn: float = 1.0):

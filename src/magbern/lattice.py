@@ -166,9 +166,6 @@ class SpectralSubspace:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def field(self, i: int) -> np.ndarray:
-        return self.vectors[:, i].reshape(self.setup.N)
-
 
 # Largest dimension densified: the complex matrix takes 16 dim^2 bytes, 1 GiB here.
 DENSE_DIM_CAP = 8192
@@ -181,11 +178,11 @@ def _refuse_dense(dim: int, itemsize: int) -> None:
             f"the cap is dim {DENSE_DIM_CAP}")
 
 
-def dense_matrix(op: MagneticOperator) -> np.ndarray:
-    """The operator as a dense array, refused before any allocation when
-    dim exceeds DENSE_DIM_CAP."""
-    _refuse_dense(op.setup.dim, 16)
-    return op.matrix.toarray()
+def dense_matrix(matrix: sp.spmatrix) -> np.ndarray:
+    """A sparse complex matrix as a dense array, refused before any
+    allocation when its dim exceeds DENSE_DIM_CAP."""
+    _refuse_dense(matrix.shape[0], 16)
+    return matrix.toarray()
 
 
 def _ring_diagonal(setup: TorusSetup, modes: np.ndarray, v1: np.ndarray) -> np.ndarray:

@@ -282,9 +282,7 @@ def test_criterion_10_one_dimensional_estimates():
         intervals = [(cuts[0], cuts[1]), (cuts[2], cuts[3])]
         if sum(b - a for a, b in intervals) < 1e-3:
             intervals = [(0.0, 0.5)]
-        n_fail += not inequality.kovrijkine_check(
-            inequality.AnalyticSample(tuple(coeffs)), intervals
-        )
+        n_fail += not inequality.kovrijkine_check(coeffs, intervals)
     assert report(10, "200 Remez + 200 Kovrijkine randomized instances", n_fail == 0,
                   f"{n_fail} failures")
 

@@ -491,6 +491,20 @@ def test_window_under_two_cells_exits_2_before_the_manifest(tmp_path, capsys, ar
     assert not (tmp_path / "manifest.txt").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["fm", "--m", "1"],
+    ["weyl-verify"],
+    ["bernstein"],
+    ["thickness", "--mask", STRIPS, "--l", "2,2"],
+    ["remez"],
+    ["wegner"],
+])
+def test_rho_exits_2_before_the_manifest_where_no_scan_reads_it(tmp_path, capsys, argv):
+    assert main(argv + ["--rho", "0.5", "--out", str(tmp_path)]) == 2
+    assert "unknown key --rho" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.txt").exists()
+
+
 def test_window_under_two_cells_is_not_scanned_when_rho_is_given(tmp_path):
     argv = ["specineq", "--mask", STRIPS, "--l", "0.2,2", "--rho", "0.5",
             "--out", str(tmp_path)]

@@ -86,7 +86,7 @@ def test_propagate_decay_bound():
 
 def test_gramian_single_mode_closed_form():
     setup, sub = make_subspace(count=1)
-    g = gramian(sub, full_mask(setup), T=1.5)
+    g = gramian(masked_form(sub, full_mask(setup)), sub.eigenvalues, T=1.5)
     lam = sub.eigenvalues[0]
     want = (1 - math.exp(-2 * lam * 1.5)) / (2 * lam)
     assert g[0, 0] == pytest.approx(want, rel=1e-12)
@@ -121,7 +121,7 @@ def test_gramian_matches_quadrature_oracle(lam, T, seed):
     vecs = rng.standard_normal((setup.dim, k)) + 1j * rng.standard_normal((setup.dim, k))
     sub = SpectralSubspace(setup, np.array(lam), vecs, max(lam))
     mask = SetMask(rng.random(setup.N) < 0.5, setup.spacing, periodic=True)
-    got = gramian(sub, mask, T)
+    got = gramian(masked_form(sub, mask), sub.eigenvalues, T)
     want = quadrature_gramian(sub, mask, T)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -133,7 +133,7 @@ def test_gramian_at_zero_eigenvalue_is_horizon_times_masked_form():
     sub = SpectralSubspace(setup, np.array([0.0]), const, 0.0)
     mask = strip_mask(setup.N, setup.spacing, 8, 4, periodic=True)
     T = 0.75
-    g = gramian(sub, mask, T)
+    g = gramian(masked_form(sub, mask), sub.eigenvalues, T)
     assert np.array_equal(g, T * masked_form(sub, mask))
     assert g[0, 0] == pytest.approx(T * 0.5, rel=1e-12)
 
@@ -325,7 +325,7 @@ def test_worst_case_equals_best_single_cost():
     T = 0.9
     worst = worst_observability_quotient(sub, mask, T)
     # cost(u0)^2 = u0^H E G^-1 E u0; its sup over unit u0 equals the worst quotient
-    g = gramian(sub, mask, T)
+    g = gramian(masked_form(sub, mask), sub.eigenvalues, T)
     e = np.diag(np.exp(-sub.eigenvalues * T))
     m = e @ np.linalg.solve(g, e)
     lam_max = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1])

@@ -24,7 +24,6 @@ from magbern.disorder import (
     modulus_of_continuity,
     potential_from_couplings,
     sample_couplings,
-    sample_operator,
     trial_rng,
     wegner_sweep,
     window_counts_for_trials,
@@ -44,14 +43,20 @@ def small_config(master_seed=7):
     return box_config(4, master_seed=master_seed)
 
 
+def sample_operator(config, trial):
+    """The disordered Hamiltonian of one trial, assembled on its own: the
+    reference the shared-pattern trial matrices are checked against."""
+    v = potential_from_couplings(config, sample_couplings(config, trial))
+    return assemble(config.setup, potential=v)
+
+
 def eigen_window_counts(op, E, eps_list):
     """Counts of one operator's eigenvalues in [E - eps, E + eps] by the
     inertia kernel that `window_counts_for_trials` runs on every trial."""
     a = op.matrix.tocsc(copy=True)
     pos = _diagonal_positions(a)
     assert pos.size == a.shape[0]
-    return _window_counts(a, pos, a.data[pos].real, E,
-                          np.asarray(eps_list, dtype=float), lambda: op)
+    return _window_counts(a, pos, a.data[pos].real, E, np.asarray(eps_list, dtype=float))
 
 
 # -- modulus of continuity -------------------------------------------------------
@@ -205,7 +210,7 @@ def test_inertia_counts_match_dense_on_random_trials(length):
         op = sample_operator(cfg, t)
         counts, fell_back = counts_and_fallbacks(op, energy, eps)
         fallbacks += fell_back
-        assert counts.tolist() == _dense_window_counts(op, energy, eps).tolist()
+        assert counts.tolist() == _dense_window_counts(op.matrix, energy, eps).tolist()
     # the guard may send a few shifts to the dense path, not most of them
     assert fallbacks < trials // 2
 
@@ -223,7 +228,7 @@ def test_inertia_counts_match_dense_property(length, m0, width, trial, energy, e
     cfg = box_config(length, coupling=(m0, m0 + width), master_seed=trial)
     op = sample_operator(cfg, trial)
     counts, _ = counts_and_fallbacks(op, energy, eps)
-    assert counts.tolist() == _dense_window_counts(op, energy, np.array(eps)).tolist()
+    assert counts.tolist() == _dense_window_counts(op.matrix, energy, np.array(eps)).tolist()
 
 
 def test_shift_on_an_eigenvalue_falls_back_to_dense():
@@ -231,7 +236,7 @@ def test_shift_on_an_eigenvalue_falls_back_to_dense():
     energy = float(scipy.linalg.eigvalsh(op.matrix.toarray())[16])
     with pytest.warns(RuntimeWarning, match=re.escape(f"shift {energy!r}")):
         counts = eigen_window_counts(op, energy, [0.0])
-    assert counts.tolist() == _dense_window_counts(op, energy, [0.0]).tolist()
+    assert counts.tolist() == _dense_window_counts(op.matrix, energy, [0.0]).tolist()
     assert counts[0] >= 1
 
 
@@ -265,8 +270,8 @@ def test_trial_counts_match_dense_property(length, m0, width, seed, trials, ener
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # a dense fallback is fine
         counts = window_counts_for_trials(cfg, energy, eps, trials)
-    want = [_dense_window_counts(sample_operator(cfg, t), energy, np.array(eps)).tolist()
-            for t in range(trials)]
+    want = [_dense_window_counts(sample_operator(cfg, t).matrix, energy,
+                                 np.array(eps)).tolist() for t in range(trials)]
     assert counts.tolist() == want
 
 
@@ -286,7 +291,7 @@ def test_second_ordering_passes_where_the_first_fails_the_guard():
         warnings.simplefilter("error")
         counts = eigen_window_counts(op, 6.30, eps)
         trial_counts = window_counts_for_trials(cfg, 6.30, eps, 5)[4]
-    assert counts.tolist() == _dense_window_counts(op, 6.30, eps).tolist()
+    assert counts.tolist() == _dense_window_counts(op.matrix, 6.30, eps).tolist()
     assert trial_counts.tolist() == counts.tolist()
 
 
@@ -307,9 +312,22 @@ def test_every_shift_refactored_when_the_first_ordering_fails(monkeypatch):
         counts = window_counts_for_trials(cfg, 6.3, eps, 3)
     for t in range(3):
         assert counts[t].tolist() == _dense_window_counts(
-            sample_operator(cfg, t), 6.3, eps).tolist()
+            sample_operator(cfg, t).matrix, 6.3, eps).tolist()
     # 4 shifts per trial, each factored under both orderings
     assert calls == ["MMD_AT_PLUS_A", "MMD_ATA"] * 12
+
+
+def test_dense_fallback_counts_the_trial_operator(monkeypatch):
+    # every shift fails the guard, so each trial is counted by densifying the
+    # shared pattern, which must hold the trial's own diagonal again by then
+    monkeypatch.setattr(disorder, "_inertia_below", lambda a, norm1, permc_spec: None)
+    cfg = small_config(master_seed=5)
+    eps = [0.05, 0.3]
+    with pytest.warns(RuntimeWarning, match="dense eigensolve"):
+        counts = window_counts_for_trials(cfg, 6.3, eps, 3)
+    for t in range(3):
+        assert counts[t].tolist() == _dense_window_counts(
+            sample_operator(cfg, t).matrix, 6.3, eps).tolist()
 
 
 def test_fallback_above_the_dense_cap_is_refused(monkeypatch):

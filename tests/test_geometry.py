@@ -74,12 +74,11 @@ def two_call_scan(mask, ell):
     and, off the cell multiples, a second one for the inner window."""
     h1, h2 = mask.spacing
     l1, l2 = float(ell[0]), float(ell[1])
-    w1, exact1 = geometry._snap_cells(l1, h1)
-    w2, exact2 = geometry._snap_cells(l2, h2)
+    (w1, w2), exact = geometry.snap_window((l1, l2), mask.spacing)
     counts = int64_window_counts(mask.cells, w1, w2, mask.periodic)
     idx = np.unravel_index(np.argmin(counts), counts.shape)
     min_count = int(counts[idx])
-    if exact1 and exact2:
+    if exact:
         rho_lower = min_count * mask.cell_area / (l1 * l2)
     else:
         inner = int64_window_counts(mask.cells, w1 - 1, w2 - 1, mask.periodic)
@@ -310,8 +309,7 @@ def test_labels_test_one_sorted_word_per_multi_index(monkeypatch):
     # d^alpha |f|^2 depends only on the multi-index of alpha: one prefix sum
     # per (a, m-a), 14 at m_max = 4, gives the labels of testing all 30 words.
     # The 64^2 box of side 0.5 holds the zero of the level-1 term, so some
-    # rectangles are bad, and no rectangle is in the far tail, where prefix
-    # sums decide by rounding
+    # rectangles are bad
     lf = LadderField(1.0, {(0.0, 0.0): {1: 1.0, 2: 0.3 - 0.2j}, (0.8, -0.5): {0: 0.05j}})
     h = 1 / 128
     box = GridField(np.zeros((64, 64), dtype=complex), (-0.25, -0.25), (h, h))
@@ -333,6 +331,25 @@ def test_labels_test_one_sorted_word_per_multi_index(monkeypatch):
     good = [lbl.good for lbl in labels]
     assert good == want
     assert 0 < sum(good) < len(good)
+
+
+def test_far_tail_labels_match_direct_slice_sums():
+    # on a 9-sigma grid the outer rectangles hold |f|^2 below the rounding
+    # level of its prefix sums, whose differences read 0 or below there
+    lf = random_ladder(rng_stream(60))
+    f = sample_ladder(lf, QuadratureSpec(tail_sigmas=9.0, points_per_length=8))
+    span = tuple(h * (n - 1) for h, n in zip(f.spacing, f.samples.shape))
+    cov = build_covering(span, (1.0, 1.0), origin=f.origin)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        labels = classify_good_bad(f, cov, E=lf.energy_ceiling(), m_max=4)
+        want = all_words_labels(f, cov, lf.energy_ceiling(), 4)
+    assert [lbl.good for lbl in labels] == want
+    total = norm2(f)
+    for lbl in labels:
+        i0, i1, j0, j1 = f.rect_indices(lbl.anchor, cov.ell)
+        mass = float(np.sum(np.abs(f.samples[i0:i1, j0:j1]) ** 2)) * f.cell_area
+        assert 0.0 <= lbl.mass and abs(lbl.mass - mass) <= 4 * np.finfo(float).eps * total
 
 
 def test_bad_rectangle_detected_at_field_zero():

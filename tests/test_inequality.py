@@ -11,7 +11,6 @@ from magbern import inequality
 from magbern.errors import NumericalError, ValidationError
 from magbern.geometry import SetMask, disk_complement_mask, strip_mask, thickness_scan
 from magbern.inequality import (
-    AnalyticSample,
     empirical_constant,
     kovrijkine_check,
     masked_form,
@@ -346,16 +345,16 @@ def test_remez_random_sweep():
 
 
 def test_kovrijkine_constant_function():
-    assert kovrijkine_check(AnalyticSample((1.0,)), [(0.1, 0.6)])
+    assert kovrijkine_check([1.0], [(0.1, 0.6)])
 
 
 def test_kovrijkine_one_plus_z():
-    assert kovrijkine_check(AnalyticSample((1.0, 1.0)), [(0.0, 0.5)])
+    assert kovrijkine_check([1.0, 1.0], [(0.0, 0.5)])
 
 
 def test_kovrijkine_requires_unit_value_at_zero():
     with pytest.raises(ValidationError):
-        kovrijkine_check(AnalyticSample((1.0, 0.5)), [(0.0, 0.5)])
+        kovrijkine_check([1.0, 0.5], [(0.0, 0.5)])
 
 
 def test_kovrijkine_random_sweep():
@@ -370,7 +369,7 @@ def test_kovrijkine_random_sweep():
         intervals = [(cuts[0], cuts[1]), (cuts[2], cuts[3])]
         if sum(b - a for a, b in intervals) < 1e-3:
             continue
-        assert kovrijkine_check(AnalyticSample(tuple(coeffs)), intervals)
+        assert kovrijkine_check(coeffs, intervals)
 
 
 # -- series bound -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Public surface: every top-level public function and class in `magbern`
 is named by the package itself, the benchmark tracer or the acceptance suite,
-so no shipped routine is reached only by its own unit tests."""
+so no shipped routine is reached only by its own unit tests; and no module
+reaches into another one's private names."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,28 @@ def test_every_public_definition_has_a_caller_outside_the_unit_tests():
                         if name != owner)
     unused = [f"{module}.{name}" for module, name in public if name not in used]
     assert not unused, f"public names with no caller outside the unit tests: {unused}"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reads_another_modules_private_names():
+    """A `_`-prefixed name belongs to its module: no `src` module imports one
+    from another module or reads one as an attribute of an imported module."""
+    reads = []
+    for path in SRC:
+        tree = ast.parse(path.read_text(), str(path))
+        modules = set()  # local names bound to modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                if node.module is None:  # from . import geometry
+                    modules.update(a.asname or a.name for a in node.names)
+                reads += [f"{path.stem}: from {node.module or '.'} import {a.name}"
+                          for a in node.names if _private(a.name)]
+        reads += [f"{path.stem}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and _private(node.attr)]
+    assert not reads, f"reads of another module's private names: {reads}"
