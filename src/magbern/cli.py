@@ -249,16 +249,22 @@ def _check_finite(key: str, value) -> None:
 
 
 def read_keyvalue_file(path) -> dict:
+    """`key = value` lines of a UTF-8 file; ValidationError when it cannot be
+    read or decoded, or a line is not of that form."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, a NUL in the path
+        raise ValidationError(f"{path}: cannot read config: {exc}") from exc
     out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
+        key, val = line.split("=", 1)
+        out[key.strip()] = val.strip()
     return out
 
 

@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .algebra import bernstein_constant
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .landau import GridField, mod2_derivative_word, word_fields
 
 
@@ -75,10 +75,13 @@ def snap_window(ell: tuple, spacing: tuple) -> tuple:
     """((w1, w2), exact): the cells each side of an ell-window spans on a grid
     of `spacing` (a side within 1e-9 of a cell multiple snaps to it), and
     whether both sides did.  ValidationError when a side spans fewer than 2
-    cells, the smallest window `thickness_scan` certifies."""
+    cells, the smallest window `thickness_scan` certifies, or a number of
+    cells that is not finite."""
     cells, exact = [], True
     for l, h in zip(ell, spacing):
-        w = float(l) / h
+        w = float(l) / h if h > 0 else np.inf  # a cell side L/N can underflow to 0
+        if not np.isfinite(w):
+            raise ValidationError(f"window side {l!r} spans {w} cells of side {h!r}")
         snapped = abs(w - round(w)) < 1e-9 * max(1.0, w)
         cells.append(int(round(w)) if snapped else int(np.floor(w)))
         exact &= snapped
@@ -87,6 +90,8 @@ def snap_window(ell: tuple, spacing: tuple) -> tuple:
     return tuple(cells), exact
 
 
+# cells a window-count grid may hold once padded: its int32 prefix sum takes 1 GiB
+WINDOW_GRID_CAP = 1 << 28
 _PREFIX_BLOCK_BYTES = 1 << 20  # one axis-0 row block stays inside a core's L2 cache
 
 
@@ -117,16 +122,21 @@ def window_counts(cells: np.ndarray, windows, periodic: bool) -> list:
     """Occupancy counts of all windows of each size (w1, w2) in `windows`,
     from one 2-D prefix sum of the cells.
 
-    The sum is int32 when the (padded) grid has fewer than 2^31 cells, so
-    no prefix value or box difference can overflow, and int64 otherwise.  A
-    periodic grid is padded by the largest window and every result holds
+    A periodic grid is padded by the largest window and every result holds
     its N1 x N2 anchors; otherwise each holds the anchors of windows inside.
+    A padded grid above WINDOW_GRID_CAP cells raises ResourceLimitError
+    before it is built; below it the sum is int32, and no prefix value or
+    box difference can overflow.
     """
     n1, n2 = cells.shape
+    pad = [max(w[axis] for w in windows) - 1 if periodic else 0 for axis in (0, 1)]
+    if (n1 + pad[0]) * (n2 + pad[1]) > WINDOW_GRID_CAP:
+        raise ResourceLimitError(
+            f"a {n1 + pad[0]:.3g} x {n2 + pad[1]:.3g} window-count grid exceeds the cap "
+            f"of {WINDOW_GRID_CAP} cells")
     if periodic:
-        pad = [(0, max(w[axis] for w in windows) - 1) for axis in (0, 1)]
-        cells = np.pad(cells, pad, mode="wrap")
-    p = _prefix(cells, np.int32 if cells.size < 2**31 else np.int64)
+        cells = np.pad(cells, [(0, pad[0]), (0, pad[1])], mode="wrap")
+    p = _prefix(cells, np.int32)
     found = []
     for w1, w2 in windows:
         r1 = n1 if periodic else n1 - w1 + 1
@@ -298,7 +308,7 @@ def read_pbm(path, spacing=(1.0, 1.0), periodic: bool = False) -> SetMask:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ValidationError(f"{path}: cannot read mask: {exc}") from exc
     if b"#" in data:
         data = b"\n".join(line.split(b"#", 1)[0] for line in data.split(b"\n"))

@@ -13,10 +13,13 @@ g = gcd(n_phi, N2) decoupled rings of length N1*N2/g: real symmetric
 periodic tridiagonal Harper chains (Hofstadter, Phys. Rev. B 14, 1976), in
 which the seam twist carries (N1-1, k) on to (0, k - n_phi).  `eigensolve`
 solves the rings, never the 2-D operator, and checks every pair against
-the assembled matrix.  A ring is held as its diagonal and one hop; its
-shift-invert operator is an O(M) LAPACK LDL^T solve of the open chain plus
-a Sherman-Morrison term for the closing hop.  With a constant potential
-and n_phi | N1, ring r is ring 0 moved by r*N1/n_phi sites (a magnetic
+the assembled matrix.  A ring is held as its diagonal and one hop.  Cut
+at its closing hop, with |hop| added at both ends, it is an open chain T
+that lies above it by a rank-one term.  The LDL^T factor of T - c gives
+the O(M) shift-invert (plus a Sherman-Morrison term) and, by its pivot
+signs, T's exact count of eigenvalues at or below c: the ring has at most
+one more, so that count sizes the ring's one solve.  With a constant potential and
+n_phi | N1, ring r is ring 0 moved by r*N1/n_phi sites (a magnetic
 translation, Zak, Phys. Rev. 134, 1964), so only ring 0 is solved.
 """
 
@@ -206,6 +209,35 @@ def _ring_apply(d: np.ndarray, hop: float, x: np.ndarray) -> np.ndarray:
     return d[:, None] * x + hop * (np.roll(x, 1, axis=0) + np.roll(x, -1, axis=0))
 
 
+def _open_chain(d: np.ndarray, hop: float, c: float) -> np.ndarray:
+    """Diagonal of T - c: T is the ring A (diagonal d, hop `hop`) cut at its
+    closing hop, with |hop| added at both ends, so A = T - |hop| u u^T with
+    u = e_0 + e_(M-1).  T's off-diagonal is `hop`."""
+    t = d - c
+    t[[0, -1]] -= hop
+    return t
+
+
+def _chain_count_below(d: np.ndarray, hop: float, c: float) -> int:
+    """Eigenvalues of the open chain T (`_open_chain`) at or below c, in O(M).
+
+    By Sylvester's law of inertia they number the non-positive LDL^T pivots
+    p_i = t_i - hop^2/p_(i-1) of T - c.  A pivot under pivmin counts and
+    goes on as at most -pivmin, as in LAPACK's dstebz, so the count is exact
+    for a matrix within a few ulps of T (Kahan; Demmel, Applied Numerical
+    Linear Algebra, 5.3).  c = inf counts all M.
+    """
+    e2 = hop * hop
+    pivmin = float(np.finfo(float).tiny) * max(1.0, e2)
+    below, p = 0, math.inf
+    for t in _open_chain(d, hop, c).tolist():
+        p = t - e2 / p
+        if p < pivmin:
+            below += 1
+            p = min(p, -pivmin)
+    return below
+
+
 # The Sherman-Morrison term divides by its denominator and so amplifies the
 # rounding of the chain solve by its inverse.  The CLI's rings measure
 # 0.03 - 0.13; a ring of length M at n_phi = 0 about 2/M.
@@ -215,17 +247,14 @@ SM_DENOMINATOR_MIN = 1e-8
 def _ring_shift_invert(d: np.ndarray, hop: float, sigma: float) -> spla.LinearOperator:
     """(A - sigma)^-1 of the ring A with diagonal d and hop `hop`, in O(M).
 
-    A - sigma = (T - sigma) - |hop| u u^T with u = e_0 + e_(M-1), where T is
-    the open chain with |hop| added to both end sites.  T >= A, so T - sigma
+    A - sigma = (T - sigma) - |hop| u u^T (`_open_chain`).  T >= A, so T - sigma
     is positive definite for sigma below the spectrum: LAPACK's dpttrf
     factors it once, and each apply is one dpttrs plus the Sherman-Morrison
     term along z = (T - sigma)^-1 u.  NumericalError when the factorization or the
     denominator 1 - |hop| u^T z says sigma is not safely below the spectrum.
     """
     m = d.size
-    t = d - sigma
-    t[[0, -1]] -= hop
-    tf, ef, info = dpttrf(t, np.full(m - 1, hop))
+    tf, ef, info = dpttrf(_open_chain(d, hop, sigma), np.full(m - 1, hop))
     if info:
         raise NumericalError(f"ring shift {sigma:.6g} is not below the spectrum "
                              f"(dpttrf info {info})")
@@ -302,31 +331,26 @@ def eigensolve(op: MagneticOperator, energy: Optional[float] = None,
                seed: int = 0) -> SpectralSubspace:
     """All eigenpairs with eigenvalue <= energy (or the lowest `count`).
 
-    Solved on the Fourier rings of `assemble`'s Landau gauge, so the
-    operator's potential may vary along x1 only (ValidationError otherwise).
-    The x2-Fourier transform splits H into g = gcd(n_phi, N2) decoupled
-    rings of length M = N1*N2/g (`_ring_diagonal`, one hop -1/h1^2).  Each
-    ring is solved by real shift-invert ARPACK with a start vector drawn
-    from `seed` and a shift sigma = B/2 + (2 pi/max(L1, L2))^2/2 below the
-    potential minimum, whose (A - sigma)^-1 is an O(M) LAPACK LDL^T solve
-    of the open chain plus a Sherman-Morrison term for the two corner hops
-    (`_ring_shift_invert`); or by LAPACK `eigh` of the requested subset
-    when M <= `dense_threshold` or the request passes ARPACK's cap of M - 2
-    pairs (above DENSE_DIM_CAP that raises ResourceLimitError).  When the
-    potential is constant and n_phi divides N1, ring r is ring 0 moved by
-    r*N1/n_phi sites, so ring 0 alone is solved and its vectors are rolled
-    (`_translation_shifts`).  Each ring's first block holds
-    (n_phi/g)*(levels + 1) pairs, at least 2, where `levels` counts the
-    Landau levels (2n+1)B below the cutoff (or the levels `count` spans);
-    a ring whose block ends at or below the cutoff doubles its block until
-    it passes it or holds the whole ring.  Each ring vector is signed so
-    that its largest-magnitude entry (the first, on a tie to SIGN_TIE) is
-    positive, whichever solver found it; exactly equal eigenvalues keep
-    ring order; and the kept vectors go back to the grid by one inverse FFT
-    along x2, so inside a degenerate level the basis is the ring basis.
-    Every returned pair has relative residual at most 1e-8 against
-    `op.matrix` (NumericalError otherwise), so an operator whose link
-    phases are not `assemble`'s is refused, not mis-solved.
+    Solved on the g = gcd(n_phi, N2) Fourier rings (length M = N1*N2/g,
+    `_ring_diagonal`, hop -1/h1^2) of `assemble`'s Landau gauge, so the
+    potential may vary along x1 only (ValidationError otherwise).  Each
+    ring class is solved once, ring 0 alone when the rings are its
+    translates (`_translation_shifts`), for a block that holds every pair
+    it contributes: by energy, 1 + its open chain's count at the cutoff
+    (`_chain_count_below`), since by interlacing the ring has at most one
+    more there; by count, ceil(count/g) pairs of ring 0 for translates,
+    else `count` per ring.  A ring is solved by shift-invert ARPACK at
+    sigma = B/2 + (2 pi/max(L1, L2))^2/2 below the potential minimum
+    (`_ring_shift_invert`, start vector from `seed`), or by a subset `eigh`
+    when M <= `dense_threshold` or the block passes ARPACK's cap of M - 2
+    pairs (above DENSE_DIM_CAP that raises ResourceLimitError).  Each ring
+    vector is signed so that its largest-magnitude entry (the first, on a
+    tie to SIGN_TIE) is positive, whichever solver found it; exactly equal
+    eigenvalues keep ring order; and the kept vectors go back to the grid
+    by one inverse FFT along x2, so inside a degenerate level the basis is
+    the ring basis.  Every returned pair has relative residual at most 1e-8
+    against `op.matrix` (NumericalError otherwise), so an operator whose
+    link phases are not `assemble`'s is refused, not mis-solved.
     """
     if (energy is None) == (count is None):
         raise ValidationError("give exactly one of energy= or count=")
@@ -337,44 +361,29 @@ def eigensolve(op: MagneticOperator, energy: Optional[float] = None,
     h1, h2 = setup.spacing
     trust = 0.1 / max(h1, h2) ** 2
     if energy is not None and energy > trust:
-        warnings.warn(
-            f"cutoff {energy:.3g} above the trustworthy band ~{trust:.3g}",
-            stacklevel=2,
-        )
-    v1 = np.zeros(n1)
-    if op.diag is not None:
-        if np.any(op.diag != op.diag[:, :1]):
-            raise ValidationError(
-                "eigensolve needs a potential that is constant along x2")
-        v1 = op.diag[:, 0]
+        warnings.warn(f"cutoff {energy:.3g} above the trustworthy band ~{trust:.3g}",
+                      stacklevel=2)
+    v1 = np.zeros(n1) if op.diag is None else op.diag[:, 0]
+    if op.diag is not None and np.any(op.diag != v1[:, None]):
+        raise ValidationError("eigensolve needs a potential that is constant along x2")
     n_phi = setup.n_phi
     g = math.gcd(n_phi, n2)
     m = n1 * n2 // g
     # ring r visits the x2-Fourier modes k = r - t*n_phi mod N2, t = 0 .. N2/g - 1
     modes = (np.arange(g)[:, None] - n_phi * np.arange(n2 // g)[None, :]) % n2
-    if count is not None:
-        levels = -(-count // n_phi) if n_phi else 0
-    else:  # a float: inf for an infinite cutoff
-        levels = ((energy - v1.min()) / setup.B + 1) // 2 if n_phi else 0
-    blocks = [int(min(m, max(2, n_phi // g * (max(levels, 0) + 1))))] * g
     sigma = v1.min() - 0.5 * (setup.B + (TWO_PI / max(setup.L)) ** 2)
     hop = -1.0 / h1**2
     shifts = _translation_shifts(setup, v1, g)
     rings = [_ring_diagonal(setup, modes[r], v1) for r in range(1 if shifts else g)]
-    solved = [None] * g
-    todo = range(g)
-    while todo:
-        for r in todo:  # ascending, so ring 0 is solved before its translates
-            solved[r] = (_solve_ring(rings[r], hop, blocks[r], dense_threshold, sigma, seed)
-                         if r == 0 or not shifts else
-                         (solved[0][0], np.roll(solved[0][1], shifts[r], axis=0)))
-        evals = np.concatenate([s[0] for s in solved])
-        cut = energy
-        if count is not None:
-            cut = np.sort(evals)[count - 1] if evals.size >= count else np.inf
-        todo = [r for r in range(g) if solved[r][0].size < m and solved[r][0][-1] <= cut]
-        for r in todo:
-            blocks[r] *= 2
+    if count is None:
+        blocks = [min(m, 1 + _chain_count_below(d, hop, energy)) for d in rings]
+    else:
+        blocks = [min(m, -(-count // g) if shifts else count)] * len(rings)
+    solved = [_solve_ring(d, hop, k, dense_threshold, sigma, seed)
+              for d, k in zip(rings, blocks)]
+    if shifts:
+        solved = [(solved[0][0], np.roll(solved[0][1], s, axis=0)) for s in shifts]
+    evals = np.concatenate([s[0] for s in solved])
     order = np.argsort(evals, kind="stable")
     order = order[evals[order] <= energy] if count is None else order[:count]
     evals = evals[order]
@@ -386,21 +395,12 @@ def eigensolve(op: MagneticOperator, energy: Optional[float] = None,
         ring_vecs.T.reshape(order.size, n2 // g, n1))
     grid = np.fft.ifft(spectra, axis=1, norm="ortho").transpose(0, 2, 1)
     vectors = grid.reshape(order.size, setup.dim).T / np.sqrt(h1 * h2)
-    resid = _max_residual(op, evals, vectors)
+    resid = np.max(np.linalg.norm(op.matrix @ vectors - vectors * evals, axis=0)
+                   / (np.linalg.norm(vectors, axis=0) * np.maximum(np.abs(evals), 1.0)),
+                   initial=0.0)
     if resid > 1e-8:
         raise NumericalError(f"eigenpair residual {resid:.2e} above 1e-08")
-    cutoff = energy if energy is not None else evals[-1]
-    return SpectralSubspace(setup=setup, eigenvalues=evals, vectors=vectors,
-                            cutoff=float(cutoff))
-
-
-def _max_residual(op: MagneticOperator, evals, vectors) -> float:
-    if not len(evals):
-        return 0.0
-    hv = op.matrix @ vectors
-    r = hv - vectors * evals[None, :]
-    scale = np.maximum(np.abs(evals), 1.0)
-    return float(np.max(np.linalg.norm(r, axis=0) / (np.linalg.norm(vectors, axis=0) * scale)))
+    return SpectralSubspace(setup, evals, vectors, float(evals[-1] if count else energy))
 
 
 def coherent_vector(setup: TorusSetup, center: tuple) -> np.ndarray:

@@ -9,10 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magbern import disorder, geometry, inequality, landau
-from magbern.cli import main, parse_config, parse_energy, read_keyvalue_file
-from magbern.errors import NumericalError, ValidationError
+from magbern.cli import (SCHEMAS, RunConfig, main, parse_config, parse_energy,
+                          read_keyvalue_file)
+from magbern.errors import MagbernError, NumericalError, ValidationError
 from magbern.geometry import SetMask
 from util_fields import write_pbm
 
@@ -63,6 +66,88 @@ def test_keyvalue_reader_rejects_garbage(tmp_path):
     f.write_text("just some words\n")
     with pytest.raises(ValidationError):
         read_keyvalue_file(f)
+
+
+@pytest.mark.parametrize("name,content,message", [
+    ("missing.cfg", None, "No such file"),
+    ("", None, "Is a directory"),  # the config path is tmp_path itself
+    ("ff.cfg", b"command = fm\nm = \xff\n", "can't decode byte 0xff"),
+    ("nul.cfg", b"command = thickness\nmask = a\x00b\nl = 2,2\n", "embedded null byte"),
+], ids=["missing", "directory", "undecodable", "nul-mask"])
+def test_unreadable_config_or_mask_path_exits_2(tmp_path, capsys, name, content, message):
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("magbern: error:") and message in err
+
+
+# numbers to put in a value: edge cases, then any float
+NUMBER = st.one_of(
+    st.sampled_from(["0", "-1", "nan", "inf", "5e-324", "1.7976931348623157e+308"]),
+    st.floats().map(repr),
+)
+# a valid value for each key without a default
+GIVEN = {"mask": STRIPS, "l": "2,2", "rho": "0.5"}
+
+
+def base_value(command, key) -> str:
+    default = SCHEMAS[command][key][1]
+    if default is None:
+        return GIVEN[key]
+    return ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+
+
+@st.composite
+def odd_value(draw, command, key):
+    """Text for --key: its base value with one comma item replaced by a
+    NUMBER, or any text."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=12))
+    items = base_value(command, key).split(",")
+    items[draw(st.integers(0, len(items) - 1))] = draw(NUMBER)
+    return ",".join(items)
+
+
+@st.composite
+def command_lines(draw, command):
+    """Flags and the bytes of a config file for `command`.  One or two drawn
+    keys get an odd value, as a flag or as a config-file line whose value
+    may be any bytes; every other key is left out or given its base value."""
+    keys = sorted(SCHEMAS[command])
+    odd = draw(st.sets(st.sampled_from(keys), min_size=1, max_size=2))
+    flags, lines = [], []
+    for key in keys:
+        if key in odd:
+            value = draw(odd_value(command, key))
+        elif key not in ("mask", "l") and draw(st.booleans()):
+            continue  # the two required keys are always given
+        else:
+            value = base_value(command, key)
+        if draw(st.booleans()):
+            flags += [f"--{key}", value]
+        else:
+            text = value.encode()
+            if key in odd:
+                text = draw(st.one_of(st.just(text), st.binary(max_size=8)))
+            lines.append(key.encode() + b" = " + text)
+    return flags, b"\n".join(lines) + b"\n"
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_parser_returns_a_config_or_a_magbern_error(tmp_path_factory, command, data):
+    flags, text = data.draw(command_lines(command))
+    path = tmp_path_factory.getbasetemp() / f"parser-{command}.cfg"
+    path.write_bytes(text)
+    try:
+        cfg = parse_config([command, "--config", str(path)] + flags)
+    except MagbernError:
+        return
+    assert isinstance(cfg, RunConfig) and cfg.command == command
 
 
 # -- commands -----------------------------------------------------------------
@@ -562,6 +647,25 @@ def test_non_positive_box_side_exits_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert "box sides must be positive" in capsys.readouterr().err
     assert not (tmp_path / "manifest.txt").exists()
+
+
+def test_window_of_infinitely_many_cells_exits_2_before_the_manifest(tmp_path, capsys):
+    argv = ["thickness", "--mask", STRIPS, "--l", "1e308,1e308", "--spacing", "1e-10,1",
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "spans inf cells" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.txt").exists()
+
+
+def test_window_padding_past_the_grid_cap_exits_4(tmp_path, capsys, monkeypatch):
+    # the cap is checked on the sizes, before the periodic grid is padded
+    def no_pad(*args, **kwargs):
+        raise AssertionError("the grid was padded before the cap check")
+
+    monkeypatch.setattr(geometry.np, "pad", no_pad)
+    argv = ["specineq", "--mask", STRIPS, "--l", "1e300,2", "--out", str(tmp_path)]
+    assert main(argv) == 4
+    assert "window-count grid exceeds the cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["specineq", "control"])

@@ -32,14 +32,16 @@ def small_setup(n_phi=2, L=4.0, N=16):
 def oracle_eigensolve(op, energy=None, count=None, dense_threshold=255, seed=0):
     """The 2-D solve `eigensolve` replaced: shift-invert ARPACK on the whole
     operator (blocks of 16 pairs doubling past the cutoff) above
-    `dense_threshold`, a subset dense `eigh` below it or past ARPACK's cap."""
+    `dense_threshold`, a subset dense `eigh` below it or past ARPACK's cap.
+    The shift sits below the potential's minimum, so below the spectrum."""
     setup = op.setup
     h1, h2 = setup.spacing
     dim = setup.dim
     k = count or 16
+    floor = min(0.0, op.diag.min()) if op.diag is not None else 0.0
     while dim > dense_threshold and k <= dim - 2:
         evals, evecs = spla.eigsh(
-            op.matrix, k=k, sigma=-0.05 * (1.0 / max(h1, h2) ** 2), which="LM",
+            op.matrix, k=k, sigma=floor - 0.05 * (1.0 / max(h1, h2) ** 2), which="LM",
             v0=np.random.default_rng(seed).standard_normal(dim), maxiter=10000)
         q, _ = np.linalg.qr(evecs)
         small = q.conj().T @ (op.matrix @ q)
@@ -298,8 +300,14 @@ def test_ring_solve_matches_the_2d_oracle(n_phi, n1, n2, sides, amplitude, posit
              else {"energy": 0.5 * (full[cut - 1] + full[cut])})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # cutoffs above the trusted band
-        ring = eigensolve(op, dense_threshold=dense_threshold, seed=seed, **solve)
+        ring, calls = count_ring_solves(op, dense_threshold=dense_threshold, seed=seed,
+                                        **solve)
         oracle = oracle_eigensolve(op, dense_threshold=dense_threshold, seed=seed, **solve)
+    # each ring class is solved once: ring 0 alone when the g rings are its
+    # magnetic translates (constant potential, n_phi | N1), else every ring
+    g = math.gcd(n_phi, n2)
+    translates = g > 1 and amplitude == 0.0 and n_phi > 0 and n1 % n_phi == 0
+    assert calls == (1 if translates else g)
     assert ring.dim == oracle.dim == cut
     assert np.max(np.abs(ring.eigenvalues - oracle.eigenvalues)) <= 1e-9
     assert projector_gap(ring, oracle) <= 1e-8
@@ -375,6 +383,64 @@ def test_shift_invert_refuses_a_shift_inside_the_spectrum():
         lattice._ring_shift_invert(d, hop, float(d.max()) + 4.0 * abs(hop))
 
 
+def chain_eigenvalues(d, hop):
+    """Dense spectrum of the open chain T of `_open_chain`."""
+    t = lattice._open_chain(d, hop, 0.0)
+    off = np.full(d.size - 1, hop)
+    return np.linalg.eigvalsh(np.diag(t) + np.diag(off, 1) + np.diag(off, -1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(2, 60), hop=st.floats(-4.0, -0.01),
+       spread=st.sampled_from([0.0, 0.1, 5.0]), at=st.floats(0.0, 1.0),
+       ulps=st.integers(-4, 4), seed=st.integers(0, 2**16))
+def test_chain_count_matches_dense_eigenvalues(m, hop, spread, at, ulps, seed):
+    # spread 0 gives a constant diagonal, 5.0 a rough one
+    d = np.random.default_rng(seed).uniform(-spread, spread, m)
+    lam = chain_eigenvalues(d, hop)
+
+    def count(c):
+        return lattice._chain_count_below(d, hop, c)
+
+    assert count(lam[0] - 1.0 - abs(hop)) == 0
+    assert count(-np.inf) == 0
+    assert count(np.inf) == m
+    # both counts are exact to a few ulps of T, so a shift on an eigenvalue
+    # or a few ulps off it counts every eigenvalue clear below it and none
+    # clear above it
+    tol = 16 * m * np.finfo(float).eps * (np.abs(d).max() + 4 * abs(hop))
+    c = lam[int(at * (m - 1))]
+    c = c + ulps * np.spacing(c)
+    assert np.sum(lam <= c - tol) <= count(c) <= np.sum(lam <= c + tol)
+    # in a gap wider than the tolerance the count is the dense one
+    gaps = np.flatnonzero(np.diff(lam) > 4 * tol)
+    for i in gaps[:5]:
+        assert count(0.5 * (lam[i] + lam[i + 1])) == i + 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_phi=st.integers(0, 7), n1=st.integers(4, 24), n2=st.integers(4, 24),
+       sides=st.tuples(st.sampled_from([3.0, 4.0, 5.5]), st.sampled_from([3.0, 4.0, 8.0])),
+       amplitude=st.sampled_from([0.0, 1.0, 20.0]), at=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**16))
+def test_ring_count_exceeds_its_chain_count_by_at_most_one(n_phi, n1, n2, sides, amplitude,
+                                                           at, seed):
+    # A = T - |hop| u u^T: Cauchy interlacing puts at most one more
+    # eigenvalue of the ring than of its open chain at or below any c
+    setup = TorusSetup.from_flux(n_phi, sides, (n1, n2))
+    v1 = amplitude * np.random.default_rng(seed).uniform(-1.0, 1.0, n1)
+    modes, v1, _sigma = ring_setup(setup, v1)
+    hop = -1.0 / setup.spacing[0] ** 2
+    d = lattice._ring_diagonal(setup, modes[0], v1)
+    ring = scipy.linalg.eigvalsh(ring_matrix(setup, modes[0], v1).toarray())
+    both = np.sort(np.concatenate([ring, chain_eigenvalues(d, hop)]))
+    c = both[0] - 1.0 + at * (both[-1] - both[0] + 2.0)
+    tol = 1e-9 * (np.abs(both).max() + 1.0)
+    if np.min(np.abs(both - c)) < tol:
+        return  # shifts on eigenvalues: test_chain_count_matches_dense_eigenvalues
+    assert np.sum(ring <= c) - lattice._chain_count_below(d, hop, c) in (0, 1)
+
+
 @pytest.mark.parametrize("dense_threshold", [0, 10**4])
 def test_ring_vectors_have_a_positive_peak(dense_threshold):
     setup = TorusSetup.from_flux(3, (6.0, 6.0), (24, 24))
@@ -406,7 +472,7 @@ def count_ring_solves(op, **solve):
 @pytest.mark.parametrize("by_energy", [True, False])
 def test_bench_grids_solve_one_ring(n, by_energy):
     # specineq cuts at 1.001 * 3B, control keeps n_phi * clusters = 4 pairs;
-    # with n_phi = 2 both rings are translates, and the first block suffices
+    # with n_phi = 2 both rings are translates, so ring 0 alone is solved, once
     setup = TorusSetup.from_flux(2, (8.0, 8.0), (n, n))
     solve = {"energy": 1.001 * 3 * setup.B} if by_energy else {"count": 4}
     sub, calls = count_ring_solves(assemble(setup), seed=1, **solve)
@@ -454,7 +520,8 @@ def test_translation_reuse_matches_solving_every_ring(case, position, dense_thre
                                                    dense_threshold=dense_threshold, seed=seed)
         fast, fast_calls = count_ring_solves(op, energy=energy,
                                              dense_threshold=dense_threshold, seed=seed)
-    assert fast_calls == (every_calls // g if reuse else every_calls)
+    assert every_calls == g
+    assert fast_calls == (1 if reuse else g)
     assert fast.dim == every.dim == cuts[0]
     assert np.max(np.abs(fast.eigenvalues - every.eigenvalues)) <= 1e-10
     assert projector_gap(fast, every) <= 1e-10
