@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 # the torus modules load scipy: only the commands that solve on the lattice
-# (specineq, control, wegner) import them, inside their runners
+# (specineq, control, wegner) import them, inside their runners and checks
 from . import algebra, geometry, inequality, landau
 from .errors import MagbernError, NumericalError, ValidationError
 
@@ -339,9 +339,12 @@ def parse_config(argv) -> RunConfig:
     if command == "thickness":
         geometry.snap_window(params["l"], params["spacing"])
     elif command in ("specineq", "control"):
-        if "rho" not in params:
-            # the torus cell side is L/N; a given --rho skips the scan
-            geometry.snap_window(params["l"], [L / n for L, n in zip(params["L"], params["N"])])
+        from . import lattice
+
+        # a box the torus refuses is refused here; its cell side is L/N
+        setup = lattice.TorusSetup.from_flux(params["n-phi"], params["L"], params["N"])
+        if "rho" not in params:  # a given --rho skips the scan
+            geometry.snap_window(params["l"], setup.spacing)
         if geometry.read_pbm(params["mask"]).cells.shape != params["N"]:
             raise ValidationError("mask grid does not match --N")
     out_dir = Path(params.pop("out", "."))
@@ -377,13 +380,6 @@ def _write(bundle: ReportBundle, path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     bundle.files.append(str(path))
-
-
-def _load_mask(params, spacing=None, periodic=True) -> geometry.SetMask:
-    return geometry.read_pbm(
-        params["mask"], spacing=spacing or params.get("spacing", (1.0, 1.0)),
-        periodic=periodic,
-    )
 
 
 def run_fm(cfg: RunConfig, bundle: ReportBundle) -> None:
@@ -442,7 +438,8 @@ def run_bernstein(cfg: RunConfig, bundle: ReportBundle) -> None:
 
 
 def run_thickness(cfg: RunConfig, bundle: ReportBundle) -> None:
-    mask = _load_mask(cfg.params, periodic=cfg.params["periodic"])
+    mask = geometry.read_pbm(cfg.params["mask"], spacing=cfg.params["spacing"],
+                             periodic=cfg.params["periodic"])
     rep = geometry.thickness_scan(mask, cfg.params["l"])
     rows = ["l1,l2,rho_lower,anchor_x,anchor_y",
             _row(*rep.ell, rep.rho_lower, *rep.anchor)]
@@ -462,7 +459,7 @@ def _torus_prelude(params):
     else:
         solve = {"count": params["n-phi"] * params["clusters"]}
     sub = lattice.eigensolve(lattice.assemble(setup), seed=params["seed"], **solve)
-    mask = _load_mask(params, spacing=setup.spacing)
+    mask = geometry.read_pbm(params["mask"], spacing=setup.spacing, periodic=True)
     rho = params.get("rho") or geometry.thickness_scan(mask, params["l"]).rho_lower
     if rho <= 0:
         raise NumericalError("mask is not thick at the requested window")
@@ -530,16 +527,17 @@ def run_control(cfg: RunConfig, bundle: ReportBundle) -> None:
     u0 = sub.vectors.conj().T @ lattice.coherent_vector(
         setup, (setup.L[0] / 2, setup.L[1] / 2)
     ).ravel() * setup.spacing[0] * setup.spacing[1]
+    form = control.masked_form(sub, mask)  # one form for every horizon
     rows = ["T,rho,l1,l2,B,E_max,hum_cost,log_bound_traced,residual"]
     plot = []
     for idx, t in enumerate(p["T"]):
-        problem = control.HeatProblem(sub, mask, t, u0)
-        res = control.hum_control(problem)
+        res = control.hum_control(form, sub.eigenvalues, u0, t)
         log_bound = control.cost_bound_log(rho, p["l"], setup.B, t)
         rows.append(_row(t, rho, *p["l"], setup.B, sub.cutoff, res.cost, log_bound,
                          res.terminal_residual))
         plot.append(_row(t, res.cost, sep=" "))
-        times, states = control.state_trajectory(problem, res)
+        times, states = control.state_trajectory(form, sub.eigenvalues, u0, t,
+                                                 res.dual_state)
         # t, re_0, im_0, re_1, ...: one float table, checked once, as _row writes it
         table = np.column_stack(
             [times, np.stack([states.real, states.imag], axis=-1).reshape(len(times), -1)])

@@ -1,8 +1,10 @@
 """Magnetic heat control on truncated eigenbases.
 
 All dynamics are exact exponentials in the spectral basis, so every check
-isolates inequality content rather than time-stepping error.  The HUM
-Gramian is the exact time integral, entrywise the masked form times
+isolates inequality content rather than time-stepping error.  The functions
+work on the k x k masked form M_S of a subspace and mask (`masked_form`,
+formed once and shared by every horizon) and the subspace's eigenvalues
+lam.  The HUM Gramian is the exact time integral, entrywise M_S times
 (1 - e^(-(lam_i + lam_j) T)) / (lam_i + lam_j); the one independent check of
 the control is `state_trajectory`, which re-integrates the controlled flow
 with per-step Gauss-Legendre Duhamel quadrature.
@@ -11,32 +13,13 @@ with per-step Gauss-Legendre Duhamel quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .geometry import SetMask
-from .inequality import masked_form, spectral_factors_log
-from .lattice import SpectralSubspace
-
-
-@dataclass(frozen=True)
-class HeatProblem:
-    subspace: SpectralSubspace
-    mask: SetMask
-    horizon: float
-    u0: np.ndarray  # coefficients in the subspace basis
-    form: np.ndarray = field(init=False)  # masked_form(subspace, mask)
-
-    def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValidationError("horizon must be positive")
-        u0 = np.asarray(self.u0, dtype=complex)
-        if u0.shape != (self.subspace.dim,):
-            raise ValidationError("u0 must be a coefficient vector on the subspace")
-        object.__setattr__(self, "u0", u0)
-        object.__setattr__(self, "form", masked_form(self.subspace, self.mask))
+# masked_form is re-exported: it forms the input every function below takes
+from .inequality import masked_form, spectral_factors_log  # noqa: F401
 
 
 @dataclass
@@ -47,46 +30,45 @@ class HumResult:
     dual_state: np.ndarray  # p with f(t) = M_S e^(-(T-t)H) p
 
 
-def propagate(subspace: SpectralSubspace, u0: np.ndarray, t: float) -> np.ndarray:
+def propagate(lam: np.ndarray, u0: np.ndarray, t: float) -> np.ndarray:
     """Heat semigroup in the eigenbasis: componentwise e^(-lambda t)."""
     if t < 0:
         raise ValidationError("t must be non-negative")
-    return np.asarray(u0, dtype=complex) * np.exp(-subspace.eigenvalues * t)
+    return np.asarray(u0, dtype=complex) * np.exp(-lam * t)
 
 
-def gramian(form: np.ndarray, eigenvalues: np.ndarray, T: float) -> np.ndarray:
+def gramian(form: np.ndarray, lam: np.ndarray, T: float) -> np.ndarray:
     """G_T = int_0^T e^(-(T-t)H) M_S e^(-(T-t)H) dt on the subspace, in closed
     form: the masked form M_S times the time kernel T (1 - e^(-x)) / x with
     x = (lam_i + lam_j) T, whose limit at x = 0 is T."""
-    x = (eigenvalues[:, None] + eigenvalues[None, :]) * T
+    x = (lam[:, None] + lam[None, :]) * T
     zero = x == 0.0
     safe = np.where(zero, 1.0, x)
     return form * np.where(zero, T, T * (-np.expm1(-safe) / safe))
 
 
-def observability_quotient(problem: HeatProblem) -> float:
+def observability_quotient(form: np.ndarray, lam: np.ndarray, u0: np.ndarray,
+                           T: float) -> float:
     """||u(T)||^2 / int_0^T ||u(t)||^2_{L2(S)} dt for the uncontrolled flow.
 
     The supremum of this quotient over u0 lower-bounds C_obs^2.
     """
-    sub = problem.subspace
-    T = problem.horizon
-    g_t = gramian(problem.form, sub.eigenvalues, T)
-    denom = float(np.real(problem.u0.conj() @ (g_t @ problem.u0)))
+    u0 = np.asarray(u0, dtype=complex)
+    g_t = gramian(form, lam, T)
+    denom = float(np.real(u0.conj() @ (g_t @ u0)))
     if denom <= 1e-300:
         raise NumericalError("denominator underflow: the set misses the subspace")
-    num = float(np.linalg.norm(propagate(sub, problem.u0, T)) ** 2)
+    num = float(np.linalg.norm(propagate(lam, u0, T)) ** 2)
     return num / denom
 
 
-def worst_observability_quotient(subspace: SpectralSubspace, mask: SetMask,
-                                 T: float) -> float:
+def worst_observability_quotient(form: np.ndarray, lam: np.ndarray, T: float) -> float:
     """sup over u0 of the observability quotient: lambda_max(E G_T^-1 E).
 
     Equals the squared worst-case HUM cost on the subspace (duality).
     """
-    g_t = gramian(masked_form(subspace, mask), subspace.eigenvalues, T)
-    e = np.exp(-subspace.eigenvalues * T)
+    g_t = gramian(form, lam, T)
+    e = np.exp(-lam * T)
     evals, evecs = np.linalg.eigh(g_t)
     if evals[0] <= 0 or evals[-1] / evals[0] > 1e16:
         raise NumericalError("Gramian numerically singular for the worst-case quotient")
@@ -95,17 +77,21 @@ def worst_observability_quotient(subspace: SpectralSubspace, mask: SetMask,
     return float(np.linalg.eigvalsh(m)[-1])
 
 
-def hum_control(problem: HeatProblem) -> HumResult:
-    """Minimal-norm control driving u0 to zero at the horizon.
+def hum_control(form: np.ndarray, lam: np.ndarray, u0: np.ndarray, T: float) -> HumResult:
+    """Minimal-norm control driving u0 (coefficients in the subspace basis) to
+    zero at the horizon T > 0.
 
     Solves G_T p = -e^(-TH) u0 and returns the dual state p, which fixes the
     control f(t) = M_S e^(-(T-t)H) p (`state_trajectory` evaluates it), the
     control's cost, and the terminal residual ||e^(-TH) u0 + G_T p|| / ||u0||.
     """
-    sub = problem.subspace
-    T = problem.horizon
-    g_t = gramian(problem.form, sub.eigenvalues, T)
-    target = -propagate(sub, problem.u0, T)
+    if T <= 0:
+        raise ValidationError("horizon must be positive")
+    u0 = np.asarray(u0, dtype=complex)
+    if u0.shape != lam.shape:
+        raise ValidationError("u0 must be a coefficient vector on the subspace")
+    g_t = gramian(form, lam, T)
+    target = -propagate(lam, u0, T)
     evals, evecs = np.linalg.eigh(g_t)
     cond = float(evals[-1] / evals[0]) if evals[0] > 0 else math.inf
     if not math.isfinite(cond) or cond > 1e14:
@@ -117,7 +103,7 @@ def hum_control(problem: HeatProblem) -> HumResult:
     # one step of iterative refinement
     p += np.linalg.solve(g_t, target - g_t @ p)
     cost2 = float(np.real(p.conj() @ (g_t @ p)))
-    norm_u0 = float(np.linalg.norm(problem.u0))
+    norm_u0 = float(np.linalg.norm(u0))
     residual = float(np.linalg.norm(g_t @ p - target)) / norm_u0 if norm_u0 > 0 else 0.0
     return HumResult(
         cost=math.sqrt(max(cost2, 0.0)),
@@ -127,26 +113,23 @@ def hum_control(problem: HeatProblem) -> HumResult:
     )
 
 
-def state_trajectory(problem: HeatProblem, result: HumResult, n_steps: int = 64):
+def state_trajectory(form: np.ndarray, lam: np.ndarray, u0: np.ndarray, T: float,
+                     dual_state: np.ndarray, n_steps: int = 64):
     """Controlled state at the step boundaries, by independent re-integration.
 
-    Marches u' = -H u + 1_S f with exact exponential steps and per-step
-    8-point Gauss-Legendre Duhamel quadrature, evaluating the control from
-    the returned dual state at all sub-step nodes in one product with the
-    masked form.  Returns (times, states) with states of shape
+    Marches u' = -H u + 1_S f from u0 with exact exponential steps and
+    per-step 8-point Gauss-Legendre Duhamel quadrature, evaluating the control
+    from `hum_control`'s dual state at all sub-step nodes in one product with
+    the masked form.  Returns (times, states) with states of shape
     (n_steps + 1, k).
     """
-    sub = problem.subspace
-    T = problem.horizon
-    lam = sub.eigenvalues
     dt = T / n_steps
     x, w = np.polynomial.legendre.leggauss(8)
     s = 0.5 * dt * (x + 1.0)
     ws = 0.5 * dt * w
     t0 = np.arange(n_steps) * dt
     nodes = (t0[:, None] + s).ravel()  # step-major, 8 per step
-    forcing = (problem.form
-               @ (np.exp(-lam[:, None] * (T - nodes)) * result.dual_state[:, None])).T
+    forcing = (form @ (np.exp(-lam[:, None] * (T - nodes)) * dual_state[:, None])).T
     # row 0 of a step is the decayed state, rows 1-8 its node kicks
     # ws_q e^(-lam (dt - s_q)) f(t_nq): summing the rows in that order adds
     # them as a node-by-node march does
@@ -155,7 +138,7 @@ def state_trajectory(problem: HeatProblem, result: HumResult, n_steps: int = 64)
     terms[:, 1:] = forcing.reshape(n_steps, 8, -1) * weights
     decay = np.exp(-lam * dt)
     states = np.empty((n_steps + 1, lam.size), dtype=complex)
-    states[0] = problem.u0
+    states[0] = u0
     for n in range(n_steps):
         terms[n, 0] = decay * states[n]
         states[n + 1] = terms[n].sum(axis=0)

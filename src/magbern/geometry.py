@@ -71,12 +71,17 @@ class Covering:
     ell: tuple
 
 
+# cells a window-count grid may hold once padded: its int32 prefix sum takes 1 GiB
+WINDOW_GRID_CAP = 1 << 28
+
+
 def snap_window(ell: tuple, spacing: tuple) -> tuple:
     """((w1, w2), exact): the cells each side of an ell-window spans on a grid
     of `spacing` (a side within 1e-9 of a cell multiple snaps to it), and
     whether both sides did.  ValidationError when a side spans fewer than 2
     cells, the smallest window `thickness_scan` certifies, or a number of
-    cells that is not finite."""
+    cells that is not finite; ResourceLimitError when the window spans more
+    than WINDOW_GRID_CAP cells, since any count grid that holds it does too."""
     cells, exact = [], True
     for l, h in zip(ell, spacing):
         w = float(l) / h if h > 0 else np.inf  # a cell side L/N can underflow to 0
@@ -87,11 +92,13 @@ def snap_window(ell: tuple, spacing: tuple) -> tuple:
         exact &= snapped
     if min(cells) < 2:
         raise ValidationError("window smaller than 2 cells")
+    if cells[0] * cells[1] > WINDOW_GRID_CAP:
+        raise ResourceLimitError(
+            f"a {cells[0]:.3g} x {cells[1]:.3g}-cell window: any window-count grid "
+            f"that holds it exceeds the cap of {WINDOW_GRID_CAP} cells")
     return tuple(cells), exact
 
 
-# cells a window-count grid may hold once padded: its int32 prefix sum takes 1 GiB
-WINDOW_GRID_CAP = 1 << 28
 _PREFIX_BLOCK_BYTES = 1 << 20  # one axis-0 row block stays inside a core's L2 cache
 
 

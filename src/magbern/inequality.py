@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .geometry import SetMask
+
+if TYPE_CHECKING:  # lattice loads scipy, which the continuum commands never import
+    from .lattice import SpectralSubspace
 
 LN2 = math.log(2.0)
 
@@ -45,50 +48,34 @@ def theoretical_constant_log(E: float, B: float, ell: tuple, rho: float) -> floa
     return log_d0 + d1 * math.sqrt(E)
 
 
-def _basis_matrix(basis, mask: SetMask):
-    from .lattice import SpectralSubspace  # loads scipy: not at module level
-
-    if isinstance(basis, SpectralSubspace):
-        vecs = basis.vectors
-        cell = basis.setup.spacing[0] * basis.setup.spacing[1]
-        shape = basis.setup.N
-    else:
-        fields = np.asarray(basis)
-        if fields.ndim != 3:
-            raise ValidationError("basis must be (k, N1, N2) fields or a subspace")
-        shape = fields.shape[1:]
-        vecs = fields.reshape(fields.shape[0], -1).T
-        cell = mask.cell_area
-    if mask.cells.shape != tuple(shape):
+def masked_form(sub: SpectralSubspace, mask: SetMask) -> np.ndarray:
+    """Hermitian k x k matrix of the L2(S) inner product on the subspace basis."""
+    if mask.cells.shape != tuple(sub.setup.N):
         raise ValidationError("mask grid does not match the basis grid")
-    return vecs, cell
-
-
-def masked_form(basis, mask: SetMask) -> np.ndarray:
-    """Hermitian k x k matrix of the L2(S) inner product on the basis."""
-    vecs, cell = _basis_matrix(basis, mask)
+    vecs = sub.vectors
+    cell = sub.setup.spacing[0] * sub.setup.spacing[1]
     weights = mask.cells.ravel().astype(float)
     g = vecs.conj().T @ (vecs * weights[:, None]) * cell
     return 0.5 * (g + g.conj().T)
 
 
-def empirical_constant(basis, mask: SetMask) -> float:
-    """Sharp constant sup_f ||f||^2 / ||f||^2_{L2(S)} over the subspace.
+def empirical_constant(sub: SpectralSubspace, mask: SetMask) -> float:
+    """Sharp constant sup_f ||f||^2 / ||f||^2_{L2(S)} over the subspace:
+    1/lambda_min of the masked Gram form.
 
-    1/lambda_min of the masked Gram form, orthonormalized when the basis is
-    not: X^H M X with X = G^(-1/2) from the k x k Gram matrix G.
+    The basis must be L2-orthonormal: a Gram matrix off the identity by more
+    than 1e-8 raises NumericalError.
     """
-    vecs, cell = _basis_matrix(basis, mask)
-    if vecs.shape[1] == 0:
+    masked = masked_form(sub, mask)
+    if sub.dim == 0:
         raise ValidationError("empty subspace")
-    masked = masked_form(basis, mask)
-    gram = vecs.conj().T @ vecs * cell
-    if np.max(np.abs(gram - np.eye(gram.shape[0]))) > 1e-8:
-        evals, evecs = np.linalg.eigh(gram)
-        if evals[0] <= 1e-12:
-            raise ValidationError("basis is numerically dependent")
-        x = (evecs / np.sqrt(evals)) @ evecs.conj().T
-        masked = x.conj().T @ masked @ x
+    vecs = sub.vectors
+    gram = vecs.conj().T @ vecs * (sub.setup.spacing[0] * sub.setup.spacing[1])
+    deviation = float(np.max(np.abs(gram - np.eye(sub.dim))))
+    if deviation > 1e-8:
+        raise NumericalError(
+            f"subspace basis is not orthonormal: Gram deviation {deviation:.2e}"
+        )
     lam_min = float(np.linalg.eigvalsh(masked)[0])
     if lam_min <= 1e-14:
         raise NumericalError(

@@ -47,7 +47,18 @@ def validate_flux(B: float, L: tuple) -> bool:
     """Integer flux through the box: B*L1*L2 in 2*pi*Z to within 1e-9, the
     condition under which the torus closure of this module is consistent."""
     q = B * L[0] * L[1] / TWO_PI
-    return abs(q - round(q)) < 1e-9
+    return math.isfinite(q) and abs(q - round(q)) < 1e-9
+
+
+def _box_area(L: tuple) -> float:
+    """L1*L2, refused unless both sides are positive and the product is a
+    finite positive float (it over- or underflows at the ends of the range)."""
+    if L[0] <= 0 or L[1] <= 0:
+        raise ValidationError("box sides must be positive")
+    area = L[0] * L[1]
+    if not 0.0 < area < math.inf:
+        raise ValidationError(f"box area L1*L2 = {area!r} is not a finite positive float")
+    return area
 
 
 @dataclass(frozen=True)
@@ -61,10 +72,14 @@ class TorusSetup:
     def __post_init__(self):
         if self.N[0] < 4 or self.N[1] < 4:
             raise ValidationError("need at least 4 grid points per direction")
-        if self.L[0] <= 0 or self.L[1] <= 0:
-            raise ValidationError("box sides must be positive")
-        if self.B < 0:
-            raise ValidationError("B must be non-negative")
+        _box_area(self.L)
+        if not 0.0 <= self.B < math.inf:
+            raise ValidationError(f"B must be finite and non-negative, got {self.B!r}")
+        for h in self.spacing:
+            # the operator's hops are 1/h^2: it must neither overflow nor vanish
+            if not (h > 0 and 0.0 < (1.0 / h) * (1.0 / h) < math.inf):
+                raise ValidationError(
+                    f"grid spacing {h!r}: 1/h^2 is not a finite positive float")
         if not validate_flux(self.B, self.L):
             raise ValidationError(
                 f"flux quantization violated: B*L1*L2/(2*pi) = "
@@ -76,9 +91,7 @@ class TorusSetup:
         """Exactly quantized setup with n_phi flux quanta through the box."""
         if n_phi < 0:
             raise ValidationError("n_phi must be non-negative")
-        if L[0] <= 0 or L[1] <= 0:
-            raise ValidationError("box sides must be positive")
-        B = TWO_PI * n_phi / (L[0] * L[1])
+        B = TWO_PI * n_phi / _box_area(L)
         return TorusSetup(L=tuple(L), B=B, N=tuple(N))
 
     @property

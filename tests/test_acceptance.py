@@ -313,7 +313,7 @@ def control_setup():
 
 def test_criterion_12a_hum_residual(control_setup):
     setup, sub, mask, u0 = control_setup
-    res = control.hum_control(control.HeatProblem(sub, mask, 1.0, u0))
+    res = control.hum_control(control.masked_form(sub, mask), sub.eigenvalues, u0, 1.0)
     ok = res.terminal_residual <= 1e-8
     assert report(12, "HUM terminal residual <= 1e-8 on thick strips (12a)", ok,
                   f"residual {res.terminal_residual:.2e}")
@@ -333,8 +333,9 @@ def test_criterion_12b_small_time_scaling():
         keep = full.eigenvalues <= min(1.0 / t**2, trust)
         sub = lattice.SpectralSubspace(setup, full.eigenvalues[keep],
                                        full.vectors[:, keep], float(trust))
+        form = control.masked_form(sub, mask)
         costs.append(
-            math.sqrt(control.worst_observability_quotient(sub, mask, float(t)))
+            math.sqrt(control.worst_observability_quotient(form, sub.eigenvalues, float(t)))
         )
     ln = np.log(costs)
     x = 1.0 / ts
@@ -355,10 +356,8 @@ def test_criterion_12c_large_time_envelope(control_setup):
     setup, sub, mask, u0 = control_setup
     b = setup.B
     ts = np.linspace(3.0 / b, 10.0 / b, 6)
-    costs = [
-        control.hum_control(control.HeatProblem(sub, mask, float(t), u0)).cost
-        for t in ts
-    ]
+    form = control.masked_form(sub, mask)
+    costs = [control.hum_control(form, sub.eigenvalues, u0, float(t)).cost for t in ts]
     slope = np.polyfit(ts, np.log(costs), 1)[0]
     ok = abs(-slope - b) <= 0.15 * b
     assert report(12, "large-T cost envelope exp(-BT) within 15% (12c)", ok,
@@ -376,9 +375,8 @@ def test_criterion_12d_hole_divergence():
     for hole in (1.0, 2.0):
         mask = geometry.disk_complement_mask(setup.N, setup.spacing, center, hole,
                                              periodic=True)
-        quots.append(
-            control.observability_quotient(control.HeatProblem(sub, mask, 1.0, u0))
-        )
+        quots.append(control.observability_quotient(control.masked_form(sub, mask),
+                                                    sub.eigenvalues, u0, 1.0))
     ok = quots[1] > 10 * quots[0]
     assert report(12, "ground-state quotient >10x as the hole doubles (12d)", ok,
                   f"growth factor {quots[1] / quots[0]:.1f}")

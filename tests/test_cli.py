@@ -324,7 +324,7 @@ def test_control_draws_no_verdict_from_a_non_finite_cost(tmp_path, capsys, monke
 
     real = control.hum_control
     monkeypatch.setattr(control, "hum_control",
-                        lambda problem: dataclasses.replace(real(problem), cost=float("nan")))
+                        lambda *args: dataclasses.replace(real(*args), cost=float("nan")))
     argv = ["control", "--mask", STRIPS, "--T", "0.5,1", "--out", str(tmp_path)]
     assert main(argv) == 3
     assert "non-finite result nan" in capsys.readouterr().err
@@ -357,8 +357,8 @@ def test_trajectory_rows_are_the_per_cell_rows(tmp_path, capsys, monkeypatch, po
     real = control.state_trajectory
     seen = []
 
-    def trajectory(problem, result):
-        times, states = real(problem, result)
+    def trajectory(*args):
+        times, states = real(*args)
         if poison is not None:
             states[5, 1] = poison
         seen.append((times, states))
@@ -392,6 +392,23 @@ def test_control_command(tmp_path):
     assert float(rows[1].split(",")[-1]) <= 1e-8
     dat = (tmp_path / "cost_vs_T.dat").read_text().split()
     assert len(dat) == 2
+
+
+def test_control_forms_the_masked_form_once_per_run(tmp_path, monkeypatch):
+    from magbern import control
+
+    real = control.masked_form
+    calls = []
+
+    def counted(sub, mask):
+        calls.append(sub.dim)
+        return real(sub, mask)
+
+    monkeypatch.setattr(control, "masked_form", counted)
+    argv = ["control", "--mask", STRIPS, "--T", "0.5,1,2", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert len(calls) == 1
+    assert len((tmp_path / "control.csv").read_text().splitlines()) == 4
 
 
 def test_wegner_command_reproducible(tmp_path):
@@ -657,15 +674,20 @@ def test_window_of_infinitely_many_cells_exits_2_before_the_manifest(tmp_path, c
     assert not (tmp_path / "manifest.txt").exists()
 
 
-def test_window_padding_past_the_grid_cap_exits_4(tmp_path, capsys, monkeypatch):
-    # the cap is checked on the sizes, before the periodic grid is padded
+@pytest.mark.parametrize("argv", [
+    ["specineq", "--mask", STRIPS, "--l", "1e300,2"],
+    ["thickness", "--mask", STRIPS, "--l", "1e300,2", "--periodic", "1"],
+], ids=["specineq", "thickness"])
+def test_window_padding_past_the_grid_cap_exits_4(tmp_path, capsys, monkeypatch, argv):
+    # the cap is checked on the window's sizes, before the manifest, any
+    # solve, or the padding of the periodic grid
     def no_pad(*args, **kwargs):
         raise AssertionError("the grid was padded before the cap check")
 
     monkeypatch.setattr(geometry.np, "pad", no_pad)
-    argv = ["specineq", "--mask", STRIPS, "--l", "1e300,2", "--out", str(tmp_path)]
-    assert main(argv) == 4
-    assert "window-count grid exceeds the cap" in capsys.readouterr().err
+    assert main(argv + ["--out", str(tmp_path)]) == 4
+    assert "window-count grid that holds it exceeds the cap" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.txt").exists()
 
 
 @pytest.mark.parametrize("command", ["specineq", "control"])
@@ -726,11 +748,26 @@ def test_negative_bernstein_tol_exits_2(tmp_path, capsys):
      "need at least 4 grid points per direction"),
     (["wegner", "--trials", "2", "--L", "1,4", "--cells-per-unit", "3"],
      "need at least 4 grid points per direction"),
+    # box sides at the ends of the float range, refused by the torus set-up
+    (["specineq", "--mask", STRIPS, "--rho", "0.5", "--L", "5e-324,8"],
+     "B must be finite and non-negative, got inf"),
+    (["specineq", "--mask", STRIPS, "--rho", "0.5", "--L", "1e-300,1e-300"],
+     "box area L1*L2 = 0.0 is not a finite positive float"),
+    (["specineq", "--mask", STRIPS, "--rho", "0.5", "--L", "1e300,1e300"],
+     "box area L1*L2 = inf is not a finite positive float"),
+    (["control", "--mask", STRIPS, "--rho", "0.5", "--L", "1e-160,1e10"],
+     "1/h^2 is not a finite positive float"),
+    (["control", "--mask", STRIPS, "--rho", "0.5", "--L", "1e200,1e-100"],
+     "1/h^2 is not a finite positive float"),
+    (["specineq", "--mask", STRIPS, "--rho", "0.5", "--n-phi", "1" + "0" * 160,
+      "--L", "1e10,1e-150"], "flux quantization violated: B*L1*L2/(2*pi) = inf"),
 ], ids=["field-2", "field-4", "wegner-L", "control-T", "wegner-eps", "field-0",
         "specineq-N", "specineq-N-small", "control-N-small", "coupling-reversed",
         "coupling-empty", "wegner-L-fraction", "wegner-L-second-fraction",
         "control-T-zero", "control-T-negative", "wegner-eps-negative",
-        "thickness-spacing-zero", "wegner-grid-small", "wegner-grid-small-second"])
+        "thickness-spacing-zero", "wegner-grid-small", "wegner-grid-small-second",
+        "specineq-L-subnormal", "specineq-L-area-zero", "specineq-L-area-inf",
+        "control-L-hop-overflow", "control-L-hop-underflow", "specineq-flux-overflow"])
 def test_malformed_list_exits_2(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err

@@ -10,8 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magbern.control import (
-    HeatProblem,
-    HumResult,
     abstract_cost_log,
     cost_bound_log,
     gramian,
@@ -63,11 +61,11 @@ def test_propagate_identity_and_diagonal_action():
     setup, sub = make_subspace()
     rng = rng_stream(51)
     u0 = rng.standard_normal(sub.dim) + 1j * rng.standard_normal(sub.dim)
-    assert np.allclose(propagate(sub, u0, 0.0), u0)
+    assert np.allclose(propagate(sub.eigenvalues, u0, 0.0), u0)
     e1 = np.zeros(sub.dim)
     e1[1] = 1.0
     t = 0.7
-    got = propagate(sub, e1, t)
+    got = propagate(sub.eigenvalues, e1, t)
     assert got[1] == pytest.approx(math.exp(-sub.eigenvalues[1] * t))
     assert np.all(got[[0, 2, 3]] == 0)
 
@@ -79,7 +77,7 @@ def test_propagate_decay_bound():
     rng = rng_stream(52)
     u0 = rng.standard_normal(sub.dim)
     t = 2.0
-    assert np.linalg.norm(propagate(sub, u0, t)) <= math.exp(
+    assert np.linalg.norm(propagate(sub.eigenvalues, u0, t)) <= math.exp(
         -0.9 * b * t
     ) * np.linalg.norm(u0)
 
@@ -145,8 +143,8 @@ def test_quotient_single_mode_closed_form():
     setup, sub = make_subspace(count=1)
     T = 1.2
     lam = sub.eigenvalues[0]
-    problem = HeatProblem(sub, full_mask(setup), T, np.array([1.0 + 0j]))
-    got = observability_quotient(problem)
+    form = masked_form(sub, full_mask(setup))
+    got = observability_quotient(form, sub.eigenvalues, np.array([1.0 + 0j]), T)
     want = math.exp(-2 * lam * T) / ((1 - math.exp(-2 * lam * T)) / (2 * lam))
     assert got == pytest.approx(want, rel=1e-10)
 
@@ -162,8 +160,7 @@ def test_quotient_diverges_with_growing_hole():
     for hole in (1.0, 2.0):
         mask = disk_complement_mask(setup.N, setup.spacing, center, hole,
                                     periodic=True)
-        problem = HeatProblem(sub, mask, T, u0)
-        vals.append(observability_quotient(problem))
+        vals.append(observability_quotient(masked_form(sub, mask), sub.eigenvalues, u0, T))
     assert vals[1] > 10 * vals[0]
 
 
@@ -171,11 +168,12 @@ def test_duality_random_quotients_below_worst_case():
     setup, sub = make_subspace()
     mask = strip_mask(setup.N, setup.spacing, 8, 4, periodic=True)
     T = 0.8
-    worst = worst_observability_quotient(sub, mask, T)
+    form = masked_form(sub, mask)
+    worst = worst_observability_quotient(form, sub.eigenvalues, T)
     rng = rng_stream(53)
     for _ in range(200):
         u0 = rng.standard_normal(sub.dim) + 1j * rng.standard_normal(sub.dim)
-        q = observability_quotient(HeatProblem(sub, mask, T, u0))
+        q = observability_quotient(form, sub.eigenvalues, u0, T)
         assert q <= worst * (1 + 1e-10)
 
 
@@ -184,8 +182,8 @@ def test_duality_random_quotients_below_worst_case():
 
 def test_hum_zero_initial_state():
     setup, sub = make_subspace()
-    problem = HeatProblem(sub, full_mask(setup), 1.0, np.zeros(sub.dim))
-    res = hum_control(problem)
+    res = hum_control(masked_form(sub, full_mask(setup)), sub.eigenvalues,
+                      np.zeros(sub.dim), 1.0)
     assert res.cost == 0.0
     assert res.terminal_residual == 0.0
 
@@ -194,8 +192,8 @@ def test_hum_single_mode_matches_scalar_solution():
     setup, sub = make_subspace(count=1)
     T = 1.0
     lam = sub.eigenvalues[0]
-    problem = HeatProblem(sub, full_mask(setup), T, np.array([2.0 + 0j]))
-    res = hum_control(problem)
+    res = hum_control(masked_form(sub, full_mask(setup)), sub.eigenvalues,
+                      np.array([2.0 + 0j]), T)
     g = (1 - math.exp(-2 * lam * T)) / (2 * lam)
     want_cost = math.exp(-lam * T) * 2.0 / math.sqrt(g)
     assert res.cost == pytest.approx(want_cost, rel=1e-8)
@@ -206,33 +204,31 @@ def test_hum_strip_mask_reaches_target():
     setup, sub = make_subspace()  # two clusters: E_max = second cluster
     mask = strip_mask(setup.N, setup.spacing, 8, 4, periodic=True)
     u0 = coherent_coefficients(setup, sub)
-    problem = HeatProblem(sub, mask, 1.0, u0)
-    res = hum_control(problem)
+    form = masked_form(sub, mask)
+    res = hum_control(form, sub.eigenvalues, u0, 1.0)
     assert res.terminal_residual <= 1e-8
     assert res.cost > 0
-    _, fine = state_trajectory(problem, res, n_steps=128)
+    _, fine = state_trajectory(form, sub.eigenvalues, u0, 1.0, res.dual_state, n_steps=128)
     assert np.linalg.norm(fine[-1]) / np.linalg.norm(u0) <= 1e-7
-    times, states = state_trajectory(problem, res, n_steps=16)
+    times, states = state_trajectory(form, sub.eigenvalues, u0, 1.0, res.dual_state,
+                                     n_steps=16)
     assert np.allclose(states[0], u0)
     assert times[0] == 0.0 and times[-1] == pytest.approx(1.0)
     # the controlled flow ends near zero and decays monotonically-ish overall
     assert np.linalg.norm(states[-1]) <= 1e-7 * np.linalg.norm(u0)
 
 
-def loop_trajectory(problem, result, n_steps):
+def loop_trajectory(g_s, lam, u0, T, dual_state, n_steps):
     """`state_trajectory` one Gauss-Legendre node at a time (test oracle)."""
-    lam = problem.subspace.eigenvalues
-    T = problem.horizon
-    g_s = masked_form(problem.subspace, problem.mask)
     dt = T / n_steps
     x, w = np.polynomial.legendre.leggauss(8)
-    u = problem.u0.astype(complex)
+    u = u0.astype(complex)
     times, states = [0.0], [u.copy()]
     for n in range(n_steps):
         t0 = n * dt
         u = np.exp(-lam * dt) * u
         for sq, wq in zip(0.5 * dt * (x + 1.0), 0.5 * dt * w):
-            f_t = g_s @ (np.exp(-lam * (T - (t0 + sq))) * result.dual_state)
+            f_t = g_s @ (np.exp(-lam * (T - (t0 + sq))) * dual_state)
             u = u + wq * np.exp(-lam * (dt - sq)) * f_t
         times.append(t0 + dt)
         states.append(u.copy())
@@ -257,10 +253,9 @@ def test_trajectory_matches_per_node_oracle(lam, T, n_steps, seed):
     mask = SetMask(rng.random(setup.N) < 0.5, setup.spacing, periodic=True)
     u0 = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     p = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    problem = HeatProblem(sub, mask, T, u0)
-    result = HumResult(cost=0.0, terminal_residual=0.0, gramian_condition=1.0, dual_state=p)
-    times, states = state_trajectory(problem, result, n_steps)
-    want_times, want_states = loop_trajectory(problem, result, n_steps)
+    form = masked_form(sub, mask)
+    times, states = state_trajectory(form, sub.eigenvalues, u0, T, p, n_steps)
+    want_times, want_states = loop_trajectory(form, sub.eigenvalues, u0, T, p, n_steps)
     assert np.array_equal(times, want_times)
     assert np.max(np.abs(states - want_states)) <= 1e-12 * np.max(np.abs(want_states))
 
@@ -293,7 +288,8 @@ def test_default_solver_matches_full_dense_oracle_on_cli_torus(cli_torus_oracle,
     assert empirical_constant(fast, mask) == pytest.approx(
         empirical_constant(oracle, mask), rel=1e-9)
     for t in (0.5, 1.0, 2.0):
-        costs = [hum_control(HeatProblem(s, mask, t, coherent_coefficients(setup, s))).cost
+        costs = [hum_control(masked_form(s, mask), s.eigenvalues,
+                             coherent_coefficients(setup, s), t).cost
                  for s in (fast, oracle)]
         assert costs[0] == pytest.approx(costs[1], rel=1e-9)
 
@@ -305,8 +301,8 @@ def test_hum_cost_monotone_in_mask():
     large = SetMask(small.cells | strip_mask(setup.N, setup.spacing, 8, 5,
                                              periodic=True).cells,
                     setup.spacing, periodic=True)
-    c_small = hum_control(HeatProblem(sub, small, 1.0, u0)).cost
-    c_large = hum_control(HeatProblem(sub, large, 1.0, u0)).cost
+    c_small = hum_control(masked_form(sub, small), sub.eigenvalues, u0, 1.0).cost
+    c_large = hum_control(masked_form(sub, large), sub.eigenvalues, u0, 1.0).cost
     assert c_large <= c_small * (1 + 1e-9)
 
 
@@ -316,16 +312,17 @@ def test_hum_reports_singular_gramian():
     mask = SetMask(np.zeros(setup.N, dtype=bool), setup.spacing, periodic=True)
     u0 = coherent_coefficients(setup, sub)
     with pytest.raises(NumericalError):
-        hum_control(HeatProblem(sub, mask, 1.0, u0))
+        hum_control(masked_form(sub, mask), sub.eigenvalues, u0, 1.0)
 
 
 def test_worst_case_equals_best_single_cost():
     setup, sub = make_subspace()
     mask = strip_mask(setup.N, setup.spacing, 8, 4, periodic=True)
     T = 0.9
-    worst = worst_observability_quotient(sub, mask, T)
+    form = masked_form(sub, mask)
+    worst = worst_observability_quotient(form, sub.eigenvalues, T)
     # cost(u0)^2 = u0^H E G^-1 E u0; its sup over unit u0 equals the worst quotient
-    g = gramian(masked_form(sub, mask), sub.eigenvalues, T)
+    g = gramian(form, sub.eigenvalues, T)
     e = np.diag(np.exp(-sub.eigenvalues * T))
     m = e @ np.linalg.solve(g, e)
     lam_max = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1])
@@ -377,5 +374,9 @@ def test_cost_bound_validation():
         cost_bound_log(0.5, (1.0, 1.0), 1.0, 0.0)
     with pytest.raises(ValidationError):
         cost_bound_log(1.5, (1.0, 1.0), 1.0, 1.0)
+    setup, sub = make_subspace(count=1)
+    form = masked_form(sub, full_mask(setup))
     with pytest.raises(ValidationError):
-        HeatProblem(make_subspace(count=1)[1], None, -1.0, np.array([1.0]))
+        hum_control(form, sub.eigenvalues, np.array([1.0]), -1.0)
+    with pytest.raises(ValidationError):
+        hum_control(form, sub.eigenvalues, np.array([1.0, 0.0]), 1.0)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from magbern import geometry
 from magbern.algebra import bernstein_constant
-from magbern.errors import ValidationError
+from magbern.errors import ResourceLimitError, ValidationError
 from magbern.geometry import (
     Covering,
     SetMask,
@@ -484,3 +484,16 @@ def test_window_counts_against_slices():
     wrapped = np.pad(cells, ((0, 2), (0, 3)), mode="wrap")
     assert counts[9, 12] == wrapped[9:12, 12:16].sum()
     assert inner[9, 12] == wrapped[9:11, 12:15].sum()
+
+
+def test_padded_window_grid_past_the_cap_is_refused_before_padding(monkeypatch):
+    # the window alone fits the cap; the periodic grid padded to hold it does not
+    def no_pad(*args, **kwargs):
+        raise AssertionError("the grid was padded before the cap check")
+
+    monkeypatch.setattr(geometry.np, "pad", no_pad)
+    window = (2, geometry.WINDOW_GRID_CAP // 2)
+    cells = np.ones((32, 32), dtype=bool)
+    assert geometry.snap_window((2.0, float(window[1])), (1.0, 1.0)) == (window, True)
+    with pytest.raises(ResourceLimitError, match="window-count grid exceeds the cap"):
+        window_counts(cells, [window], periodic=True)

@@ -22,7 +22,7 @@ from magbern.inequality import (
     theoretical_constant_log,
 )
 from magbern.landau import CoherentState, LadderField, QuadratureSpec, coherent_field, norm2
-from magbern.lattice import TorusSetup, assemble, eigensolve
+from magbern.lattice import SpectralSubspace, TorusSetup, assemble, eigensolve
 from util_fields import rng_stream
 
 
@@ -111,8 +111,9 @@ def test_single_coherent_state_against_annulus():
     x1, x2 = f.axes()
     mask_cells |= (x1**2 + x2**2) >= r**2
     mask = SetMask(mask_cells, f.spacing, origin=f.origin)
-    basis = (f.samples / math.sqrt(norm2(f)))[None, :, :]
-    got = empirical_constant(basis, mask)
+    # one state: the sharp constant is ||f||^2 over its mass on the set
+    mass = float(np.sum(np.abs(f.samples) ** 2 * mask.cells)) * mask.cell_area
+    got = norm2(f) / mass
     assert got == pytest.approx(math.exp(B * r * r / 2), rel=0.03)
 
 
@@ -126,20 +127,24 @@ def test_empirical_below_traced_for_strip_mask():
     assert math.log(c_emp) <= log_traced
 
 
-def test_non_orthonormal_basis_matches_orthonormalized_vectors():
-    # oracle: 1/lambda_min of the masked form on a QR-orthonormalized copy of
-    # the vectors; lambda_min does not depend on the orthonormal basis chosen
-    rng = rng_stream(23)
-    for _ in range(10):
-        k, n1, n2 = (int(v) for v in rng.integers((1, 6, 6), (5, 14, 14)))
-        spacing = tuple(rng.uniform(0.2, 1.0, size=2).tolist())
-        basis = rng.normal(size=(k, n1, n2)) + 1j * rng.normal(size=(k, n1, n2))
-        mask = SetMask(rng.random((n1, n2)) < 0.6, spacing)
-        q = np.linalg.qr(basis.reshape(k, -1).T)[0] / math.sqrt(mask.cell_area)
-        w = mask.cells.ravel()
-        masked = q.conj().T @ (q * w[:, None]) * mask.cell_area
-        want = 1.0 / np.linalg.eigvalsh(masked)[0]
-        assert empirical_constant(basis, mask) == pytest.approx(want, rel=1e-9)
+def test_non_orthonormal_basis_is_refused():
+    # the constant is read off an orthonormal basis only: one column scaled
+    # by 1.01 puts the Gram matrix 0.02 off the identity
+    setup, sub = lattice_subspace()
+    vecs = sub.vectors.copy()
+    vecs[:, 0] *= 1.01
+    skewed = SpectralSubspace(setup, sub.eigenvalues, vecs, sub.cutoff)
+    mask = strip_mask(setup.N, setup.spacing, period_cells=8, width_cells=4,
+                      periodic=True)
+    with pytest.raises(NumericalError, match="not orthonormal"):
+        empirical_constant(skewed, mask)
+
+
+def test_mask_on_another_grid_is_refused():
+    setup, sub = lattice_subspace()
+    mask = SetMask(np.ones((16, 16), dtype=bool), setup.spacing, periodic=True)
+    with pytest.raises(ValidationError, match="mask grid"):
+        masked_form(sub, mask)
 
 
 def test_void_inequality_reported():
@@ -395,7 +400,7 @@ def f0_mass_on(mask, B):
     x1 = mask.origin[0] + mask.spacing[0] * (np.arange(n1) + 0.5)[:, None]
     x2 = mask.origin[1] + mask.spacing[1] * (np.arange(n2) + 0.5)[None, :]
     f0 = LadderField(B, {(0.0, 0.0): {0: 1.0}}).eval(x1, x2)
-    return float(masked_form(f0[None], mask)[0, 0].real)
+    return float(np.sum(np.abs(f0) ** 2 * mask.cells)) * mask.cell_area
 
 
 def test_necessity_decay_with_growing_hole():

@@ -1,7 +1,8 @@
 """Public surface: every top-level public function and class in `magbern`
 is named by the package itself, the benchmark tracer or the acceptance suite,
-so no shipped routine is reached only by its own unit tests; and no module
-reaches into another one's private names."""
+so no shipped routine is reached only by its own unit tests; no module
+reaches into another one's private names; and only `cli` imports inside a
+function."""
 
 import ast
 from pathlib import Path
@@ -64,3 +65,18 @@ def test_no_module_reads_another_modules_private_names():
                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in modules and _private(node.attr)]
     assert not reads, f"reads of another module's private names: {reads}"
+
+
+def test_only_cli_imports_inside_a_function():
+    """A module's dependencies are its top-level imports.  `cli` alone imports
+    in its runners, so that the commands that never solve on the lattice never
+    load scipy."""
+    nested = []
+    for path in SRC:
+        if path.stem == "cli":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [f"{path.stem}.{fn.name}:{node.lineno}" for node in ast.walk(fn)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not nested, f"imports inside a function body: {nested}"
