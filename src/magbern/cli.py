@@ -9,6 +9,7 @@ manifest alone re-runs the experiment via `--config`.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import sys
 from dataclasses import dataclass, field
@@ -611,6 +612,14 @@ def run(cfg: RunConfig) -> ReportBundle:
 
 
 def main(argv=None) -> int:
+    if sys.platform == "linux":
+        # glibc lifts its mmap threshold to each freed mapped block's size, so large
+        # grids then land in whatever heap holes earlier commands left, and one
+        # process's peak RSS moved ~5 MB between identical runs: pin the thresholds
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD: blocks from 4 MiB up are mapped
+        mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD: twice that, as glibc's rule pairs them
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         cfg = parse_config(argv)

@@ -1,5 +1,6 @@
 """Command-line surface: parsing, precedence, outputs, exit codes."""
 
+import ctypes
 import dataclasses
 import json
 import os
@@ -229,6 +230,36 @@ def test_lattice_commands_still_load_scipy(tmp_path):
     codes, loaded = _scipy_probe(tmp_path, [["specineq", "--mask", STRIPS]])
     assert codes == [0]
     assert "scipy.linalg" in loaded
+
+
+# prints how many mapped blocks a 6 MiB array adds once a 16 MiB mapped block
+# has been freed, which under glibc's dynamic rule lifts the threshold past it
+_MMAP_PROBE = """
+import ctypes, sys
+import numpy as np
+from magbern.cli import main
+main(["fm", "--m", "0", "--out", sys.argv[1]])
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.argtypes, mallinfo2.restype = (), MallInfo2
+big = np.ones(16 << 20, np.uint8)
+del big
+before = mallinfo2().hblks
+grid = np.ones(6 << 20, np.uint8)
+print(mallinfo2().hblks - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or not hasattr(ctypes.CDLL(None), "mallinfo2"),
+                    reason="needs glibc 2.33 or later")
+def test_main_pins_the_mmap_threshold(tmp_path):
+    # 4 MiB <= 6 MiB: the block is mapped whatever was freed before it
+    proc = _fresh_python("-c", _MMAP_PROBE, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "1"  # after the polynomial fm printed
 
 
 def test_thickness_on_bundled_strips(tmp_path, capsys):
