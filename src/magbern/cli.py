@@ -220,6 +220,9 @@ class RunConfig:
     command: str
     params: dict
     out_dir: Path
+    # what the checks before the manifest built from params (torus set-ups,
+    # the mask), handed on to the runner; the manifest echoes params alone
+    checked: dict = field(default_factory=dict)
 
     def manifest_text(self) -> str:
         lines = [f"command = {self.command}"]
@@ -333,23 +336,33 @@ def parse_config(argv) -> RunConfig:
                 raise ValidationError(f"command {command!r} requires --{key}")
             if default is not None:
                 params[key] = default
-    if command == "wegner" and min(params["L"]) * params["cells-per-unit"] < 4:
-        # each box is a grid of L x cells-per-unit points per side
-        raise ValidationError("need at least 4 grid points per direction")
-    # a window the thickness scan would refuse is refused before the manifest
+    # a window the thickness scan would refuse, or a box the torus refuses, is
+    # refused before the manifest
+    checked: dict = {}
     if command == "thickness":
         geometry.snap_window(params["l"], params["spacing"])
     elif command in ("specineq", "control"):
         from . import lattice
 
-        # a box the torus refuses is refused here; its cell side is L/N
+        # the torus cell side is L/N
         setup = lattice.TorusSetup.from_flux(params["n-phi"], params["L"], params["N"])
         if "rho" not in params:  # a given --rho skips the scan
             geometry.snap_window(params["l"], setup.spacing)
-        if geometry.read_pbm(params["mask"]).cells.shape != params["N"]:
+        mask = geometry.read_pbm(params["mask"], spacing=setup.spacing, periodic=True)
+        if mask.cells.shape != params["N"]:
             raise ValidationError("mask grid does not match --N")
+        checked = {"setup": setup, "mask": mask}
+    elif command == "wegner":
+        from . import lattice
+
+        # box L is a grid of L x cells-per-unit points per side, with
+        # flux-per-unit quanta per unit area
+        checked = {"setups": [
+            lattice.TorusSetup.from_flux(params["flux-per-unit"] * round(L) ** 2, (L, L),
+                                         (round(L) * params["cells-per-unit"],) * 2)
+            for L in params["L"]]}
     out_dir = Path(params.pop("out", "."))
-    return RunConfig(command=command, params=params, out_dir=out_dir)
+    return RunConfig(command=command, params=params, out_dir=out_dir, checked=checked)
 
 
 # -- command runners --------------------------------------------------------------
@@ -423,16 +436,13 @@ def run_bernstein(cfg: RunConfig, bundle: ReportBundle) -> None:
         f = landau.sample_ladder(lf, landau.QuadratureSpec(points_per_length=8))
         e = lf.energy_ceiling()
         n2 = landau.norm2(f)
-        words = landau.word_fields(f, cfg.params["m-max"])
-        for m in range(1, cfg.params["m-max"] + 1):
-            l2 = landau.bernstein_sum(words, m)
+        sums = landau.bernstein_sums(f, cfg.params["m-max"])
+        for m, l2, l1 in zip(range(1, cfg.params["m-max"] + 1), *sums):
             l2_bound = float(algebra.bernstein_constant(m, e, b, "L2")) * n2
-            l1 = landau.l1_bernstein_sum(words, m)
             l1_bound = float(algebra.bernstein_constant(m, e, b, "L1")) * n2
             ok = l2 <= l2_bound * (1 + tol) and l1 <= l1_bound * (1 + 10 * tol)
             all_ok &= ok
             rows.append(_row(s, m, l2, l2_bound, l1, l1_bound, ok))
-        del words  # one table alive at a time: free it before the next is built
     _write(bundle, cfg.out_dir / "bernstein.csv", "\n".join(rows) + "\n")
     if not all_ok:
         raise NumericalError("magnetic Bernstein bound falsified")
@@ -448,19 +458,18 @@ def run_thickness(cfg: RunConfig, bundle: ReportBundle) -> None:
     _write(bundle, cfg.out_dir / "thickness.csv", "\n".join(rows) + "\n")
 
 
-def _torus_prelude(params):
+def _torus_prelude(cfg: RunConfig):
     """Torus, spectral subspace, mask and rho shared by specineq and control:
     the subspace is cut at 1.001 E when E is given, else the lowest
     n-phi * clusters pairs."""
     from . import lattice
 
-    setup = lattice.TorusSetup.from_flux(params["n-phi"], params["L"], params["N"])
+    params, setup, mask = cfg.params, cfg.checked["setup"], cfg.checked["mask"]
     if "E" in params:
         solve = {"energy": 1.001 * parse_energy(params["E"], setup.B)}
     else:
         solve = {"count": params["n-phi"] * params["clusters"]}
     sub = lattice.eigensolve(lattice.assemble(setup), seed=params["seed"], **solve)
-    mask = geometry.read_pbm(params["mask"], spacing=setup.spacing, periodic=True)
     rho = params.get("rho") or geometry.thickness_scan(mask, params["l"]).rho_lower
     if rho <= 0:
         raise NumericalError("mask is not thick at the requested window")
@@ -469,7 +478,7 @@ def _torus_prelude(params):
 
 def run_specineq(cfg: RunConfig, bundle: ReportBundle) -> None:
     p = cfg.params
-    setup, sub, mask, rho = _torus_prelude(p)
+    setup, sub, mask, rho = _torus_prelude(cfg)
     e = parse_energy(p["E"], setup.B)
     c_emp = inequality.empirical_constant(sub, mask)
     log_traced = inequality.theoretical_constant_log(max(e, setup.B), setup.B,
@@ -524,7 +533,7 @@ def run_control(cfg: RunConfig, bundle: ReportBundle) -> None:
     from . import control, lattice
 
     p = cfg.params
-    setup, sub, mask, rho = _torus_prelude(p)
+    setup, sub, mask, rho = _torus_prelude(cfg)
     u0 = sub.vectors.conj().T @ lattice.coherent_vector(
         setup, (setup.L[0] / 2, setup.L[1] / 2)
     ).ravel() * setup.spacing[0] * setup.spacing[1]
@@ -558,19 +567,13 @@ def run_control(cfg: RunConfig, bundle: ReportBundle) -> None:
 
 
 def run_wegner(cfg: RunConfig, bundle: ReportBundle) -> None:
-    from . import disorder, lattice
+    from . import disorder
 
     p = cfg.params
     prof = disorder.fat_cantor_disk_profile((p["cells-per-unit"],) * 2)
-    configs = []
-    for L in p["L"]:
-        n_side = int(round(L)) * p["cells-per-unit"]
-        n_phi = p["flux-per-unit"] * int(round(L)) ** 2
-        setup = lattice.TorusSetup.from_flux(n_phi, (L, L), (n_side, n_side))
-        configs.append(
-            disorder.EnsembleConfig(setup, prof, coupling=p["coupling"],
-                                    master_seed=p["seed"])
-        )
+    configs = [disorder.EnsembleConfig(setup, prof, coupling=p["coupling"],
+                                       master_seed=p["seed"])
+               for setup in cfg.checked["setups"]]
     stats = disorder.wegner_sweep(configs, p["E"], p["eps"], p["trials"])
     s2eps, ratio = stats.s2eps(), stats.ratios()
     rows = ["L,E,eps,mean_count,stderr,s2eps,ratio"] + [

@@ -12,7 +12,10 @@ w^k f_y to -iB w^(k+1) f_y, so w^k f_y is an exact eigenfunction of
 H = md1^2 + md2^2 with eigenvalue (2k+1)B.  Finite linear combinations of
 such terms ("ladder fields") are closed under md1, md2, which gives every
 derivative word in closed form; grids only enter through quadrature, and a
-word table on a grid is one contraction of those coefficients (`sample_table`).
+word table on a grid (or on a slab of its rows) is one contraction of those
+coefficients (`sample_table`).  The Bernstein sums are cell sums, so
+`bernstein_sums` adds them up one row slab at a time and never holds more
+than one slab of the word table.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -196,6 +199,8 @@ class GridField:
 GRID_SAMPLE_CAP = 1 << 26
 # complex samples of the mode basis w^k f_y alive at once while a table is filled
 BASIS_CHUNK_SAMPLES = 1 << 15
+# complex samples of one row slab of the word table `bernstein_sums` streams over
+SLAB_SAMPLES = 1 << 16
 
 
 def grid_for_centers(centers, B: float, spec: QuadratureSpec = QuadratureSpec()):
@@ -249,34 +254,36 @@ def _chunk_rows(n_basis: int, n1: int, n2: int) -> int:
     return max(1, min(n1, BASIS_CHUNK_SAMPLES // max(1, n_basis * n2)))
 
 
-def sample_table(fields, grid: GridField) -> np.ndarray:
-    """Samples of ladder fields of one strength on `grid`, shape (n, N1, N2):
-    their coefficients over the modes w^k f_y times those modes, built with
-    each centre's envelope evaluated once and w^k by repeated multiplication,
-    one chunk of grid rows (one matmul) at a time."""
+def sample_table(fields, grid: GridField, r0: int = 0, r1: Optional[int] = None) -> np.ndarray:
+    """Samples of ladder fields of one strength on rows r0:r1 of `grid`,
+    shape (n, r1 - r0, N2): their coefficients over the modes w^k f_y times
+    those modes, built with each centre's envelope evaluated once and w^k by
+    repeated multiplication, one chunk of grid rows (one matmul) at a time."""
     centres = list(dict.fromkeys(y for lf in fields for y in lf.terms))
     nk = max(lf.max_level() for lf in fields) + 1
-    coef = np.zeros((len(fields), len(centres), nk), dtype=complex)
+    column = {y: i * nk for i, y in enumerate(centres)}
+    coef = np.zeros((len(fields), len(centres) * nk), dtype=complex)
     for row, lf in zip(coef, fields):
         for y, ks in lf.terms.items():
-            row[centres.index(y), list(ks)] = list(ks.values())
-    coef = coef.reshape(len(fields), -1)
-    n1, n2 = grid.samples.shape
+            for k, c in ks.items():
+                row[column[y] + k] = c
     x1, x2 = grid.axes()
+    x1 = x1[r0:r1]
+    n1, n2 = len(x1), x2.shape[1]
     factors = [_envelope_factors(fields[0].B, y, x1, x2) for y in centres]
     out = np.empty((len(fields), n1, n2), dtype=complex)
     flat = out.reshape(len(fields), n1 * n2)
     rows = _chunk_rows(coef.shape[1], n1, n2)
     basis = np.empty((coef.shape[1], rows * n2), dtype=complex)
-    for r0 in range(0, n1, rows):
-        r1 = min(r0 + rows, n1)
-        part = basis[:, : (r1 - r0) * n2]
+    for c0 in range(0, n1, rows):
+        c1 = min(c0 + rows, n1)
+        part = basis[:, : (c1 - c0) * n2]
         for i, (y, (a, b)) in enumerate(zip(centres, factors)):
-            w = ((x1[r0:r1] - y[0]) - 1j * (x2 - y[1])).ravel()
-            np.multiply(a[r0:r1], b, out=part[i * nk].reshape(r1 - r0, n2))
+            w = ((x1[c0:c1] - y[0]) - 1j * (x2 - y[1])).ravel()
+            np.multiply(a[c0:c1], b, out=part[i * nk].reshape(c1 - c0, n2))
             for k in range(i * nk + 1, (i + 1) * nk):
                 np.multiply(part[k - 1], w, out=part[k])
-        np.matmul(coef, part, out=flat[:, r0 * n2:r1 * n2])
+        np.matmul(coef, part, out=flat[:, c0 * n2:c1 * n2])
     return out
 
 
@@ -346,15 +353,11 @@ def magnetic_derivative(f: GridField, axis: int) -> GridField:
     return GridField(sample_table([g], f)[0], f.origin, f.spacing, ladder=g)
 
 
-def word_fields(f: GridField, m_max: int) -> dict:
-    """Sampled md-word fields of a ladder-tagged field for every word of
-    length <= m_max, after one boundary-margin check.
-
-    Keys are tuples over {1,2}; the empty tuple is f itself, every other
-    value a ladder-tagged view into one `sample_table` of the closed-form
-    words.  The 2^(m_max+1) - 1 grids plus one basis chunk must fit under
-    GRID_SAMPLE_CAP samples, checked on the sizes before anything is built.
-    """
+def _word_tags(f: GridField, m_max: int) -> dict:
+    """Closed-form md-words of length 1..m_max of a ladder-tagged field, by
+    word, after the size and boundary-margin checks.  The 2^(m_max+1) - 1
+    grids of a full word table plus one basis chunk must fit under
+    GRID_SAMPLE_CAP samples, checked on the sizes before any word is built."""
     lf = _ladder(f)
     if m_max < 0:
         raise ValidationError("m must be non-negative")
@@ -372,11 +375,55 @@ def word_fields(f: GridField, m_max: int) -> dict:
         frontier = {word + (axis,): g.magnetic_derivative(axis)
                     for word, g in frontier.items() for axis in (1, 2)}
         tags.update(frontier)
-    out = {(): f}
+    return tags
+
+
+def _table_words(f: GridField, tags: dict, r0: int, r1: int) -> dict:
+    """Word table of rows r0:r1 of f: the empty word is that slice of f,
+    every other value a ladder-tagged view into one `sample_table`."""
+    origin = (f.origin[0] + r0 * f.spacing[0], f.origin[1])
+    out = {(): f if (r0, r1) == (0, f.samples.shape[0])
+           else GridField(f.samples[r0:r1], origin, f.spacing, ladder=f.ladder)}
     if tags:
-        for row, (word, g) in zip(sample_table(list(tags.values()), f), tags.items()):
-            out[word] = GridField(row, f.origin, f.spacing, ladder=g)
+        for row, (word, g) in zip(sample_table(list(tags.values()), f, r0, r1), tags.items()):
+            out[word] = GridField(row, origin, f.spacing, ladder=g)
     return out
+
+
+def word_fields(f: GridField, m_max: int) -> dict:
+    """Sampled md-word fields of a ladder-tagged field for every word of
+    length <= m_max, after one size and boundary-margin check.
+
+    Keys are tuples over {1,2}; the empty tuple is f itself, every other
+    value a ladder-tagged view into one `sample_table` of the closed-form
+    words.
+    """
+    return _table_words(f, _word_tags(f, m_max), 0, f.samples.shape[0])
+
+
+def bernstein_sums(f: GridField, m_max: int):
+    """(`bernstein_sum`, `l1_bernstein_sum`) of a ladder-tagged field for
+    m = 1..m_max, as two lists, without a full word table.
+
+    Both sums are cell sums, so they add up over disjoint row slabs: each
+    slab's word table holds at most SLAB_SAMPLES samples (but at least 2
+    rows, as a GridField needs); a 1-row remainder takes a row from the slab
+    before it.  The size and margin checks are those of `word_fields`.
+    """
+    tags = _word_tags(f, m_max)
+    n1, n2 = f.samples.shape
+    # 3 rows at least, so a slab that gives a row to a 1-row remainder keeps 2
+    rows = max(3, SLAB_SAMPLES // (max(1, len(tags)) * n2))
+    starts = list(range(0, n1, rows))
+    if n1 - starts[-1] == 1:
+        starts[-1] -= 1  # n1 >= 2, so a 1-row remainder has a slab before it
+    l2, l1 = [0.0] * m_max, [0.0] * m_max
+    for r0, r1 in zip(starts, starts[1:] + [n1]):
+        words = _table_words(f, tags, r0, r1)
+        for m in range(1, m_max + 1):
+            l2[m - 1] += bernstein_sum(words, m)
+            l1[m - 1] += l1_bernstein_sum(words, m)
+    return l2, l1
 
 
 def _check_margin(f: GridField):
@@ -385,7 +432,7 @@ def _check_margin(f: GridField):
     if frac > tol:
         warnings.warn(
             f"boundary truncation mass fraction {frac:.2e} exceeds tolerance {tol:.2e}",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 

@@ -26,6 +26,7 @@ translation, Zak, Phys. Rev. 134, 1964), so only ring 0 is solved.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -91,6 +92,8 @@ class TorusSetup:
         """Exactly quantized setup with n_phi flux quanta through the box."""
         if n_phi < 0:
             raise ValidationError("n_phi must be non-negative")
+        if n_phi > sys.float_info.max:  # an int compares exactly; converting it would raise
+            raise ValidationError("n_phi exceeds the float range")
         B = TWO_PI * n_phi / _box_area(L)
         return TorusSetup(L=tuple(L), B=B, N=tuple(N))
 

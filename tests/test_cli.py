@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -660,13 +661,17 @@ def test_oversized_ladder_grid_exits_4(tmp_path, capsys, monkeypatch, argv):
     assert "complex samples" in capsys.readouterr().err
 
 
-def test_bernstein_builds_one_word_table_per_sample(tmp_path, monkeypatch):
-    tables, envelopes = [], []
+def test_bernstein_builds_one_word_table_per_row_slab(tmp_path, monkeypatch):
+    calls, envelopes = [], []
     real_table, real_factors = landau.sample_table, landau._envelope_factors
 
-    def counted_table(fields, grid):
-        tables.append((len(fields), list(fields[0].terms)))
-        return real_table(fields, grid)
+    def counted_table(fields, grid, r0=0, r1=None):
+        start = len(envelopes)
+        out = real_table(fields, grid, r0, r1)
+        centres = list(dict.fromkeys(y for lf in fields for y in lf.terms))
+        calls.append((grid, r0, r1, out.shape, centres, envelopes[start:]))
+        del envelopes[start:]
+        return out
 
     def counted_factors(B, y, x1, x2, sgn=1.0):
         envelopes.append(y)
@@ -676,11 +681,58 @@ def test_bernstein_builds_one_word_table_per_sample(tmp_path, monkeypatch):
     monkeypatch.setattr(landau, "_envelope_factors", counted_factors)
     argv = ["bernstein", "--samples", "2", "--m-max", "3", "--out", str(tmp_path)]
     assert main(argv) == 0
-    # per sample: sampling f evaluates each centre's envelope once, and one
-    # table of the 2 + 4 + 8 derivative words once more, whatever the number
-    # of words
-    assert [n for n, _ in tables] == [14, 14]
-    assert envelopes == [y for _, centres in tables for y in centres * 2]
+    slabs = {}
+    for grid, r0, r1, shape, centres, evaluated in calls:
+        # one table of the 2 + 4 + 8 derivative words on rows r0:r1, each
+        # centre's envelope evaluated once for it, whatever the number of words
+        assert shape == (14, r1 - r0, grid.samples.shape[1])
+        assert r1 - r0 >= 2 and np.prod(shape) <= landau.SLAB_SAMPLES
+        assert evaluated == centres
+        slabs.setdefault(id(grid), (grid, centres, []))[2].append((r0, r1))
+    assert len(slabs) == 2  # one grid per sample, its rows covered slab by slab
+    for grid, _, ranges in slabs.values():
+        assert len(ranges) > 1
+        assert [r0 for r0, _ in ranges] == [0] + [r1 for _, r1 in ranges[:-1]]
+        assert ranges[-1][1] == grid.samples.shape[0]
+    # sampling f itself evaluates each of its centres' envelopes once
+    assert envelopes == [y for _, centres, _ in slabs.values() for y in centres]
+
+
+def test_bernstein_peak_memory_stays_near_one_slab(tmp_path):
+    # the full table of the 14 words on one sample's ~200 x 200 grid takes
+    # ~9 MiB; streamed, one slab of at most 1 MiB is alive beside f and one
+    # basis chunk
+    argv = ["bernstein", "--samples", "1", "--m-max", "3", "--out", str(tmp_path)]
+    assert main(argv) == 0  # first-call caches and imports are not the run's
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("command", ["specineq", "control"])
+def test_torus_run_reads_its_mask_and_builds_its_torus_once(tmp_path, monkeypatch, command):
+    from magbern import lattice
+
+    reads, setups = [], []
+    real_read, real_flux = geometry.read_pbm, lattice.TorusSetup.from_flux
+
+    def counted_read(*args, **kwargs):
+        reads.append(args[0])
+        return real_read(*args, **kwargs)
+
+    def counted_flux(*args):
+        setups.append(args)
+        return real_flux(*args)
+
+    monkeypatch.setattr(geometry, "read_pbm", counted_read)
+    monkeypatch.setattr(lattice.TorusSetup, "from_flux", staticmethod(counted_flux))
+    argv = [command, "--mask", STRIPS, "--out", str(tmp_path)]
+    assert main(argv + (["--T", "1"] if command == "control" else [])) == 0
+    assert reads == [STRIPS] and len(setups) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -792,13 +844,21 @@ def test_negative_bernstein_tol_exits_2(tmp_path, capsys):
      "1/h^2 is not a finite positive float"),
     (["specineq", "--mask", STRIPS, "--rho", "0.5", "--n-phi", "1" + "0" * 160,
       "--L", "1e10,1e-150"], "flux quantization violated: B*L1*L2/(2*pi) = inf"),
+    # flux counts past the float range
+    (["specineq", "--mask", STRIPS, "--n-phi", "1" + "0" * 400],
+     "n_phi exceeds the float range"),
+    (["control", "--mask", STRIPS, "--n-phi", "1" + "0" * 400],
+     "n_phi exceeds the float range"),
+    (["wegner", "--L", "4", "--trials", "2", "--flux-per-unit", "1" + "0" * 400],
+     "n_phi exceeds the float range"),
 ], ids=["field-2", "field-4", "wegner-L", "control-T", "wegner-eps", "field-0",
         "specineq-N", "specineq-N-small", "control-N-small", "coupling-reversed",
         "coupling-empty", "wegner-L-fraction", "wegner-L-second-fraction",
         "control-T-zero", "control-T-negative", "wegner-eps-negative",
         "thickness-spacing-zero", "wegner-grid-small", "wegner-grid-small-second",
         "specineq-L-subnormal", "specineq-L-area-zero", "specineq-L-area-inf",
-        "control-L-hop-overflow", "control-L-hop-underflow", "specineq-flux-overflow"])
+        "control-L-hop-overflow", "control-L-hop-underflow", "specineq-flux-overflow",
+        "specineq-n-phi-past-float", "control-n-phi-past-float", "wegner-flux-past-float"])
 def test_malformed_list_exits_2(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err

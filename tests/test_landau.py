@@ -439,6 +439,56 @@ def test_separable_envelope_matches_the_joint_exp(conjugate_branch):
 # -- Bernstein sums -----------------------------------------------------------
 
 
+@pytest.mark.parametrize("slabs", ["one", "many", "one-row-remainder"])
+@pytest.mark.parametrize("seed", [21, 22])
+def test_streamed_sums_match_the_full_word_table(monkeypatch, seed, slabs):
+    f = sample_ladder(random_ladder(rng_stream(seed), n_terms=3, max_level=2), FAST)
+    n1, n2 = f.samples.shape
+    words = word_fields(f, 3)
+    rows = {"one": n1, "many": 3,
+            "one-row-remainder": next(r for r in range(4, n1) if n1 % r == 1)}[slabs]
+    monkeypatch.setattr(landau, "SLAB_SAMPLES", rows * (len(words) - 1) * n2)
+    spans, real_table = [], landau.sample_table
+
+    def spied_table(fields, grid, r0=0, r1=None):
+        spans.append((r0, r1))
+        return real_table(fields, grid, r0, r1)
+
+    monkeypatch.setattr(landau, "sample_table", spied_table)
+    l2, l1 = landau.bernstein_sums(f, 3)
+    # slabs of at most `rows` rows and at least 2, covering the grid in order
+    assert [r0 for r0, _ in spans] == [0] + [r1 for _, r1 in spans[:-1]]
+    assert spans[-1][1] == n1
+    assert all(2 <= r1 - r0 <= rows for r0, r1 in spans)
+    if slabs == "one":
+        assert spans == [(0, n1)]
+    elif slabs == "one-row-remainder":  # the slab before it gives it a row
+        assert [r1 - r0 for r0, r1 in spans[-2:]] == [rows - 1, 2]
+    else:
+        assert len(spans) >= n1 // 3
+    for m in (1, 2, 3):
+        assert l2[m - 1] == pytest.approx(bernstein_sum(words, m), rel=1e-12)
+        assert l1[m - 1] == pytest.approx(l1_bernstein_sum(words, m), rel=1e-12)
+
+
+def test_streamed_sums_run_the_word_table_checks_first(monkeypatch):
+    box = GridField(np.ones((16, 16), dtype=complex), (0.0, 0.0), (0.1, 0.1))
+    f = sample_ladder(LadderField.coherent(CoherentState((0.75, 0.75), 1.0)), grid=box)
+    for build in (word_fields, landau.bernstein_sums):
+        with pytest.warns(UserWarning) as record:
+            build(f, 1)
+        assert record[0].filename == __file__  # the warning names the caller's line
+    monkeypatch.setattr(landau, "GRID_SAMPLE_CAP", 3 * f.samples.size - 1)
+
+    def no_words(*args):
+        raise AssertionError("a derivative word was built before the cap check")
+
+    monkeypatch.setattr(landau, "sample_table", no_words)
+    monkeypatch.setattr(LadderField, "magnetic_derivative", no_words)
+    with pytest.raises(ResourceLimitError):
+        landau.bernstein_sums(f, 1)
+
+
 def test_bernstein_sum_coherent_m1_m2():
     B = 1.0
     words = word_fields(coherent_field(CoherentState((0.2, 0.6), B), FAST), 2)
