@@ -12,6 +12,7 @@ from __future__ import annotations
 import ctypes
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -336,8 +337,9 @@ def parse_config(argv) -> RunConfig:
                 raise ValidationError(f"command {command!r} requires --{key}")
             if default is not None:
                 params[key] = default
-    # a window the thickness scan would refuse, or a box the torus refuses, is
-    # refused before the manifest
+    # a window the thickness scan would refuse, a box the torus refuses, or a
+    # field whose Bernstein sums can leave the float range is refused before
+    # the manifest
     checked: dict = {}
     if command == "thickness":
         geometry.snap_window(params["l"], params["spacing"])
@@ -361,6 +363,18 @@ def parse_config(argv) -> RunConfig:
             lattice.TorusSetup.from_flux(params["flux-per-unit"] * round(L) ** 2, (L, L),
                                          (round(L) * params["cells-per-unit"],) * 2)
             for L in params["L"]]}
+    elif command == "bernstein" and params["B"] < 1:
+        # B^m (m <= m-max) in the bounds, B^-(levels+1) in ||f||^2 and, between
+        # them, B^-(levels+m-max)/2 in the basis w^k f_y (|w| ~ B^-1/2 on the grid)
+        # stay within 10^300 of 1: 8 decades for the B-free factors (pi k! 2^(k+1)
+        # |c|^2 < 1e8 up to levels 6; past that an overflow is a non-finite row,
+        # exit 3).  Above B = 1 the grid cap ends a run first
+        power = max(params["m-max"], params["levels"] + 1)
+        if power > 300 / -math.log10(params["B"]):
+            raise ValidationError(
+                f"--B {params['B']!r} takes the Bernstein sums out of the float range "
+                f"at --m-max {params['m-max']}, --levels {params['levels']} "
+                f"(B^{power} < 1e-300)")
     out_dir = Path(params.pop("out", "."))
     return RunConfig(command=command, params=params, out_dir=out_dir, checked=checked)
 
@@ -436,7 +450,12 @@ def run_bernstein(cfg: RunConfig, bundle: ReportBundle) -> None:
         f = landau.sample_ladder(lf, landau.QuadratureSpec(points_per_length=8))
         e = lf.energy_ceiling()
         n2 = landau.norm2(f)
-        sums = landau.bernstein_sums(f, cfg.params["m-max"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # the boundary-margin check
+            try:
+                sums = landau.bernstein_sums(f, cfg.params["m-max"])
+            except UserWarning as exc:  # the sums miss the truncated tail
+                raise NumericalError(f"{exc}: no verdict drawn") from None
         for m, l2, l1 in zip(range(1, cfg.params["m-max"] + 1), *sums):
             l2_bound = float(algebra.bernstein_constant(m, e, b, "L2")) * n2
             l1_bound = float(algebra.bernstein_constant(m, e, b, "L1")) * n2

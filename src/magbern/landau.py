@@ -11,11 +11,11 @@ w = (x1-y1) - i(x2-y2): applying the raising combination md1 - i*md2 sends
 w^k f_y to -iB w^(k+1) f_y, so w^k f_y is an exact eigenfunction of
 H = md1^2 + md2^2 with eigenvalue (2k+1)B.  Finite linear combinations of
 such terms ("ladder fields") are closed under md1, md2, which gives every
-derivative word in closed form; grids only enter through quadrature, and a
-word table on a grid (or on a slab of its rows) is one contraction of those
-coefficients (`sample_table`).  The Bernstein sums are cell sums, so
-`bernstein_sums` adds them up one row slab at a time and never holds more
-than one slab of the word table.
+derivative word in closed form, and F(H) scales level k by F((2k+1)B).
+Grids only enter through quadrature: a table of such fields on a grid (or a
+slab of its rows) is one contraction of their coefficients (`sample_table`).
+The Bernstein sums read the sorted words 1^i 2^j (L1) and F_m(H) f (L2);
+both are cell sums, so `bernstein_sums` adds them up one row slab at a time.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -301,7 +301,7 @@ def norm2(f: GridField) -> float:
 
 
 def inner(f: GridField, g: GridField) -> complex:
-    return complex(np.sum(np.conj(f.samples) * g.samples)) * f.cell_area
+    return complex(np.vdot(f.samples, g.samples)) * f.cell_area
 
 
 def l1_norm(values: np.ndarray, cell_area: float) -> float:
@@ -354,27 +354,33 @@ def magnetic_derivative(f: GridField, axis: int) -> GridField:
 
 
 def _word_tags(f: GridField, m_max: int) -> dict:
-    """Closed-form md-words of length 1..m_max of a ladder-tagged field, by
-    word, after the size and boundary-margin checks.  The 2^(m_max+1) - 1
-    grids of a full word table plus one basis chunk must fit under
-    GRID_SAMPLE_CAP samples, checked on the sizes before any word is built."""
+    """Closed-form fields of a Bernstein table, after the size and margin
+    checks: md2^j md1^i f for 1 <= i + j <= m_max under (1,)*i + (2,)*j, and
+    F_m(H) f for m = 1..m_max under ("F", m).  Their (m_max+1)(m_max+2)/2 +
+    m_max grids (f included) plus one basis chunk must fit under
+    GRID_SAMPLE_CAP samples, checked on the sizes before any field is built."""
     lf = _ladder(f)
     if m_max < 0:
         raise ValidationError("m must be non-negative")
     n1, n2 = f.samples.shape
     n_basis = len(lf.terms) * (lf.max_level() + m_max + 1)
     chunk = n_basis * _chunk_rows(n_basis, n1, n2) * n2 if m_max else 0
-    # a grid has at least 4 points, so the clamped exponent still exceeds the cap
-    if n1 * n2 * ((2 << min(m_max, 26)) - 1) + chunk > GRID_SAMPLE_CAP:
+    if n1 * n2 * ((m_max + 1) * (m_max + 2) // 2 + m_max) + chunk > GRID_SAMPLE_CAP:
         raise ResourceLimitError(
             f"derivative words up to length {m_max} on a {n1} x {n2} grid exceed "
             f"the cap of {GRID_SAMPLE_CAP} complex samples")
     _check_margin(f)
-    tags, frontier = {}, {(): lf}
-    for _ in range(m_max):
-        frontier = {word + (axis,): g.magnetic_derivative(axis)
-                    for word, g in frontier.items() for axis in (1, 2)}
-        tags.update(frontier)
+    tags, ones = {}, lf
+    for i in range(m_max + 1):
+        g = ones
+        for j in range(1, m_max - i + 1):
+            g = tags[(1,) * i + (2,) * j] = g.magnetic_derivative(2)
+        if i < m_max:
+            ones = tags[(1,) * (i + 1)] = ones.magnetic_derivative(1)
+    for m in range(1, m_max + 1):
+        fm = f_poly(m)
+        tags[("F", m)] = lf.apply_level_function(
+            [f_at_level(fm, k) * lf.B**m for k in range(lf.max_level() + 1)])
     return tags
 
 
@@ -391,12 +397,10 @@ def _table_words(f: GridField, tags: dict, r0: int, r1: int) -> dict:
 
 
 def word_fields(f: GridField, m_max: int) -> dict:
-    """Sampled md-word fields of a ladder-tagged field for every word of
-    length <= m_max, after one size and boundary-margin check.
-
-    Keys are tuples over {1,2}; the empty tuple is f itself, every other
-    value a ladder-tagged view into one `sample_table` of the closed-form
-    words.
+    """Sampled fields of a ladder-tagged field that the Bernstein sums read,
+    after one size and boundary-margin check: f under the empty tuple, the
+    sorted md-words up to length m_max under (1,)*i + (2,)*j and F_m(H) f
+    under ("F", m), each but f a ladder-tagged view into one `sample_table`.
     """
     return _table_words(f, _word_tags(f, m_max), 0, f.samples.shape[0])
 
@@ -437,16 +441,18 @@ def _check_margin(f: GridField):
 
 
 def _check_depth(words: dict, m: int):
-    depth = max(map(len, words))
+    depth = max(len(w) for w in words if "F" not in w)
     if not 0 <= m <= depth:
         raise ValidationError(f"m must lie in [0, {depth}] for this word table, got {m}")
 
 
 def bernstein_sum(words: dict, m: int) -> float:
     """Sum over all 2^m covariant-derivative words of the squared L2 norm,
-    read from a `word_fields` table."""
+    as <f, F_m(H) f> from a `word_fields` table: the words' sum of squares
+    is R^m(Id) = F_m(H), the identity `weyl-verify` checks exactly."""
     _check_depth(words, m)
-    return sum(norm2(g) for w, g in words.items() if len(w) == m)
+    f = words[()]
+    return inner(f, words[("F", m)] if m else f).real
 
 
 def mod2_derivative_word(words: dict, alpha: tuple):
@@ -498,13 +504,3 @@ def l1_bernstein_sum(words: dict, m: int) -> float:
     return sum(comb(m, a) * l1_norm(mod2_derivative_word(words, (1,) * a + (2,) * (m - a)),
                                     f.cell_area)
                for a in range(m + 1))
-
-
-def f_m_quadratic_form(f: GridField, m: int) -> float:
-    """<f, F_m(H) f> for a ladder-tagged field, via exact spectral calculus."""
-    lf = _ladder(f)
-    fm = f_poly(m)
-    kmax = lf.max_level() + 1
-    values = [f_at_level(fm, k) * lf.B**m for k in range(kmax + 1)]
-    g = sample_table([lf.apply_level_function(values)], f)[0]
-    return float(inner(f, f.with_samples(g)).real)

@@ -316,14 +316,37 @@ def test_bernstein_command(tmp_path):
     assert all(r.endswith("true") for r in rows[1:])
 
 
-def test_bernstein_draws_no_verdict_from_a_non_finite_sum(tmp_path, capsys):
-    # at B = 1e-300 the ladder grid overflows: the sums are nan and the bounds
-    # inf, so the run ends on the value instead of reporting a falsification
-    argv = ["bernstein", "--B", "1e-300", "--samples", "1", "--out", str(tmp_path)]
-    with np.errstate(all="ignore"):
-        assert main(argv) == 3
+def test_bernstein_draws_no_verdict_from_a_non_finite_sum(tmp_path, capsys, monkeypatch):
+    # a nan sum ends the run on the value instead of reporting a falsification
+    real_sums = landau.bernstein_sums
+
+    def nan_sums(f, m_max):
+        l2, l1 = real_sums(f, m_max)
+        return [float("nan")] + l2[1:], l1
+
+    monkeypatch.setattr(landau, "bernstein_sums", nan_sums)
+    argv = ["bernstein", "--samples", "1", "--out", str(tmp_path)]
+    assert main(argv) == 3
     err = capsys.readouterr().err
     assert "non-finite result nan" in err and "falsified" not in err
+    assert not (tmp_path / "bernstein.csv").exists()
+
+
+def test_bernstein_small_field_in_the_float_range_runs(tmp_path):
+    assert main(["bernstein", "--B", "1e-20", "--samples", "1", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "bernstein.csv").read_text().splitlines()
+    assert len(rows) == 1 + 3 and all(r.endswith("true") for r in rows[1:])
+
+
+def test_bernstein_draws_no_verdict_on_a_truncated_field(tmp_path, capsys):
+    # level-60 modes reach past the 12 magnetic lengths of the covering grid:
+    # sums that miss the tail carry no verdict, whatever their rows would read
+    argv = ["bernstein", "--levels", "60", "--samples", "3", "--m-max", "2",
+            "--out", str(tmp_path)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "boundary truncation mass fraction" in err and "no verdict drawn" in err
+    assert (tmp_path / "manifest.txt").exists()
     assert not (tmp_path / "bernstein.csv").exists()
 
 
@@ -648,7 +671,7 @@ def test_window_under_two_cells_is_not_scanned_when_rho_is_given(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["bernstein", "--B", "1e300", "--samples", "1", "--m-max", "1"],
-    ["bernstein", "--samples", "1", "--m-max", "40"],
+    ["bernstein", "--samples", "1", "--m-max", "80"],
 ])
 def test_oversized_ladder_grid_exits_4(tmp_path, capsys, monkeypatch, argv):
     # both caps are checked on the sizes alone, before any array is allocated
@@ -683,9 +706,9 @@ def test_bernstein_builds_one_word_table_per_row_slab(tmp_path, monkeypatch):
     assert main(argv) == 0
     slabs = {}
     for grid, r0, r1, shape, centres, evaluated in calls:
-        # one table of the 2 + 4 + 8 derivative words on rows r0:r1, each
-        # centre's envelope evaluated once for it, whatever the number of words
-        assert shape == (14, r1 - r0, grid.samples.shape[1])
+        # one table of the 2 + 3 + 4 sorted words and F_1..F_3 f on rows r0:r1,
+        # each centre's envelope evaluated once for it, whatever the number of words
+        assert shape == ((3 + 1) * (3 + 2) // 2 - 1 + 3, r1 - r0, grid.samples.shape[1])
         assert r1 - r0 >= 2 and np.prod(shape) <= landau.SLAB_SAMPLES
         assert evaluated == centres
         slabs.setdefault(id(grid), (grid, centres, []))[2].append((r0, r1))
@@ -699,8 +722,8 @@ def test_bernstein_builds_one_word_table_per_row_slab(tmp_path, monkeypatch):
 
 
 def test_bernstein_peak_memory_stays_near_one_slab(tmp_path):
-    # the full table of the 14 words on one sample's ~200 x 200 grid takes
-    # ~9 MiB; streamed, one slab of at most 1 MiB is alive beside f and one
+    # the full table of the 12 fields on one sample's ~200 x 200 grid takes
+    # ~8 MiB; streamed, one slab of at most 1 MiB is alive beside f and one
     # basis chunk
     argv = ["bernstein", "--samples", "1", "--m-max", "3", "--out", str(tmp_path)]
     assert main(argv) == 0  # first-call caches and imports are not the run's
@@ -851,6 +874,14 @@ def test_negative_bernstein_tol_exits_2(tmp_path, capsys):
      "n_phi exceeds the float range"),
     (["wegner", "--L", "4", "--trials", "2", "--flux-per-unit", "1" + "0" * 400],
      "n_phi exceeds the float range"),
+    # fields whose Bernstein sums or bounds leave the float range: (E + 6B)^6
+    # underflows to a bound of 0.0, the samples overflow to inf and nan
+    (["bernstein", "--samples", "1", "--B", "1e-60", "--m-max", "6"],
+     "takes the Bernstein sums out of the float range"),
+    (["bernstein", "--samples", "1", "--B", "1e-200"],
+     "takes the Bernstein sums out of the float range"),
+    (["bernstein", "--samples", "1", "--B", "0.5", "--levels", "1" + "0" * 400],
+     "takes the Bernstein sums out of the float range"),
 ], ids=["field-2", "field-4", "wegner-L", "control-T", "wegner-eps", "field-0",
         "specineq-N", "specineq-N-small", "control-N-small", "coupling-reversed",
         "coupling-empty", "wegner-L-fraction", "wegner-L-second-fraction",
@@ -858,7 +889,8 @@ def test_negative_bernstein_tol_exits_2(tmp_path, capsys):
         "thickness-spacing-zero", "wegner-grid-small", "wegner-grid-small-second",
         "specineq-L-subnormal", "specineq-L-area-zero", "specineq-L-area-inf",
         "control-L-hop-overflow", "control-L-hop-underflow", "specineq-flux-overflow",
-        "specineq-n-phi-past-float", "control-n-phi-past-float", "wegner-flux-past-float"])
+        "specineq-n-phi-past-float", "control-n-phi-past-float", "wegner-flux-past-float",
+        "bernstein-bound-underflow", "bernstein-sample-overflow", "bernstein-levels-past-float"])
 def test_malformed_list_exits_2(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err

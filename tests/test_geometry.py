@@ -36,9 +36,14 @@ from magbern.landau import (
     coherent_field,
     norm2,
     sample_ladder,
-    word_fields,
 )
-from util_fields import full_mod2_derivative_word, random_ladder, rng_stream, write_pbm
+from util_fields import (
+    full_mod2_derivative_word,
+    oracle_word_fields,
+    random_ladder,
+    rng_stream,
+    write_pbm,
+)
 
 
 def brute_min_window(cells, w1, w2, periodic=False):
@@ -290,7 +295,7 @@ def test_coherent_state_rectangle_is_good():
 def all_words_labels(f, covering, E, m_max) -> list:
     """Good/bad labels testing every one of the 2^m ordinary-derivative
     words, each from the full subsequence sum, by direct slice sums."""
-    words = word_fields(f, m_max)
+    words = oracle_word_fields(f, m_max)
     area = f.cell_area
     derivs = [(m, np.abs(full_mod2_derivative_word(words, alpha).real))
               for m in range(1, m_max + 1) for alpha in product((1, 2), repeat=m)]

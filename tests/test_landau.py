@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
 from magbern import landau
-from magbern.algebra import bernstein_constant
+from magbern.algebra import bernstein_constant, f_poly
 from magbern.errors import ResourceLimitError, ValidationError
 from magbern.landau import (
     CoherentState,
@@ -20,7 +20,6 @@ from magbern.landau import (
     bernstein_sum,
     boundary_mass_fraction,
     coherent_field,
-    f_m_quadratic_form,
     grid_for_centers,
     inner,
     l1_bernstein_sum,
@@ -32,7 +31,13 @@ from magbern.landau import (
     sample_ladder,
     word_fields,
 )
-from util_fields import full_mod2_derivative_word, random_ladder, rng_stream
+from util_fields import (
+    full_mod2_derivative_word,
+    oracle_bernstein_sum,
+    oracle_word_fields,
+    random_ladder,
+    rng_stream,
+)
 
 FAST = QuadratureSpec(tail_sigmas=9.0, points_per_length=8)
 
@@ -84,21 +89,6 @@ def _fd_l1_bernstein_sum(f: GridField, m: int) -> float:
             g = _centered_diff(g, axis, f.spacing[axis - 1])
         total += l1_norm(g, f.cell_area)
     return total
-
-
-def oracle_word_fields(f: GridField, m_max: int) -> dict:
-    """The derivative-word table with every word sampled from scratch by
-    `LadderField.eval`, one grid evaluation per word."""
-    out = {(): f}
-    frontier = {(): f}
-    for _ in range(m_max):
-        nxt = {}
-        for word, g in frontier.items():
-            for axis in (1, 2):
-                nxt[word + (axis,)] = sample_ladder(g.ladder.magnetic_derivative(axis), grid=g)
-        out.update(nxt)
-        frontier = nxt
-    return out
 
 
 def landau_levels_below(E: float, B: float) -> int:
@@ -312,13 +302,29 @@ def test_ordinary_derivative_blows_up_while_magnetic_does_not():
 # -- word tables against the per-word oracle ----------------------------------
 
 
-def _assert_matches_oracle(words: dict, want: dict):
-    assert list(words) == list(want)
-    for word, g in want.items():
-        assert words[word].ladder.B == g.ladder.B
-        assert words[word].ladder.terms == g.ladder.terms
-        scale = np.abs(g.samples).max()
-        assert np.abs(words[word].samples - g.samples).max() <= 1e-13 * scale
+def _assert_matches_oracle(words: dict, f: GridField, m_max: int):
+    """The table holds f, the sorted words 1^i 2^j up to length m_max (tags as
+    in the full oracle table) and F_m(H) f for m = 1..m_max (tag: level k
+    scaled by F_m((2k+1)B) from the polynomial's coefficients), every entry
+    sampled as `sample_ladder` samples its tag."""
+    full = oracle_word_fields(f, m_max)
+    sorted_words = [w for w in full if list(w) == sorted(w)]
+    assert set(words) == set(sorted_words) | {("F", m) for m in range(1, m_max + 1)}
+    lf = f.ladder
+    for key, g in words.items():
+        if key[:1] == ("F",):
+            m = key[1]
+            fm = [c * lf.B ** (m - j) for j, c in enumerate(f_poly(m))]
+            scaled = {y: {k: c * sum(a * ((2 * k + 1) * lf.B) ** j for j, a in enumerate(fm))
+                          for k, c in ks.items()} for y, ks in lf.terms.items()}
+            assert g.ladder.terms.keys() == scaled.keys()
+            for y, ks in scaled.items():
+                assert g.ladder.terms[y] == pytest.approx(ks, rel=1e-12)
+        else:
+            assert g.ladder.terms == full[key].ladder.terms
+        assert g.ladder.B == lf.B
+        want = sample_ladder(g.ladder, grid=f).samples
+        assert np.abs(g.samples - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @st.composite
@@ -343,7 +349,16 @@ def test_word_table_matches_per_word_sampling(lf, m_max, ppl):
     f = sample_ladder(lf, QuadratureSpec(tail_sigmas=9.0, points_per_length=ppl))
     words = word_fields(f, m_max)
     assert words[()] is f
-    _assert_matches_oracle(words, oracle_word_fields(f, m_max))
+    _assert_matches_oracle(words, f, m_max)
+
+
+def test_word_table_holds_the_sorted_words_and_f_m_only():
+    # 1 + (2 + 3 + 4 + 5) sorted words + F_1..F_4, where all words were 31
+    f = sample_ladder(random_ladder(rng_stream(13)), FAST)
+    words = word_fields(f, 4)
+    assert len(words) == 1 + 14 + 4
+    assert [w for w in words if len(w) == 3 and "F" not in w] == [
+        (2, 2, 2), (1, 2, 2), (1, 1, 2), (1, 1, 1)]
 
 
 def test_word_table_with_a_partial_last_chunk(monkeypatch):
@@ -354,7 +369,7 @@ def test_word_table_with_a_partial_last_chunk(monkeypatch):
     rows = next(r for r in range(5, n1) if n1 % r)
     monkeypatch.setattr(landau, "BASIS_CHUNK_SAMPLES", rows * n_basis * n2)
     assert landau._chunk_rows(n_basis, n1, n2) == rows
-    _assert_matches_oracle(word_fields(f, 2), oracle_word_fields(f, 2))
+    _assert_matches_oracle(word_fields(f, 2), f, 2)
 
 
 @settings(max_examples=20, deadline=None)
@@ -366,12 +381,13 @@ def test_half_sum_derivative_word_matches_the_full_sum(lf, m_max):
     # words by C(m, a) where the oracle sums all 2^m words
     f = sample_ladder(lf, QuadratureSpec(tail_sigmas=9.0, points_per_length=8))
     words = word_fields(f, m_max)
+    full = oracle_word_fields(f, m_max)
     for m in range(m_max + 1):
         l1_all_words = 0.0
         for alpha in product((1, 2), repeat=m):
             got = mod2_derivative_word(words, alpha)
-            want = full_mod2_derivative_word(words, alpha)
-            scale = 2**m * max(np.abs(g.samples).max() for g in words.values()) ** 2
+            want = full_mod2_derivative_word(full, alpha)
+            scale = 2**m * max(np.abs(g.samples).max() for g in full.values()) ** 2
             assert got.dtype == np.float64 and got.shape == want.shape
             assert np.abs(want.imag).max() <= 1e-12 * scale
             assert np.abs(got - want.real).max() <= 1e-12 * np.abs(want.real).max()
@@ -497,14 +513,15 @@ def test_bernstein_sum_coherent_m1_m2():
 
 
 def test_bernstein_sum_equals_quadratic_form_of_f_m():
+    # <f, F_m(H) f> against the 2^m squared word norms of the full table
     rng = rng_stream(5)
     for _ in range(4):
         lf = random_ladder(rng, n_terms=3, max_level=2)
         f = sample_ladder(lf, FAST)
-        words = word_fields(f, 3)
+        words, full = word_fields(f, 3), oracle_word_fields(f, 3)
         for m in (1, 2, 3):
             s = bernstein_sum(words, m)
-            q = f_m_quadratic_form(f, m)
+            q = oracle_bernstein_sum(full, m)
             assert s == pytest.approx(q, rel=1e-9)
 
 
@@ -607,6 +624,6 @@ def test_word_table_above_sample_cap_raises(monkeypatch):
     monkeypatch.setattr(LadderField, "magnetic_derivative", no_words)
     assert len(word_fields(f, 0)) == 1
     with pytest.raises(ResourceLimitError):
-        word_fields(f, 1)  # f, its two first derivatives and a basis chunk: > 3 n samples
+        word_fields(f, 1)  # f, its two first derivatives, F_1 f and a basis chunk: > 3 n
     with pytest.raises(ResourceLimitError):
         word_fields(f, 10**6)

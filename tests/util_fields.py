@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from magbern.landau import LadderField
+from magbern.landau import GridField, LadderField, norm2, sample_ladder
 
 
 def random_ladder(rng, B=1.0, n_terms=3, max_level=2, box=1.5):
@@ -17,8 +17,30 @@ def random_ladder(rng, B=1.0, n_terms=3, max_level=2, box=1.5):
     return LadderField(B, terms)
 
 
+def oracle_word_fields(f: GridField, m_max: int) -> dict:
+    """The full table of all 2^(m_max+1) - 1 derivative words, every word
+    sampled from scratch by `LadderField.eval`, one grid evaluation per word."""
+    out = {(): f}
+    frontier = {(): f}
+    for _ in range(m_max):
+        nxt = {}
+        for word, g in frontier.items():
+            for axis in (1, 2):
+                nxt[word + (axis,)] = sample_ladder(g.ladder.magnetic_derivative(axis), grid=g)
+        out.update(nxt)
+        frontier = nxt
+    return out
+
+
+def oracle_bernstein_sum(words: dict, m: int) -> float:
+    """Sum of the squared L2 norms of the 2^m words of length m in a full
+    `oracle_word_fields` table."""
+    return sum(norm2(g) for w, g in words.items() if len(w) == m)
+
+
 def full_mod2_derivative_word(words: dict, alpha: tuple) -> np.ndarray:
-    """d^alpha |f|^2 from all 2^m subsequences beta of alpha,
+    """d^alpha |f|^2 from all 2^m subsequences beta of alpha, read from a
+    full `oracle_word_fields` table:
     (-i)^m sum_beta (-1)^(m-|beta|) (md^beta f) conj(md^(alpha\\beta) f),
     as a complex array."""
     m = len(alpha)
