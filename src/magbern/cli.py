@@ -364,17 +364,20 @@ def parse_config(argv) -> RunConfig:
                                          (round(L) * params["cells-per-unit"],) * 2)
             for L in params["L"]]}
     elif command == "bernstein" and params["B"] < 1:
-        # B^m (m <= m-max) in the bounds, B^-(levels+1) in ||f||^2 and, between
-        # them, B^-(levels+m-max)/2 in the basis w^k f_y (|w| ~ B^-1/2 on the grid)
-        # stay within 10^300 of 1: 8 decades for the B-free factors (pi k! 2^(k+1)
-        # |c|^2 < 1e8 up to levels 6; past that an overflow is a non-finite row,
-        # exit 3).  Above B = 1 the grid cap ends a run first
-        power = max(params["m-max"], params["levels"] + 1)
-        if power > 300 / -math.log10(params["B"]):
+        # B^m (m <= m-max) in the bounds and ||f||^2 ~ pi k! 2^(k+1) B^-(k+1) |c|^2
+        # at the top level k = levels stay within 10^300 of 1 (between them,
+        # B^-(levels+m-max)/2 in the basis w^k f_y, |w| ~ B^-1/2 on the grid), 8
+        # decades left for |c|^2 and the bounds' B-free factors.  Above B = 1 the
+        # grid cap ends a run first.  The powers of B are tested first, on ints,
+        # so a --levels past the float range never reaches lgamma
+        k, decades = params["levels"], -math.log10(params["B"])
+        if (max(params["m-max"], k + 1) > 300 / decades
+                or (k + 1) * (decades + math.log10(2.0)) + math.log10(math.pi)
+                + math.lgamma(k + 1) / math.log(10.0) > 300):
             raise ValidationError(
                 f"--B {params['B']!r} takes the Bernstein sums out of the float range "
-                f"at --m-max {params['m-max']}, --levels {params['levels']} "
-                f"(B^{power} < 1e-300)")
+                f"at --m-max {params['m-max']}, --levels {k} "
+                f"(B^{params['m-max']} or ||f||^2 ~ pi k! (2/B)^(k+1) past 1e300)")
     out_dir = Path(params.pop("out", "."))
     return RunConfig(command=command, params=params, out_dir=out_dir, checked=checked)
 

@@ -21,6 +21,9 @@ from .errors import NumericalError, ValidationError
 # masked_form is re-exported: it forms the input every function below takes
 from .inequality import masked_form, spectral_factors_log  # noqa: F401
 
+# the 8-point Gauss-Legendre rule on [-1, 1] of `state_trajectory`'s sub-steps
+_GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
 
 @dataclass
 class HumResult:
@@ -124,9 +127,8 @@ def state_trajectory(form: np.ndarray, lam: np.ndarray, u0: np.ndarray, T: float
     (n_steps + 1, k).
     """
     dt = T / n_steps
-    x, w = np.polynomial.legendre.leggauss(8)
-    s = 0.5 * dt * (x + 1.0)
-    ws = 0.5 * dt * w
+    s = 0.5 * dt * (_GL8_NODES + 1.0)
+    ws = 0.5 * dt * _GL8_WEIGHTS
     t0 = np.arange(n_steps) * dt
     nodes = (t0[:, None] + s).ravel()  # step-major, 8 per step
     forcing = (form @ (np.exp(-lam[:, None] * (T - nodes)) * dual_state[:, None])).T

@@ -180,9 +180,64 @@ def _intervals_measure(intervals) -> float:
     return sum(max(0.0, hi - lo) for lo, hi in intervals)
 
 
+def _certified(c: np.ndarray, intervals, bound: float) -> bool:
+    """Whether sum |c_k| and |P| at the endpoints of E prove that the sup
+    comparison of `_verdict` passes, for the complex coefficients c of P
+    (highest degree first) and bound >= 0: U <= bound L (1 + 1e-12), with U
+    and L as below.
+
+    Soundness.  Let u = 2^-53, g_k = k u/(1 - k u), A = sum |c_k| and n the
+    degree.  Horner's rule (Higham, Accuracy and Stability of Numerical
+    Algorithms, 5.1) with complex products of relative error <= sqrt(2) g_2
+    < 3u and sums of error <= u (Higham 3.6) gives, for |x| <= 1,
+    |P^(x) - P(x)| <= g_4n A; the modulus adds 2u, so every computed |P(x)|
+    there, whatever array or loop evaluates it, lies within g_(4n+2) A of
+    |P(x)|.  The computed sum s of the n + 1 moduli lies within g_(n+2) of A.
+    Hence, with the allowance gamma = (10n + 16) u:
+      - U = s (1 + gamma) + tau bounds every computed |P| on [0, 1], at a
+        grid or a critical point alike, from above: A (1 + g_(4n+2)) <=
+        s (1 + (5n + 4) u + O(u^2));
+      - L = max |P(e)| - gamma s - tau over the endpoints e of E's non-empty
+        intervals in [-1, 1], which the grids of the full check hold, bounds
+        its sup_E from below: the two evaluations of |P(e)| differ by at most
+        2 g_(4n+2) A <= (8n + 4) u s + O(u^2);
+    both with (2n + 12) u to spare for the roundings in forming U and L.
+    The second allowance, tau = (n + 1) 2^-1072, covers gradual underflow,
+    which adds at most 2^-1075 per real product and nothing to a sum (Higham,
+    chapter 2): about 3n 2^-1075 over Horner's steps and (n + 1) 2^-1075 over
+    the moduli, per evaluation.  No intermediate exceeds U, so a finite U excludes
+    overflow.  Rounding is monotone and bound >= 0, so bound * L * (1 + 1e-12)
+    evaluated as the full check evaluates it is at most the full check's
+    right-hand side: U below it implies the full check passes.
+    """
+    n = c.size - 1
+    lo, hi = np.asarray(intervals, dtype=float).reshape(-1, 2).T
+    ends = np.concatenate((lo[hi > lo], hi[hi > lo]))
+    ends = ends[np.abs(ends) <= 1.0]
+    s = float(np.abs(c).sum())
+    gamma = (10 * n + 16) * 2.0**-53
+    tau = (n + 1) * 2.0**-1072
+    upper = s * (1.0 + gamma) + tau
+    lower = float(np.max(_abs_polyval(c, ends), initial=0.0)) - gamma * s - tau
+    return math.isfinite(upper) and upper <= bound * lower * (1.0 + 1e-12)
+
+
+def _verdict(c: np.ndarray, intervals, bound: float) -> bool:
+    """sup_[0,1]|P| <= bound sup_E|P| (1 + 1e-12), with both sups over the
+    grid and the critical points of |P|^2 (`sup_abs_on_intervals`), unless
+    `_certified` proves it first: the certificate only accepts where the
+    sups would, so the verdict is theirs."""
+    if _certified(c, intervals, bound):
+        return True
+    sup01, *sup_e = sup_abs_on_intervals(c, [(0.0, 1.0), *intervals]).tolist()
+    return sup01 <= bound * max([0.0, *sup_e]) * (1.0 + 1e-12)
+
+
 def remez_check(coeffs: Sequence[complex], intervals) -> bool:
-    """Verification of the Remez inequality for one polynomial, with both sups
-    taken over the grid and the critical points of |P|^2.
+    """Verification of the Remez inequality for one polynomial.  The verdict
+    is certified from sum |c_k| and |P| at the endpoints of E where that
+    settles it, and is otherwise taken from the sups over the grid and the
+    critical points of |P|^2 (see _certified).
 
     `intervals` is a union of disjoint subintervals of [0,1] with positive
     total length.
@@ -191,9 +246,7 @@ def remez_check(coeffs: Sequence[complex], intervals) -> bool:
     if measure <= 0:
         raise ValidationError("E must have positive measure")
     coeffs = np.asarray(coeffs, dtype=complex)
-    n = len(coeffs) - 1
-    sup01, *sup_e = sup_abs_on_intervals(coeffs, [(0.0, 1.0), *intervals]).tolist()
-    return sup01 <= remez_bound(n, measure) * max([0.0, *sup_e]) * (1.0 + 1e-12)
+    return _verdict(coeffs, intervals, remez_bound(len(coeffs) - 1, measure))
 
 
 @lru_cache(maxsize=4)
@@ -212,8 +265,10 @@ def kovrijkine_check(coeffs: Sequence[complex], intervals, n_circle: int = 4096)
 
     The circle sup invokes the maximum principle.  M is the max of |P| over
     n_circle equispaced points of the circle, a slight underestimate, which
-    only tightens the verified inequality; the sups on [0, 1] and E are taken
-    over the grid and the critical points of |P|^2, as in remez_check.
+    only tightens the verified inequality.  As in remez_check, the verdict is
+    certified from sum |c_k| and the endpoints of E where that settles it,
+    and is otherwise taken from the grid-plus-critical-point sups on [0, 1]
+    and E (see _certified).
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     at_zero = abs(coeffs[-1]) if coeffs.size else 0.0
@@ -224,9 +279,7 @@ def kovrijkine_check(coeffs: Sequence[complex], intervals, n_circle: int = 4096)
         raise ValidationError("E must have positive measure")
     m_phi = max(float(np.max(np.abs(np.polyval(coeffs, _circle_points(n_circle))))),
                 at_zero, 1.0)
-    sup01, *sup_e = sup_abs_on_intervals(coeffs, [(0.0, 1.0), *intervals]).tolist()
-    bound = (12.0 / measure) ** (2.0 * math.log(m_phi) / LN2)
-    return sup01 <= bound * max([0.0, *sup_e]) * (1.0 + 1e-12)
+    return _verdict(coeffs, intervals, (12.0 / measure) ** (2.0 * math.log(m_phi) / LN2))
 
 
 # -- series bound ---------------------------------------------------------------

@@ -13,7 +13,7 @@ H = md1^2 + md2^2 with eigenvalue (2k+1)B.  Finite linear combinations of
 such terms ("ladder fields") are closed under md1, md2, which gives every
 derivative word in closed form, and F(H) scales level k by F((2k+1)B).
 Grids only enter through quadrature: a table of such fields on a grid (or a
-slab of its rows) is one contraction of their coefficients (`sample_table`).
+slab of its rows) is one contraction of their coefficients (`_ModeSampler`).
 The Bernstein sums read the sorted words 1^i 2^j (L1) and F_m(H) f (L2);
 both are cell sums, so `bernstein_sums` adds them up one row slab at a time.
 
@@ -254,37 +254,46 @@ def _chunk_rows(n_basis: int, n1: int, n2: int) -> int:
     return max(1, min(n1, BASIS_CHUNK_SAMPLES // max(1, n_basis * n2)))
 
 
-def sample_table(fields, grid: GridField, r0: int = 0, r1: Optional[int] = None) -> np.ndarray:
-    """Samples of ladder fields of one strength on rows r0:r1 of `grid`,
-    shape (n, r1 - r0, N2): their coefficients over the modes w^k f_y times
-    those modes, built with each centre's envelope evaluated once and w^k by
-    repeated multiplication, one chunk of grid rows (one matmul) at a time."""
-    centres = list(dict.fromkeys(y for lf in fields for y in lf.terms))
-    nk = max(lf.max_level() for lf in fields) + 1
-    column = {y: i * nk for i, y in enumerate(centres)}
-    coef = np.zeros((len(fields), len(centres) * nk), dtype=complex)
-    for row, lf in zip(coef, fields):
-        for y, ks in lf.terms.items():
-            for k, c in ks.items():
-                row[column[y] + k] = c
-    x1, x2 = grid.axes()
-    x1 = x1[r0:r1]
-    n1, n2 = len(x1), x2.shape[1]
-    factors = [_envelope_factors(fields[0].B, y, x1, x2) for y in centres]
-    out = np.empty((len(fields), n1, n2), dtype=complex)
-    flat = out.reshape(len(fields), n1 * n2)
-    rows = _chunk_rows(coef.shape[1], n1, n2)
-    basis = np.empty((coef.shape[1], rows * n2), dtype=complex)
-    for c0 in range(0, n1, rows):
-        c1 = min(c0 + rows, n1)
-        part = basis[:, : (c1 - c0) * n2]
-        for i, (y, (a, b)) in enumerate(zip(centres, factors)):
-            w = ((x1[c0:c1] - y[0]) - 1j * (x2 - y[1])).ravel()
-            np.multiply(a[c0:c1], b, out=part[i * nk].reshape(c1 - c0, n2))
-            for k in range(i * nk + 1, (i + 1) * nk):
-                np.multiply(part[k - 1], w, out=part[k])
-        np.matmul(coef, part, out=flat[:, c0 * n2:c1 * n2])
-    return out
+class _ModeSampler:
+    """Ladder fields of one strength on `grid` as one coefficient row each
+    over the modes w^k f_y, with every centre's envelope factors a(x1), b(x2)
+    evaluated once on the whole grid; `rows` samples the fields on any range
+    of grid rows."""
+
+    def __init__(self, fields, grid: GridField):
+        fields = list(fields)
+        self.centres = list(dict.fromkeys(y for lf in fields for y in lf.terms))
+        self.nk = max((lf.max_level() for lf in fields), default=0) + 1
+        column = {y: i * self.nk for i, y in enumerate(self.centres)}
+        self.coef = np.zeros((len(fields), len(self.centres) * self.nk), dtype=complex)
+        for row, lf in zip(self.coef, fields):
+            for y, ks in lf.terms.items():
+                for k, c in ks.items():
+                    row[column[y] + k] = c
+        self.x1, self.x2 = grid.axes()
+        self.factors = [_envelope_factors(fields[0].B, y, self.x1, self.x2)
+                        for y in self.centres]
+
+    def rows(self, r0: int = 0, r1: Optional[int] = None) -> np.ndarray:
+        """Samples on rows r0:r1, shape (n, r1 - r0, N2): the coefficients
+        times the modes, w^k by repeated multiplication, one chunk of grid
+        rows (one matmul) at a time."""
+        x1, x2, nk = self.x1[r0:r1], self.x2, self.nk
+        n1, n2 = len(x1), x2.shape[1]
+        out = np.empty((len(self.coef), n1, n2), dtype=complex)
+        flat = out.reshape(len(self.coef), n1 * n2)
+        rows = _chunk_rows(self.coef.shape[1], n1, n2)
+        basis = np.empty((self.coef.shape[1], rows * n2), dtype=complex)
+        for c0 in range(0, n1, rows):
+            c1 = min(c0 + rows, n1)
+            part = basis[:, : (c1 - c0) * n2]
+            for i, (y, (a, b)) in enumerate(zip(self.centres, self.factors)):
+                w = ((x1[c0:c1] - y[0]) - 1j * (x2 - y[1])).ravel()
+                np.multiply(a[r0 + c0:r0 + c1], b, out=part[i * nk].reshape(c1 - c0, n2))
+                for k in range(i * nk + 1, (i + 1) * nk):
+                    np.multiply(part[k - 1], w, out=part[k])
+            np.matmul(self.coef, part, out=flat[:, c0 * n2:c1 * n2])
+        return out
 
 
 def coherent_field(state: CoherentState,
@@ -350,22 +359,24 @@ def magnetic_derivative(f: GridField, axis: int) -> GridField:
     """Sampled covariant derivative md_axis f of a ladder-tagged field, in
     closed form (exact up to sampling); the result keeps a tag."""
     g = _ladder(f).magnetic_derivative(axis)
-    return GridField(sample_table([g], f)[0], f.origin, f.spacing, ladder=g)
+    return GridField(_ModeSampler([g], f).rows()[0], f.origin, f.spacing, ladder=g)
 
 
-def _word_tags(f: GridField, m_max: int) -> dict:
+def _word_tags(f: GridField, m_max: int, f_m: bool = True) -> dict:
     """Closed-form fields of a Bernstein table, after the size and margin
     checks: md2^j md1^i f for 1 <= i + j <= m_max under (1,)*i + (2,)*j, and
-    F_m(H) f for m = 1..m_max under ("F", m).  Their (m_max+1)(m_max+2)/2 +
-    m_max grids (f included) plus one basis chunk must fit under
-    GRID_SAMPLE_CAP samples, checked on the sizes before any field is built."""
+    (if f_m) F_m(H) f for m = 1..m_max under ("F", m).  Their
+    (m_max+1)(m_max+2)/2 (+ m_max) grids (f included) plus one basis chunk
+    must fit under GRID_SAMPLE_CAP samples, checked on the sizes before any
+    field is built."""
     lf = _ladder(f)
     if m_max < 0:
         raise ValidationError("m must be non-negative")
     n1, n2 = f.samples.shape
     n_basis = len(lf.terms) * (lf.max_level() + m_max + 1)
     chunk = n_basis * _chunk_rows(n_basis, n1, n2) * n2 if m_max else 0
-    if n1 * n2 * ((m_max + 1) * (m_max + 2) // 2 + m_max) + chunk > GRID_SAMPLE_CAP:
+    n_fm = m_max if f_m else 0
+    if n1 * n2 * ((m_max + 1) * (m_max + 2) // 2 + n_fm) + chunk > GRID_SAMPLE_CAP:
         raise ResourceLimitError(
             f"derivative words up to length {m_max} on a {n1} x {n2} grid exceed "
             f"the cap of {GRID_SAMPLE_CAP} complex samples")
@@ -377,32 +388,43 @@ def _word_tags(f: GridField, m_max: int) -> dict:
             g = tags[(1,) * i + (2,) * j] = g.magnetic_derivative(2)
         if i < m_max:
             ones = tags[(1,) * (i + 1)] = ones.magnetic_derivative(1)
-    for m in range(1, m_max + 1):
+    for m in range(1, n_fm + 1):
         fm = f_poly(m)
         tags[("F", m)] = lf.apply_level_function(
             [f_at_level(fm, k) * lf.B**m for k in range(lf.max_level() + 1)])
     return tags
 
 
-def _table_words(f: GridField, tags: dict, r0: int, r1: int) -> dict:
+def _table_words(f: GridField, tags: dict, sampler: _ModeSampler, r0: int, r1: int) -> dict:
     """Word table of rows r0:r1 of f: the empty word is that slice of f,
-    every other value a ladder-tagged view into one `sample_table`."""
+    every other value a ladder-tagged view into one table of `sampler`, the
+    _ModeSampler of the fields of `tags`."""
     origin = (f.origin[0] + r0 * f.spacing[0], f.origin[1])
     out = {(): f if (r0, r1) == (0, f.samples.shape[0])
            else GridField(f.samples[r0:r1], origin, f.spacing, ladder=f.ladder)}
     if tags:
-        for row, (word, g) in zip(sample_table(list(tags.values()), f, r0, r1), tags.items()):
+        for row, (word, g) in zip(sampler.rows(r0, r1), tags.items()):
             out[word] = GridField(row, origin, f.spacing, ladder=g)
     return out
+
+
+def _whole_table(f: GridField, tags: dict) -> dict:
+    return _table_words(f, tags, _ModeSampler(tags.values(), f), 0, f.samples.shape[0])
 
 
 def word_fields(f: GridField, m_max: int) -> dict:
     """Sampled fields of a ladder-tagged field that the Bernstein sums read,
     after one size and boundary-margin check: f under the empty tuple, the
     sorted md-words up to length m_max under (1,)*i + (2,)*j and F_m(H) f
-    under ("F", m), each but f a ladder-tagged view into one `sample_table`.
+    under ("F", m), each but f a ladder-tagged view into one table.
     """
-    return _table_words(f, _word_tags(f, m_max), 0, f.samples.shape[0])
+    return _whole_table(f, _word_tags(f, m_max))
+
+
+def sorted_word_fields(f: GridField, m_max: int) -> dict:
+    """`word_fields` without the F_m(H) f entries: f and the sorted md-words
+    up to length m_max, all that `mod2_derivative_word` reads."""
+    return _whole_table(f, _word_tags(f, m_max, f_m=False))
 
 
 def bernstein_sums(f: GridField, m_max: int):
@@ -421,9 +443,10 @@ def bernstein_sums(f: GridField, m_max: int):
     starts = list(range(0, n1, rows))
     if n1 - starts[-1] == 1:
         starts[-1] -= 1  # n1 >= 2, so a 1-row remainder has a slab before it
+    sampler = _ModeSampler(tags.values(), f)  # coefficients and envelopes, once
     l2, l1 = [0.0] * m_max, [0.0] * m_max
     for r0, r1 in zip(starts, starts[1:] + [n1]):
-        words = _table_words(f, tags, r0, r1)
+        words = _table_words(f, tags, sampler, r0, r1)
         for m in range(1, m_max + 1):
             l2[m - 1] += bernstein_sum(words, m)
             l1[m - 1] += l1_bernstein_sum(words, m)

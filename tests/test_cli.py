@@ -678,47 +678,54 @@ def test_oversized_ladder_grid_exits_4(tmp_path, capsys, monkeypatch, argv):
     def no_words(*args):
         raise AssertionError("a derivative word was built before the cap check")
 
-    monkeypatch.setattr(landau, "sample_table", no_words)
+    monkeypatch.setattr(landau._ModeSampler, "rows", no_words)
     monkeypatch.setattr(landau.LadderField, "magnetic_derivative", no_words)
     assert main(argv + ["--out", str(tmp_path)]) == 4
     assert "complex samples" in capsys.readouterr().err
 
 
 def test_bernstein_builds_one_word_table_per_row_slab(tmp_path, monkeypatch):
-    calls, envelopes = [], []
-    real_table, real_factors = landau.sample_table, landau._envelope_factors
+    samplers, slabs, envelopes = [], [], []
+    real_init, real_rows = landau._ModeSampler.__init__, landau._ModeSampler.rows
+    real_factors = landau._envelope_factors
 
-    def counted_table(fields, grid, r0=0, r1=None):
+    def counted_init(self, fields, grid):
         start = len(envelopes)
-        out = real_table(fields, grid, r0, r1)
-        centres = list(dict.fromkeys(y for lf in fields for y in lf.terms))
-        calls.append((grid, r0, r1, out.shape, centres, envelopes[start:]))
+        real_init(self, fields, grid)
+        samplers.append((self, grid, envelopes[start:]))
         del envelopes[start:]
+
+    def counted_rows(self, r0=0, r1=None):
+        out = real_rows(self, r0, r1)
+        slabs.append((self, r0, r1, out.shape))
         return out
 
     def counted_factors(B, y, x1, x2, sgn=1.0):
         envelopes.append(y)
         return real_factors(B, y, x1, x2, sgn)
 
-    monkeypatch.setattr(landau, "sample_table", counted_table)
+    monkeypatch.setattr(landau._ModeSampler, "__init__", counted_init)
+    monkeypatch.setattr(landau._ModeSampler, "rows", counted_rows)
     monkeypatch.setattr(landau, "_envelope_factors", counted_factors)
     argv = ["bernstein", "--samples", "2", "--m-max", "3", "--out", str(tmp_path)]
     assert main(argv) == 0
-    slabs = {}
-    for grid, r0, r1, shape, centres, evaluated in calls:
-        # one table of the 2 + 3 + 4 sorted words and F_1..F_3 f on rows r0:r1,
-        # each centre's envelope evaluated once for it, whatever the number of words
-        assert shape == ((3 + 1) * (3 + 2) // 2 - 1 + 3, r1 - r0, grid.samples.shape[1])
-        assert r1 - r0 >= 2 and np.prod(shape) <= landau.SLAB_SAMPLES
-        assert evaluated == centres
-        slabs.setdefault(id(grid), (grid, centres, []))[2].append((r0, r1))
-    assert len(slabs) == 2  # one grid per sample, its rows covered slab by slab
-    for grid, _, ranges in slabs.values():
-        assert len(ranges) > 1
+    assert len(samplers) == 2  # one per sample, for all of its row slabs
+    for sampler, grid, evaluated in samplers:
+        # each centre's envelope evaluated once per sample, whatever the number of
+        # slabs; each slab one table of the 2 + 3 + 4 sorted words and F_1..F_3 f
+        assert evaluated == sampler.centres
+        ranges = []
+        for owner, r0, r1, shape in slabs:
+            if owner is sampler:
+                assert shape == ((3 + 1) * (3 + 2) // 2 - 1 + 3, r1 - r0,
+                                 grid.samples.shape[1])
+                assert r1 - r0 >= 2 and np.prod(shape) <= landau.SLAB_SAMPLES
+                ranges.append((r0, r1))
+        assert len(ranges) > 1  # the grid's rows covered slab by slab
         assert [r0 for r0, _ in ranges] == [0] + [r1 for _, r1 in ranges[:-1]]
         assert ranges[-1][1] == grid.samples.shape[0]
     # sampling f itself evaluates each of its centres' envelopes once
-    assert envelopes == [y for _, centres, _ in slabs.values() for y in centres]
+    assert envelopes == [y for sampler, _, _ in samplers for y in sampler.centres]
 
 
 def test_bernstein_peak_memory_stays_near_one_slab(tmp_path):
@@ -882,6 +889,9 @@ def test_negative_bernstein_tol_exits_2(tmp_path, capsys):
      "takes the Bernstein sums out of the float range"),
     (["bernstein", "--samples", "1", "--B", "0.5", "--levels", "1" + "0" * 400],
      "takes the Bernstein sums out of the float range"),
+    # B^-10 alone is 1e300, pi 9! 2^10 B^-10 ~ 1e309 overflows ||f||^2
+    (["bernstein", "--samples", "5", "--B", "1e-30", "--levels", "9"],
+     "takes the Bernstein sums out of the float range"),
 ], ids=["field-2", "field-4", "wegner-L", "control-T", "wegner-eps", "field-0",
         "specineq-N", "specineq-N-small", "control-N-small", "coupling-reversed",
         "coupling-empty", "wegner-L-fraction", "wegner-L-second-fraction",
@@ -890,7 +900,8 @@ def test_negative_bernstein_tol_exits_2(tmp_path, capsys):
         "specineq-L-subnormal", "specineq-L-area-zero", "specineq-L-area-inf",
         "control-L-hop-overflow", "control-L-hop-underflow", "specineq-flux-overflow",
         "specineq-n-phi-past-float", "control-n-phi-past-float", "wegner-flux-past-float",
-        "bernstein-bound-underflow", "bernstein-sample-overflow", "bernstein-levels-past-float"])
+        "bernstein-bound-underflow", "bernstein-sample-overflow", "bernstein-levels-past-float",
+        "bernstein-norm-overflow"])
 def test_malformed_list_exits_2(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err

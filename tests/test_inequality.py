@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magbern import inequality
+from magbern.cli import main
 from magbern.errors import NumericalError, ValidationError
 from magbern.geometry import SetMask, disk_complement_mask, strip_mask, thickness_scan
 from magbern.inequality import (
@@ -326,11 +327,17 @@ def test_remez_constant_polynomial():
     assert remez_check([3.0], [(0.2, 0.5)])
 
 
+def shifted_chebyshev(n: int) -> np.ndarray:
+    """Coefficients of T_n(2t - 1), highest degree first: |P| <= 1 on [0, 1]
+    while sum |c_k| grows like 5.8^n."""
+    tn = np.polynomial.chebyshev.cheb2poly([0.0] * n + [1.0])
+    p = np.polynomial.polynomial.Polynomial(tn)(np.polynomial.polynomial.Polynomial([-1.0, 2.0]))
+    return p.coef[::-1]
+
+
 def test_remez_chebyshev_like_extremal():
     # P(t) = T4(2t - 1) on [0,1]; E the middle half
-    t4 = np.polynomial.chebyshev.cheb2poly([0, 0, 0, 0, 1.0])
-    p = np.polynomial.polynomial.Polynomial(t4)(np.polynomial.polynomial.Polynomial([-1.0, 2.0]))
-    coeffs = p.coef[::-1]
+    coeffs = shifted_chebyshev(4)
     assert remez_check(coeffs, [(0.25, 0.75)])
     sup01 = sup_abs_on_interval(coeffs, 0.0, 1.0)
     sup_e = sup_abs_on_interval(coeffs, 0.25, 0.75)
@@ -375,6 +382,128 @@ def test_kovrijkine_random_sweep():
         if sum(b - a for a, b in intervals) < 1e-3:
             continue
         assert kovrijkine_check(coeffs, intervals)
+
+
+# -- the coefficient certificate -------------------------------------------------
+
+
+def full_comparison(c, intervals, bound) -> bool:
+    """The sup comparison the certificate stands in for."""
+    sup01, *sup_e = sup_abs_on_intervals(c, [(0.0, 1.0), *intervals]).tolist()
+    return sup01 <= bound * max([0.0, *sup_e]) * (1.0 + 1e-12)
+
+
+def certificate_edge(c, intervals):
+    """The least positive float bound the certificate accepts (None if none
+    does), by bisection on the bit patterns, which order positive floats."""
+    top = np.finfo(float).max
+    if not inequality._certified(c, intervals, float(top)):
+        return None
+    lo, hi = 0, int(np.float64(top).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if inequality._certified(c, intervals, float(np.int64(mid).view(np.float64))):
+            hi = mid
+        else:
+            lo = mid
+    return float(np.int64(hi).view(np.float64))
+
+
+_CERT_INTERVAL = st.one_of(
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(lambda ab: tuple(sorted(ab))),
+    st.floats(0.0, 1.0).map(lambda a: (a, a)),  # degenerate
+    st.floats(0.0, 1.0 - 1e-12).map(lambda a: (a, a + 1e-12)),
+)
+
+
+@st.composite
+def certificate_instances(draw):
+    n = draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(["random", "aligned", "cancelling"]))
+    unit = st.floats(-1.0, 1.0)
+    if kind == "random":
+        c = np.array([complex(*draw(st.tuples(unit, unit))) for _ in range(n + 1)])
+    elif kind == "aligned":  # |P(1)| = sum |c_k|: the upper bound is tight
+        c = np.array([abs(draw(unit)) for _ in range(n + 1)], dtype=complex)
+    else:  # near-cancelling: |P| <= 1 on [0, 1] against sum |c_k| up to 1e30
+        c = shifted_chebyshev(n).astype(complex)
+        c[-1] += draw(st.sampled_from([0.0, 1e-12, 1e-6]))
+        c /= np.max(np.abs(c))
+    c *= 10.0 ** draw(st.floats(-150.0, 150.0))
+    intervals = draw(st.lists(_CERT_INTERVAL, min_size=1, max_size=3))
+    return c, intervals
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=certificate_instances(), kind=st.sampled_from(["remez", "drawn", "edge"]),
+       drawn=st.floats(0.0, 300.0))
+def test_a_certified_verdict_is_the_sup_verdict(instance, kind, drawn):
+    # whenever sum |c_k| and the endpoints of E certify an instance, the
+    # grid-plus-critical-point sups pass it too, also at the least bound the
+    # certificate accepts
+    c, intervals = instance
+    measure = sum(hi - lo for lo, hi in intervals)
+    if kind == "remez" and measure >= 1e-3:  # as the CLI draws E: no overflow
+        bound = remez_bound(c.size - 1, min(measure, 1.0))
+    elif kind == "edge":
+        bound = certificate_edge(c, intervals)
+        if bound is None:
+            return
+        assert not inequality._certified(c, intervals, float(np.nextafter(bound, 0.0)))
+    else:
+        bound = 10.0**drawn
+    if inequality._certified(c, intervals, bound):
+        assert full_comparison(c, intervals, bound)
+
+
+def _count_sups(monkeypatch) -> list:
+    calls, real = [], inequality.sup_abs_on_intervals
+
+    def counted(coeffs, intervals):
+        calls.append(len(intervals))
+        return real(coeffs, intervals)
+
+    monkeypatch.setattr(inequality, "sup_abs_on_intervals", counted)
+    return calls
+
+
+@pytest.mark.parametrize("bound_factor, verdict", [(1.0 + 1e-9, True), (1e-3, False)])
+def test_sups_decide_what_the_certificate_cannot(monkeypatch, bound_factor, verdict):
+    # T_10(2t - 1): sum |c_k| ~ 1e7 against sups of 1, so at a bound near
+    # sup_[0,1] / sup_E no certificate exists and the sups give the verdict:
+    # true just above the ratio, false (a falsified instance) far below it
+    c, intervals = shifted_chebyshev(10), [(0.3, 0.35)]
+    sup01, sup_e = sup_abs_on_intervals(c, [(0.0, 1.0), *intervals])
+    bound = float(sup01 / sup_e * bound_factor)
+    monkeypatch.setattr(inequality, "remez_bound", lambda n, measure: bound)
+    assert not inequality._certified(c.astype(complex), intervals, bound)
+    calls = _count_sups(monkeypatch)
+    assert remez_check(c, intervals) is verdict
+    assert calls == [2]
+
+
+def test_checks_give_the_sup_verdicts_on_the_cli_draws(tmp_path, monkeypatch):
+    # the CLI's own draws at seeds 0-19, once as shipped and once with the
+    # certificate switched off: the same remez.csv, byte for byte
+    def csvs(tag):
+        out = []
+        for seed in range(20):
+            d = tmp_path / f"{tag}{seed}"
+            assert main(["remez", "--count", "100", "--seed", str(seed), "--out", str(d)]) == 0
+            out.append((d / "remez.csv").read_bytes())
+        return out
+
+    certified = csvs("certified")
+    monkeypatch.setattr(inequality, "_certified", lambda c, intervals, bound: False)
+    assert certified == csvs("sups")
+
+
+def test_certificate_decides_most_of_the_default_remez_draw(tmp_path, monkeypatch):
+    # 200 Remez and 200 Kovrijkine checks at seed 0: the sups run for at most
+    # 10% of them, so the speed-up of the certificate cannot vanish unnoticed
+    calls = _count_sups(monkeypatch)
+    assert main(["remez", "--out", str(tmp_path)]) == 0
+    assert len(calls) <= 40
 
 
 # -- series bound -----------------------------------------------------------------

@@ -29,6 +29,7 @@ from magbern.landau import (
     norm2,
     radial_mass_outside,
     sample_ladder,
+    sorted_word_fields,
     word_fields,
 )
 from util_fields import (
@@ -361,6 +362,27 @@ def test_word_table_holds_the_sorted_words_and_f_m_only():
         (2, 2, 2), (1, 2, 2), (1, 1, 2), (1, 1, 1)]
 
 
+def test_sorted_word_table_is_the_word_table_without_f_m(monkeypatch):
+    # the table good/bad labelling reads: 1 + 14 sorted words at m_max 4, no
+    # F_m(H) f grid sampled, the same words' samples to rounding
+    f = sample_ladder(random_ladder(rng_stream(13)), FAST)
+    words = word_fields(f, 4)
+    sampled, real_rows = [], landau._ModeSampler.rows
+
+    def counted_rows(self, r0=0, r1=None):
+        out = real_rows(self, r0, r1)
+        sampled.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(landau._ModeSampler, "rows", counted_rows)
+    got = sorted_word_fields(f, 4)
+    assert sampled == [14]
+    assert list(got) == [w for w in words if "F" not in w]
+    for w, g in got.items():
+        assert g.ladder.terms == words[w].ladder.terms
+        np.testing.assert_allclose(g.samples, words[w].samples, rtol=1e-12, atol=0)
+
+
 def test_word_table_with_a_partial_last_chunk(monkeypatch):
     lf = random_ladder(rng_stream(12), n_terms=3, max_level=2)
     f = sample_ladder(lf, FAST)
@@ -464,13 +486,13 @@ def test_streamed_sums_match_the_full_word_table(monkeypatch, seed, slabs):
     rows = {"one": n1, "many": 3,
             "one-row-remainder": next(r for r in range(4, n1) if n1 % r == 1)}[slabs]
     monkeypatch.setattr(landau, "SLAB_SAMPLES", rows * (len(words) - 1) * n2)
-    spans, real_table = [], landau.sample_table
+    spans, real_rows = [], landau._ModeSampler.rows
 
-    def spied_table(fields, grid, r0=0, r1=None):
+    def spied_rows(self, r0=0, r1=None):
         spans.append((r0, r1))
-        return real_table(fields, grid, r0, r1)
+        return real_rows(self, r0, r1)
 
-    monkeypatch.setattr(landau, "sample_table", spied_table)
+    monkeypatch.setattr(landau._ModeSampler, "rows", spied_rows)
     l2, l1 = landau.bernstein_sums(f, 3)
     # slabs of at most `rows` rows and at least 2, covering the grid in order
     assert [r0 for r0, _ in spans] == [0] + [r1 for _, r1 in spans[:-1]]
@@ -499,7 +521,7 @@ def test_streamed_sums_run_the_word_table_checks_first(monkeypatch):
     def no_words(*args):
         raise AssertionError("a derivative word was built before the cap check")
 
-    monkeypatch.setattr(landau, "sample_table", no_words)
+    monkeypatch.setattr(landau._ModeSampler, "rows", no_words)
     monkeypatch.setattr(LadderField, "magnetic_derivative", no_words)
     with pytest.raises(ResourceLimitError):
         landau.bernstein_sums(f, 1)
@@ -620,7 +642,7 @@ def test_word_table_above_sample_cap_raises(monkeypatch):
     def no_words(*args):
         raise AssertionError("a derivative word was built before the cap check")
 
-    monkeypatch.setattr(landau, "sample_table", no_words)
+    monkeypatch.setattr(landau._ModeSampler, "rows", no_words)
     monkeypatch.setattr(LadderField, "magnetic_derivative", no_words)
     assert len(word_fields(f, 0)) == 1
     with pytest.raises(ResourceLimitError):
