@@ -452,14 +452,15 @@ def run_bernstein(cfg: RunConfig, bundle: ReportBundle) -> None:
         lf = landau.LadderField(b, terms)
         f = landau.sample_ladder(lf, landau.QuadratureSpec(points_per_length=8))
         e = lf.energy_ceiling()
-        n2 = landau.norm2(f)
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # the boundary-margin check
             try:
-                sums = landau.bernstein_sums(f, cfg.params["m-max"])
+                l1_sums = landau.l1_bernstein_sums(f, cfg.params["m-max"])
             except UserWarning as exc:  # the sums miss the truncated tail
                 raise NumericalError(f"{exc}: no verdict drawn") from None
-        for m, l2, l1 in zip(range(1, cfg.params["m-max"] + 1), *sums):
+        n2 = landau.checked_norm2(f)  # after the margin check: a truncated grid reports that
+        for m, l1 in enumerate(l1_sums, 1):
+            l2 = landau.bernstein_sum(lf, m)
             l2_bound = float(algebra.bernstein_constant(m, e, b, "L2")) * n2
             l1_bound = float(algebra.bernstein_constant(m, e, b, "L1")) * n2
             ok = l2 <= l2_bound * (1 + tol) and l1 <= l1_bound * (1 + 10 * tol)

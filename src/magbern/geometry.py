@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import bernstein_constant
 from .errors import ResourceLimitError, ValidationError
-from .landau import GridField, mod2_derivative_word, sorted_word_fields
+from .landau import GridField, mod2_derivative_word, word_fields
 
 
 @dataclass(frozen=True)
@@ -243,7 +243,7 @@ def classify_good_bad(f: GridField, covering: Covering, E: float,
         f"good/bad verdicts truncated at m_max={m_max}: 'good' is necessary-condition only",
         stacklevel=2,
     )
-    words = sorted_word_fields(f, m_max)
+    words = word_fields(f, m_max)
     # d^alpha |f|^2 depends only on the multi-index (a, m-a) of alpha, so one
     # sorted word 1^a 2^(m-a) stands for all C(m, a) words of that index
     deriv_prefix = [

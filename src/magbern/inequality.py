@@ -87,13 +87,15 @@ def empirical_constant(sub: SpectralSubspace, mask: SetMask) -> float:
 # -- 1-D estimates -------------------------------------------------------------
 
 
-def remez_bound(n: int, measure: float) -> float:
-    """(4/|E|)^n for degree-n polynomials on [0,1]."""
+def remez_log_bound(n: int, measure: float) -> float:
+    """n log(4/|E|), the natural log of the Remez bound (4/|E|)^n for
+    degree-n polynomials on [0,1]: finite where the bound leaves the float
+    range."""
     if n < 0:
         raise ValidationError("degree must be non-negative")
     if not 0.0 < measure <= 1.0:
         raise ValidationError("measure must lie in (0, 1]")
-    return (4.0 / measure) ** n
+    return n * math.log(4.0 / measure)
 
 
 def _abs_polyval(c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -180,11 +182,21 @@ def _intervals_measure(intervals) -> float:
     return sum(max(0.0, hi - lo) for lo, hi in intervals)
 
 
-def _certified(c: np.ndarray, intervals, bound: float) -> bool:
+def _log_at_most(lhs: float, log_bound: float, rhs: float) -> bool:
+    """lhs <= exp(log_bound) rhs (1 + 1e-12) for lhs, rhs >= 0, compared in
+    logs so that no bound overflows: log lhs <= log_bound + log rhs + 1e-12
+    (1e-12 is log(1 + 1e-12) to 5e-25)."""
+    if lhs <= 0.0 or rhs <= 0.0:
+        return lhs <= 0.0
+    return math.log(lhs) <= log_bound + math.log(rhs) + 1e-12
+
+
+def _certified(c: np.ndarray, intervals, log_bound: float) -> bool:
     """Whether sum |c_k| and |P| at the endpoints of E prove that the sup
     comparison of `_verdict` passes, for the complex coefficients c of P
-    (highest degree first) and bound >= 0: U <= bound L (1 + 1e-12), with U
-    and L as below.
+    (highest degree first) and the log of the bound, log_bound:
+    U <= exp(log_bound) L (1 + 1e-12) in logs with the slack eta below, for
+    U and L as below.
 
     Soundness.  Let u = 2^-53, g_k = k u/(1 - k u), A = sum |c_k| and n the
     degree.  Horner's rule (Higham, Accuracy and Stability of Numerical
@@ -206,31 +218,44 @@ def _certified(c: np.ndarray, intervals, bound: float) -> bool:
     which adds at most 2^-1075 per real product and nothing to a sum (Higham,
     chapter 2): about 3n 2^-1075 over Horner's steps and (n + 1) 2^-1075 over
     the moduli, per evaluation.  No intermediate exceeds U, so a finite U excludes
-    overflow.  Rounding is monotone and bound >= 0, so bound * L * (1 + 1e-12)
-    evaluated as the full check evaluates it is at most the full check's
-    right-hand side: U below it implies the full check passes.
+    overflow.
+
+    The comparison runs in logs, so that no bound overflows; the full
+    check's is `_log_at_most`.  CPython's math.log is the C library's,
+    within 1 ulp in glibc, so the computed log of x lies within
+    2^-52 |ln x| of ln x.  Let m = max(|log U|, |log L|).  As sup_[0,1] <= U
+    and L <= sup_E, and t + 2^-52 |t| and t - 2^-52 |t| increase with t, the
+    full check's log sup_[0,1] is at most ln U + 2^-52 m and its log sup_E
+    at least ln L - 2^-52 m; each of the five additions on the two sides
+    errs by at most 2^-53 S, with S = |log_bound| + 2m + 1.  The
+    certificate's log U + eta <= log_bound + log L + 1e-12 thus implies the
+    full check's log sup_[0,1] <= log_bound + log sup_E + 1e-12 once
+    eta >= 2^-53 (5 S + 8 m); eta = 2^-46 (|log_bound| + 3m + 1) is over 20
+    times that, room for logs 20 ulps off.
     """
     n = c.size - 1
-    lo, hi = np.asarray(intervals, dtype=float).reshape(-1, 2).T
-    ends = np.concatenate((lo[hi > lo], hi[hi > lo]))
-    ends = ends[np.abs(ends) <= 1.0]
+    ends = [float(e) for lo, hi in intervals if hi > lo for e in (lo, hi) if abs(e) <= 1.0]
     s = float(np.abs(c).sum())
     gamma = (10 * n + 16) * 2.0**-53
     tau = (n + 1) * 2.0**-1072
     upper = s * (1.0 + gamma) + tau
-    lower = float(np.max(_abs_polyval(c, ends), initial=0.0)) - gamma * s - tau
-    return math.isfinite(upper) and upper <= bound * lower * (1.0 + 1e-12)
+    lower = float(np.max(_abs_polyval(c, np.array(ends)), initial=0.0)) - gamma * s - tau
+    if not (math.isfinite(upper) and lower > 0.0):
+        return False
+    log_u, log_l = math.log(upper), math.log(lower)
+    eta = 2.0**-46 * (abs(log_bound) + 3.0 * max(abs(log_u), abs(log_l)) + 1.0)
+    return log_u + eta <= log_bound + log_l + 1e-12
 
 
-def _verdict(c: np.ndarray, intervals, bound: float) -> bool:
-    """sup_[0,1]|P| <= bound sup_E|P| (1 + 1e-12), with both sups over the
-    grid and the critical points of |P|^2 (`sup_abs_on_intervals`), unless
-    `_certified` proves it first: the certificate only accepts where the
-    sups would, so the verdict is theirs."""
-    if _certified(c, intervals, bound):
+def _verdict(c: np.ndarray, intervals, log_bound: float) -> bool:
+    """sup_[0,1]|P| <= exp(log_bound) sup_E|P| (1 + 1e-12), compared in logs,
+    with both sups over the grid and the critical points of |P|^2
+    (`sup_abs_on_intervals`), unless `_certified` proves it first: the
+    certificate only accepts where the sups would, so the verdict is theirs."""
+    if _certified(c, intervals, log_bound):
         return True
     sup01, *sup_e = sup_abs_on_intervals(c, [(0.0, 1.0), *intervals]).tolist()
-    return sup01 <= bound * max([0.0, *sup_e]) * (1.0 + 1e-12)
+    return _log_at_most(sup01, log_bound, max([0.0, *sup_e]))
 
 
 def remez_check(coeffs: Sequence[complex], intervals) -> bool:
@@ -246,16 +271,17 @@ def remez_check(coeffs: Sequence[complex], intervals) -> bool:
     if measure <= 0:
         raise ValidationError("E must have positive measure")
     coeffs = np.asarray(coeffs, dtype=complex)
-    return _verdict(coeffs, intervals, remez_bound(len(coeffs) - 1, measure))
+    return _verdict(coeffs, intervals, remez_log_bound(len(coeffs) - 1, measure))
 
 
 @lru_cache(maxsize=4)
-def _circle_points(n_circle: int) -> np.ndarray:
-    """n_circle equispaced points of |z| = 4 (read-only: the array is shared)."""
+def _circle_inverses(n_circle: int) -> np.ndarray:
+    """1/z at n_circle equispaced points z of |z| = 4, as conj(z)/16 (exact)
+    (read-only: the array is shared)."""
     theta = np.linspace(0.0, 2.0 * np.pi, n_circle, endpoint=False)
-    z = 4.0 * np.exp(1j * theta)
-    z.flags.writeable = False
-    return z
+    u = np.conj(4.0 * np.exp(1j * theta)) / 16.0
+    u.flags.writeable = False
+    return u
 
 
 def kovrijkine_check(coeffs: Sequence[complex], intervals, n_circle: int = 4096) -> bool:
@@ -265,7 +291,10 @@ def kovrijkine_check(coeffs: Sequence[complex], intervals, n_circle: int = 4096)
 
     The circle sup invokes the maximum principle.  M is the max of |P| over
     n_circle equispaced points of the circle, a slight underestimate, which
-    only tightens the verified inequality.  As in remez_check, the verdict is
+    only tightens the verified inequality.  Its log is taken without
+    overflow, past degree ~500 too: P(z) = z^n Q(1/z) with Q the reversed
+    polynomial, so log M = n log 4 + log max |Q(1/z)| over |1/z| = 1/4, and
+    the bound is compared in logs.  As in remez_check, the verdict is
     certified from sum |c_k| and the endpoints of E where that settles it,
     and is otherwise taken from the grid-plus-critical-point sups on [0, 1]
     and E (see _certified).
@@ -277,9 +306,10 @@ def kovrijkine_check(coeffs: Sequence[complex], intervals, n_circle: int = 4096)
     measure = _intervals_measure(intervals)
     if measure <= 0:
         raise ValidationError("E must have positive measure")
-    m_phi = max(float(np.max(np.abs(np.polyval(coeffs, _circle_points(n_circle))))),
-                at_zero, 1.0)
-    return _verdict(coeffs, intervals, (12.0 / measure) ** (2.0 * math.log(m_phi) / LN2))
+    reversed_sup = float(np.max(np.abs(np.polyval(coeffs[::-1], _circle_inverses(n_circle)))))
+    log_m = max((coeffs.size - 1) * math.log(4.0) + math.log(reversed_sup),
+                math.log(at_zero), 0.0)
+    return _verdict(coeffs, intervals, 2.0 * log_m / LN2 * math.log(12.0 / measure))
 
 
 # -- series bound ---------------------------------------------------------------

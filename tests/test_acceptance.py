@@ -87,7 +87,7 @@ def bernstein_sample_results():
         n2 = landau.norm2(f)
         entry = {"norm2": n2, "E": lf.energy_ceiling()}
         for m in (1, 2, 3):
-            entry[("l2", m)] = landau.bernstein_sum(words, m)
+            entry[("l2", m)] = landau.bernstein_sum(lf, m)
             entry[("words", m)] = oracle_bernstein_sum(full, m)
             entry[("l1", m)] = landau.l1_bernstein_sum(words, m)
         results.append(entry)

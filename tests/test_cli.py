@@ -318,17 +318,30 @@ def test_bernstein_command(tmp_path):
 
 def test_bernstein_draws_no_verdict_from_a_non_finite_sum(tmp_path, capsys, monkeypatch):
     # a nan sum ends the run on the value instead of reporting a falsification
-    real_sums = landau.bernstein_sums
+    real_sum = landau.bernstein_sum
 
-    def nan_sums(f, m_max):
-        l2, l1 = real_sums(f, m_max)
-        return [float("nan")] + l2[1:], l1
+    def nan_sum(lf, m):
+        return float("nan") if m == 1 else real_sum(lf, m)
 
-    monkeypatch.setattr(landau, "bernstein_sums", nan_sums)
+    monkeypatch.setattr(landau, "bernstein_sum", nan_sum)
     argv = ["bernstein", "--samples", "1", "--out", str(tmp_path)]
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert "non-finite result nan" in err and "falsified" not in err
+    assert not (tmp_path / "bernstein.csv").exists()
+
+
+def test_bernstein_draws_no_verdict_when_the_grid_misses_the_norm(tmp_path, capsys,
+                                                                 monkeypatch):
+    # the bounds take ||f||^2 in closed form; a grid sum off by more than
+    # NORM_RTOL means the grid does not resolve f, and the sampled L1 sums
+    # beside it carry no verdict
+    real_norm2 = landau.norm2
+    monkeypatch.setattr(landau, "norm2", lambda f: real_norm2(f) * (1 + 2 * landau.NORM_RTOL))
+    argv = ["bernstein", "--samples", "1", "--out", str(tmp_path)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "misses the closed form" in err and "no verdict drawn" in err
     assert not (tmp_path / "bernstein.csv").exists()
 
 
@@ -674,25 +687,35 @@ def test_window_under_two_cells_is_not_scanned_when_rho_is_given(tmp_path):
     ["bernstein", "--samples", "1", "--m-max", "80"],
 ])
 def test_oversized_ladder_grid_exits_4(tmp_path, capsys, monkeypatch, argv):
-    # both caps are checked on the sizes alone, before any array is allocated
+    # both caps are checked on the sizes alone, before any array is allocated:
+    # f alone may be sampled, as a one-field table
     def no_words(*args):
         raise AssertionError("a derivative word was built before the cap check")
 
-    monkeypatch.setattr(landau._ModeSampler, "rows", no_words)
+    real_init = landau._FactoredFields.__init__
+
+    def one_field_only(self, fields, x1, x2):
+        fields = list(fields)
+        if len(fields) > 1:
+            no_words()
+        real_init(self, fields, x1, x2)
+
+    monkeypatch.setattr(landau._FactoredFields, "__init__", one_field_only)
     monkeypatch.setattr(landau.LadderField, "magnetic_derivative", no_words)
     assert main(argv + ["--out", str(tmp_path)]) == 4
     assert "complex samples" in capsys.readouterr().err
 
 
 def test_bernstein_builds_one_word_table_per_row_slab(tmp_path, monkeypatch):
-    samplers, slabs, envelopes = [], [], []
-    real_init, real_rows = landau._ModeSampler.__init__, landau._ModeSampler.rows
+    tables, slabs, envelopes = [], [], []
+    real_init, real_rows = landau._FactoredFields.__init__, landau._FactoredFields.rows
     real_factors = landau._envelope_factors
 
-    def counted_init(self, fields, grid):
+    def counted_init(self, fields, x1, x2):
+        fields = list(fields)
         start = len(envelopes)
-        real_init(self, fields, grid)
-        samplers.append((self, grid, envelopes[start:]))
+        real_init(self, fields, x1, x2)
+        tables.append((self, fields, envelopes[start:]))
         del envelopes[start:]
 
     def counted_rows(self, r0=0, r1=None):
@@ -704,34 +727,35 @@ def test_bernstein_builds_one_word_table_per_row_slab(tmp_path, monkeypatch):
         envelopes.append(y)
         return real_factors(B, y, x1, x2, sgn)
 
-    monkeypatch.setattr(landau._ModeSampler, "__init__", counted_init)
-    monkeypatch.setattr(landau._ModeSampler, "rows", counted_rows)
+    monkeypatch.setattr(landau._FactoredFields, "__init__", counted_init)
+    monkeypatch.setattr(landau._FactoredFields, "rows", counted_rows)
     monkeypatch.setattr(landau, "_envelope_factors", counted_factors)
     argv = ["bernstein", "--samples", "2", "--m-max", "3", "--out", str(tmp_path)]
     assert main(argv) == 0
-    assert len(samplers) == 2  # one per sample, for all of its row slabs
-    for sampler, grid, evaluated in samplers:
-        # each centre's envelope evaluated once per sample, whatever the number of
-        # slabs; each slab one table of the 2 + 3 + 4 sorted words and F_1..F_3 f
-        assert evaluated == sampler.centres
-        ranges = []
-        for owner, r0, r1, shape in slabs:
-            if owner is sampler:
-                assert shape == ((3 + 1) * (3 + 2) // 2 - 1 + 3, r1 - r0,
-                                 grid.samples.shape[1])
-                assert r1 - r0 >= 2 and np.prod(shape) <= landau.SLAB_SAMPLES
-                ranges.append((r0, r1))
+    # per sample: f sampled as a one-field table in one product, then one table
+    # of the 2 + 3 + 4 sorted words (no F_m(H) f: the L2 sums are closed-form)
+    assert [len(fields) for _, fields, _ in tables] == [1, 9] * 2
+    for table, fields, evaluated in tables:
+        # each centre's envelope evaluated once per table, whatever the number of slabs
+        assert evaluated == list(dict.fromkeys(y for lf in fields for y in lf.terms))
+        n1, n2 = len(table.a), table.g.shape[-1]
+        ranges = [(r0, r1, shape) for owner, r0, r1, shape in slabs if owner is table]
+        if len(fields) == 1:
+            assert ranges == [(0, None, (1, n1, n2))]
+            continue
+        for r0, r1, shape in ranges:
+            assert shape == (9, r1 - r0, n2)
+            assert r1 - r0 >= 2 and np.prod(shape) <= landau.SLAB_SAMPLES
         assert len(ranges) > 1  # the grid's rows covered slab by slab
-        assert [r0 for r0, _ in ranges] == [0] + [r1 for _, r1 in ranges[:-1]]
-        assert ranges[-1][1] == grid.samples.shape[0]
-    # sampling f itself evaluates each of its centres' envelopes once
-    assert envelopes == [y for sampler, _, _ in samplers for y in sampler.centres]
+        assert [r0 for r0, _, _ in ranges] == [0] + [r1 for _, r1, _ in ranges[:-1]]
+        assert ranges[-1][1] == n1
+    assert envelopes == []  # no envelope evaluated outside a table
 
 
 def test_bernstein_peak_memory_stays_near_one_slab(tmp_path):
-    # the full table of the 12 fields on one sample's ~200 x 200 grid takes
-    # ~8 MiB; streamed, one slab of at most 1 MiB is alive beside f and one
-    # basis chunk
+    # the full table of the 9 words on one sample's ~200 x 200 grid takes
+    # ~6 MiB; streamed, one slab of at most 1 MiB is alive beside f and the
+    # factors
     argv = ["bernstein", "--samples", "1", "--m-max", "3", "--out", str(tmp_path)]
     assert main(argv) == 0  # first-call caches and imports are not the run's
     tracemalloc.start()

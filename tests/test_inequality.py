@@ -1,6 +1,7 @@
 """Constants, sharp masked-Gram constants, and 1-D estimate checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from magbern.inequality import (
     empirical_constant,
     kovrijkine_check,
     masked_form,
-    remez_bound,
+    remez_log_bound,
     remez_check,
     series_bound_check,
     sup_abs_on_interval,
@@ -159,13 +160,15 @@ def test_void_inequality_reported():
 
 
 def test_remez_bound_values():
-    assert remez_bound(0, 0.7) == 1.0
-    assert remez_bound(1, 0.5) == 8.0
-    assert remez_bound(3, 0.1) == pytest.approx(64000.0)
+    assert remez_log_bound(0, 0.7) == 0.0
+    assert remez_log_bound(1, 0.5) == math.log(8.0)
+    assert math.exp(remez_log_bound(3, 0.1)) == pytest.approx(64000.0)
+    # (4e12)^40 ~ 1e505 is past the float range; its log is not
+    assert remez_log_bound(40, 1e-12) == pytest.approx(40 * math.log(4e12), rel=1e-15)
     with pytest.raises(ValidationError):
-        remez_bound(1, 0.0)
+        remez_log_bound(1, 0.0)
     with pytest.raises(ValidationError):
-        remez_bound(1, 1.5)
+        remez_log_bound(1, 1.5)
 
 
 def _refine_max(f, lo: float, hi: float) -> float:
@@ -310,10 +313,13 @@ def test_horner_in_place_is_polyval_bit_for_bit():
 
 
 def test_circle_points_are_made_once_per_size():
-    z = inequality._circle_points(4096)
-    assert z is inequality._circle_points(4096) and not z.flags.writeable
+    # the Kovrijkine circle |z| = 4, kept as the inverses 1/z = conj(z)/16
+    u = inequality._circle_inverses(4096)
+    assert u is inequality._circle_inverses(4096) and not u.flags.writeable
     theta = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-    assert z.tobytes() == (4.0 * np.exp(1j * theta)).tobytes()
+    z = 4.0 * np.exp(1j * theta)
+    assert u.tobytes() == (np.conj(z) / 16.0).tobytes()
+    assert np.abs(u * z - 1.0).max() <= 1e-15
 
 
 def test_sup_finds_interior_max_between_grid_points():
@@ -341,7 +347,7 @@ def test_remez_chebyshev_like_extremal():
     assert remez_check(coeffs, [(0.25, 0.75)])
     sup01 = sup_abs_on_interval(coeffs, 0.0, 1.0)
     sup_e = sup_abs_on_interval(coeffs, 0.25, 0.75)
-    assert sup01 / sup_e <= remez_bound(4, 0.5)
+    assert sup01 / sup_e <= math.exp(remez_log_bound(4, 0.5))
 
 
 def test_remez_random_sweep():
@@ -354,6 +360,48 @@ def test_remez_random_sweep():
         if sum(b - a for a, b in intervals) < 1e-3:
             continue
         assert remez_check(coeffs, intervals)
+
+
+@pytest.mark.parametrize("scalar", [float, np.float64])
+def test_remez_check_past_the_float_range_of_the_bound(scalar):
+    # (4/|E|)^40 at |E| = 1e-12 overflows a float: the check compares it in
+    # logs, with no OverflowError (Python floats) and no overflow warning
+    # (numpy floats); sup_[0,1] = 41 against sup_E ~ P(1/2) ~ 2 passes
+    lo = scalar(0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert remez_check([1.0] * 41, [(lo, lo + scalar(1e-12))])
+
+
+def test_kovrijkine_degree_600_draw():
+    # 4^600 > 1e308: the circle sup of P overflows, and before its log was
+    # taken as n log 4 + log max |Q(1/z)| it read nan and the check
+    # "falsified"; P and E drawn as the CLI's remez command draws them
+    rng = rng_stream(73)
+    coeffs = rng.normal(size=601) + 1j * rng.normal(size=601)
+    coeffs = coeffs / coeffs[-1]
+    cuts = np.sort(rng.uniform(0.0, 1.0, size=4))
+    intervals = [(cuts[0], cuts[1]), (cuts[2], cuts[3])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kovrijkine_check(coeffs, intervals)
+    # the log of the circle sup is the direct one where that does not overflow
+    low = coeffs[-101:]
+    z = 4.0 * np.exp(2j * np.pi * np.arange(4096) / 4096)
+    direct = math.log(np.max(np.abs(np.polyval(low, z))))
+    via_q = 100 * math.log(4.0) + math.log(
+        np.max(np.abs(np.polyval(low[::-1], inequality._circle_inverses(4096)))))
+    assert via_q == pytest.approx(direct, rel=1e-14)
+
+
+def test_remez_command_past_degree_500(tmp_path):
+    # degrees up to 1000 made the Kovrijkine checks read "falsified" (exit 3)
+    argv = ["remez", "--degree-max", "1000", "--count", "20", "--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    rows = (tmp_path / "remez.csv").read_text().splitlines()
+    assert len(rows) == 1 + 40 and all(r.endswith("true") for r in rows[1:])
 
 
 def test_kovrijkine_constant_function():
@@ -387,26 +435,31 @@ def test_kovrijkine_random_sweep():
 # -- the coefficient certificate -------------------------------------------------
 
 
-def full_comparison(c, intervals, bound) -> bool:
+def full_comparison(c, intervals, log_bound) -> bool:
     """The sup comparison the certificate stands in for."""
     sup01, *sup_e = sup_abs_on_intervals(c, [(0.0, 1.0), *intervals]).tolist()
-    return sup01 <= bound * max([0.0, *sup_e]) * (1.0 + 1e-12)
+    return inequality._log_at_most(sup01, log_bound, max([0.0, *sup_e]))
 
 
 def certificate_edge(c, intervals):
-    """The least positive float bound the certificate accepts (None if none
-    does), by bisection on the bit patterns, which order positive floats."""
-    top = np.finfo(float).max
-    if not inequality._certified(c, intervals, float(top)):
+    """The least float log-bound the certificate accepts (None if none does),
+    by bisection on the integers that order the finite floats: the bit
+    pattern of x >= 0, minus that of -x for x < 0."""
+    def at(key):
+        x = float(np.int64(abs(key)).view(np.float64))
+        return x if key >= 0 else -x
+
+    top = int(np.float64(np.finfo(float).max).view(np.int64))
+    if not inequality._certified(c, intervals, at(top)):
         return None
-    lo, hi = 0, int(np.float64(top).view(np.int64))
+    lo, hi = -top, top
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if inequality._certified(c, intervals, float(np.int64(mid).view(np.float64))):
+        if inequality._certified(c, intervals, at(mid)):
             hi = mid
         else:
             lo = mid
-    return float(np.int64(hi).view(np.float64))
+    return at(hi)
 
 
 _CERT_INTERVAL = st.one_of(
@@ -440,18 +493,18 @@ def certificate_instances(draw):
 def test_a_certified_verdict_is_the_sup_verdict(instance, kind, drawn):
     # whenever sum |c_k| and the endpoints of E certify an instance, the
     # grid-plus-critical-point sups pass it too, also at the least bound the
-    # certificate accepts
+    # certificate accepts (bounds as their logs)
     c, intervals = instance
     measure = sum(hi - lo for lo, hi in intervals)
-    if kind == "remez" and measure >= 1e-3:  # as the CLI draws E: no overflow
-        bound = remez_bound(c.size - 1, min(measure, 1.0))
+    if kind == "remez" and measure > 0:
+        bound = remez_log_bound(c.size - 1, min(measure, 1.0))
     elif kind == "edge":
         bound = certificate_edge(c, intervals)
         if bound is None:
             return
-        assert not inequality._certified(c, intervals, float(np.nextafter(bound, 0.0)))
+        assert not inequality._certified(c, intervals, float(np.nextafter(bound, -np.inf)))
     else:
-        bound = 10.0**drawn
+        bound = drawn * math.log(10.0)
     if inequality._certified(c, intervals, bound):
         assert full_comparison(c, intervals, bound)
 
@@ -474,8 +527,8 @@ def test_sups_decide_what_the_certificate_cannot(monkeypatch, bound_factor, verd
     # true just above the ratio, false (a falsified instance) far below it
     c, intervals = shifted_chebyshev(10), [(0.3, 0.35)]
     sup01, sup_e = sup_abs_on_intervals(c, [(0.0, 1.0), *intervals])
-    bound = float(sup01 / sup_e * bound_factor)
-    monkeypatch.setattr(inequality, "remez_bound", lambda n, measure: bound)
+    bound = math.log(sup01 / sup_e * bound_factor)
+    monkeypatch.setattr(inequality, "remez_log_bound", lambda n, measure: bound)
     assert not inequality._certified(c.astype(complex), intervals, bound)
     calls = _count_sups(monkeypatch)
     assert remez_check(c, intervals) is verdict

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
 from magbern import landau
-from magbern.algebra import bernstein_constant, f_poly
-from magbern.errors import ResourceLimitError, ValidationError
+from magbern.algebra import bernstein_constant
+from magbern.errors import NumericalError, ResourceLimitError, ValidationError
 from magbern.landau import (
     CoherentState,
     GridField,
@@ -19,20 +19,21 @@ from magbern.landau import (
     QuadratureSpec,
     bernstein_sum,
     boundary_mass_fraction,
+    checked_norm2,
     coherent_field,
     grid_for_centers,
-    inner,
     l1_bernstein_sum,
+    l1_bernstein_sums,
     l1_norm,
     magnetic_derivative,
     mod2_derivative_word,
     norm2,
     radial_mass_outside,
     sample_ladder,
-    sorted_word_fields,
     word_fields,
 )
 from util_fields import (
+    eval_on_grid,
     full_mod2_derivative_word,
     oracle_bernstein_sum,
     oracle_word_fields,
@@ -224,7 +225,7 @@ def test_kernel_column_projects_ladder_fields():
     lf = LadderField.coherent(CoherentState((0.3, 0.1), B))
     f = sample_ladder(lf, FAST)
     col = kernel_column(E, B, (0.6, -0.2), f)
-    got = inner(col, f)
+    got = np.vdot(col.samples, f.samples) * f.cell_area
     want = lf.eval(0.6, -0.2)
     assert complex(got) == pytest.approx(complex(want), rel=1e-8)
 
@@ -296,35 +297,24 @@ def test_ordinary_derivative_blows_up_while_magnetic_does_not():
         f = coherent_field(CoherentState((0.0, y2), B), FAST)
         od = norm2(_fd_ordinary_derivative(f, 1))
         assert od >= math.pi * y2**2 / 2 - 4 * math.pi / B
-        ms = bernstein_sum(word_fields(f, 1), 1)
+        ms = sum(norm2(magnetic_derivative(f, axis)) for axis in (1, 2))
         assert ms == pytest.approx(2 * math.pi, rel=1e-6)
+        assert bernstein_sum(f.ladder, 1) == pytest.approx(2 * math.pi, rel=1e-15)
 
 
 # -- word tables against the per-word oracle ----------------------------------
 
 
 def _assert_matches_oracle(words: dict, f: GridField, m_max: int):
-    """The table holds f, the sorted words 1^i 2^j up to length m_max (tags as
-    in the full oracle table) and F_m(H) f for m = 1..m_max (tag: level k
-    scaled by F_m((2k+1)B) from the polynomial's coefficients), every entry
-    sampled as `sample_ladder` samples its tag."""
+    """The table holds f and the sorted words 1^i 2^j up to length m_max
+    (tags as in the full oracle table), every entry within 1e-13 of max|g|
+    of its tag sampled by `LadderField.eval`."""
     full = oracle_word_fields(f, m_max)
-    sorted_words = [w for w in full if list(w) == sorted(w)]
-    assert set(words) == set(sorted_words) | {("F", m) for m in range(1, m_max + 1)}
-    lf = f.ladder
+    assert set(words) == {w for w in full if list(w) == sorted(w)}
     for key, g in words.items():
-        if key[:1] == ("F",):
-            m = key[1]
-            fm = [c * lf.B ** (m - j) for j, c in enumerate(f_poly(m))]
-            scaled = {y: {k: c * sum(a * ((2 * k + 1) * lf.B) ** j for j, a in enumerate(fm))
-                          for k, c in ks.items()} for y, ks in lf.terms.items()}
-            assert g.ladder.terms.keys() == scaled.keys()
-            for y, ks in scaled.items():
-                assert g.ladder.terms[y] == pytest.approx(ks, rel=1e-12)
-        else:
-            assert g.ladder.terms == full[key].ladder.terms
-        assert g.ladder.B == lf.B
-        want = sample_ladder(g.ladder, grid=f).samples
+        assert g.ladder.terms == full[key].ladder.terms
+        assert g.ladder.B == f.ladder.B
+        want = g.ladder.eval(*f.axes())
         assert np.abs(g.samples - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -353,44 +343,39 @@ def test_word_table_matches_per_word_sampling(lf, m_max, ppl):
     _assert_matches_oracle(words, f, m_max)
 
 
-def test_word_table_holds_the_sorted_words_and_f_m_only():
-    # 1 + (2 + 3 + 4 + 5) sorted words + F_1..F_4, where all words were 31
+def test_word_table_holds_the_sorted_words_only(monkeypatch):
+    # 1 + (2 + 3 + 4 + 5) sorted words, where all words were 31, sampled as
+    # one table of the 14 words beside f (no F_m(H) f grid: the L2 sums are
+    # closed-form)
     f = sample_ladder(random_ladder(rng_stream(13)), FAST)
-    words = word_fields(f, 4)
-    assert len(words) == 1 + 14 + 4
-    assert [w for w in words if len(w) == 3 and "F" not in w] == [
-        (2, 2, 2), (1, 2, 2), (1, 1, 2), (1, 1, 1)]
-
-
-def test_sorted_word_table_is_the_word_table_without_f_m(monkeypatch):
-    # the table good/bad labelling reads: 1 + 14 sorted words at m_max 4, no
-    # F_m(H) f grid sampled, the same words' samples to rounding
-    f = sample_ladder(random_ladder(rng_stream(13)), FAST)
-    words = word_fields(f, 4)
-    sampled, real_rows = [], landau._ModeSampler.rows
+    sampled, real_rows = [], landau._FactoredFields.rows
 
     def counted_rows(self, r0=0, r1=None):
         out = real_rows(self, r0, r1)
         sampled.append(out.shape[0])
         return out
 
-    monkeypatch.setattr(landau._ModeSampler, "rows", counted_rows)
-    got = sorted_word_fields(f, 4)
+    monkeypatch.setattr(landau._FactoredFields, "rows", counted_rows)
+    words = word_fields(f, 4)
     assert sampled == [14]
-    assert list(got) == [w for w in words if "F" not in w]
-    for w, g in got.items():
-        assert g.ladder.terms == words[w].ladder.terms
-        np.testing.assert_allclose(g.samples, words[w].samples, rtol=1e-12, atol=0)
+    assert len(words) == 1 + 14
+    assert [w for w in words if len(w) == 3] == [(2, 2, 2), (1, 2, 2), (1, 1, 2), (1, 1, 1)]
 
 
-def test_word_table_with_a_partial_last_chunk(monkeypatch):
+def test_factored_rows_match_on_any_row_range():
+    # a slab r0:r1 of the factored table is those rows of the whole table: the
+    # same products over the same factors, up to the order of the sums
     lf = random_ladder(rng_stream(12), n_terms=3, max_level=2)
     f = sample_ladder(lf, FAST)
-    n1, n2 = f.samples.shape
-    n_basis = len(lf.terms) * (lf.max_level() + 2 + 1)
-    rows = next(r for r in range(5, n1) if n1 % r)
-    monkeypatch.setattr(landau, "BASIS_CHUNK_SAMPLES", rows * n_basis * n2)
-    assert landau._chunk_rows(n_basis, n1, n2) == rows
+    fields = [lf, lf.magnetic_derivative(1), lf.magnetic_derivative(2)]
+    table = landau._FactoredFields(fields, *f.axes())
+    whole = table.rows()
+    n1 = f.samples.shape[0]
+    scale = np.abs(whole).max()
+    assert whole.shape == (3,) + f.samples.shape
+    assert np.abs(whole[0] - f.samples).max() <= 1e-14 * scale
+    for r0, r1 in ((0, 2), (5, 17), (n1 - 3, n1), (0, n1)):
+        assert np.abs(table.rows(r0, r1) - whole[:, r0:r1]).max() <= 1e-14 * scale
     _assert_matches_oracle(word_fields(f, 2), f, 2)
 
 
@@ -486,14 +471,16 @@ def test_streamed_sums_match_the_full_word_table(monkeypatch, seed, slabs):
     rows = {"one": n1, "many": 3,
             "one-row-remainder": next(r for r in range(4, n1) if n1 % r == 1)}[slabs]
     monkeypatch.setattr(landau, "SLAB_SAMPLES", rows * (len(words) - 1) * n2)
-    spans, real_rows = [], landau._ModeSampler.rows
+    spans, real_rows = [], landau._FactoredFields.rows
 
     def spied_rows(self, r0=0, r1=None):
+        out = real_rows(self, r0, r1)
         spans.append((r0, r1))
-        return real_rows(self, r0, r1)
+        assert out.size <= landau.SLAB_SAMPLES
+        return out
 
-    monkeypatch.setattr(landau._ModeSampler, "rows", spied_rows)
-    l2, l1 = landau.bernstein_sums(f, 3)
+    monkeypatch.setattr(landau._FactoredFields, "rows", spied_rows)
+    l1 = l1_bernstein_sums(f, 3)
     # slabs of at most `rows` rows and at least 2, covering the grid in order
     assert [r0 for r0, _ in spans] == [0] + [r1 for _, r1 in spans[:-1]]
     assert spans[-1][1] == n1
@@ -504,15 +491,15 @@ def test_streamed_sums_match_the_full_word_table(monkeypatch, seed, slabs):
         assert [r1 - r0 for r0, r1 in spans[-2:]] == [rows - 1, 2]
     else:
         assert len(spans) >= n1 // 3
+    assert len(l1) == 3
     for m in (1, 2, 3):
-        assert l2[m - 1] == pytest.approx(bernstein_sum(words, m), rel=1e-12)
         assert l1[m - 1] == pytest.approx(l1_bernstein_sum(words, m), rel=1e-12)
 
 
 def test_streamed_sums_run_the_word_table_checks_first(monkeypatch):
     box = GridField(np.ones((16, 16), dtype=complex), (0.0, 0.0), (0.1, 0.1))
     f = sample_ladder(LadderField.coherent(CoherentState((0.75, 0.75), 1.0)), grid=box)
-    for build in (word_fields, landau.bernstein_sums):
+    for build in (word_fields, l1_bernstein_sums):
         with pytest.warns(UserWarning) as record:
             build(f, 1)
         assert record[0].filename == __file__  # the warning names the caller's line
@@ -521,44 +508,143 @@ def test_streamed_sums_run_the_word_table_checks_first(monkeypatch):
     def no_words(*args):
         raise AssertionError("a derivative word was built before the cap check")
 
-    monkeypatch.setattr(landau._ModeSampler, "rows", no_words)
+    monkeypatch.setattr(landau._FactoredFields, "__init__", no_words)
     monkeypatch.setattr(LadderField, "magnetic_derivative", no_words)
     with pytest.raises(ResourceLimitError):
-        landau.bernstein_sums(f, 1)
+        l1_bernstein_sums(f, 1)
 
 
 def test_bernstein_sum_coherent_m1_m2():
-    B = 1.0
-    words = word_fields(coherent_field(CoherentState((0.2, 0.6), B), FAST), 2)
-    assert bernstein_sum(words, 1) == pytest.approx(2 * math.pi, rel=1e-9)
-    assert bernstein_sum(words, 2) == pytest.approx(6 * math.pi * B, rel=1e-9)
+    for B in (1.0, 2.5):
+        lf = LadderField.coherent(CoherentState((0.2, 0.6), B))
+        assert bernstein_sum(lf, 0) == pytest.approx(2 * math.pi / B, rel=1e-15)
+        assert bernstein_sum(lf, 1) == pytest.approx(2 * math.pi, rel=1e-15)
+        assert bernstein_sum(lf, 2) == pytest.approx(6 * math.pi * B, rel=1e-15)
 
 
 def test_bernstein_sum_equals_quadratic_form_of_f_m():
-    # <f, F_m(H) f> against the 2^m squared word norms of the full table
+    # <f, F_m(H) f> in closed form against the 2^m squared word norms of the
+    # full table, each word sampled by LadderField.eval
     rng = rng_stream(5)
     for _ in range(4):
         lf = random_ladder(rng, n_terms=3, max_level=2)
-        f = sample_ladder(lf, FAST)
-        words, full = word_fields(f, 3), oracle_word_fields(f, 3)
-        for m in (1, 2, 3):
-            s = bernstein_sum(words, m)
-            q = oracle_bernstein_sum(full, m)
-            assert s == pytest.approx(q, rel=1e-9)
+        full = oracle_word_fields(eval_on_grid(lf, sample_ladder(lf, FAST)), 3)
+        for m in (0, 1, 2, 3):
+            assert bernstein_sum(lf, m) == pytest.approx(oracle_bernstein_sum(full, m),
+                                                         rel=1e-12)
 
 
 def test_bernstein_sum_respects_spectral_bound():
     rng = rng_stream(6)
     for _ in range(4):
         lf = random_ladder(rng, n_terms=3, max_level=2)
-        f = sample_ladder(lf, FAST)
-        words = word_fields(f, 3)
         e = lf.energy_ceiling()
-        n2 = norm2(f)
+        n2 = bernstein_sum(lf, 0)
         for m in (1, 2, 3):
-            assert bernstein_sum(words, m) <= bernstein_constant(m, e, lf.B) * n2 * (
-                1 + 1e-9
-            )
+            assert bernstein_sum(lf, m) <= bernstein_constant(m, e, lf.B) * n2 * (1 + 1e-12)
+
+
+# -- closed-form Gram and factored samples ------------------------------------
+
+
+@st.composite
+def three_centre_ladders(draw):
+    """3 distinct centres, each with 1-3 levels in 0..5 and coefficients of
+    modulus in [0.1, 1], at B in {0.5, 1, 2, 4}."""
+    B = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+    centres = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                            min_size=3, max_size=3, unique=True))
+    terms = {}
+    for c1, c2 in centres:
+        levels = draw(st.sets(st.integers(0, 5), min_size=1, max_size=3))
+        terms[(0.5 * c1, 0.5 * c2)] = {
+            k: draw(st.floats(0.1, 1.0)) * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+            for k in levels}
+    return LadderField(B, terms)
+
+
+@settings(max_examples=20, deadline=None)
+@given(lf=three_centre_ladders())
+def test_closed_form_gram_matches_dense_quadrature(lf):
+    # each level's mass ||P_k f||^2 from the closed-form Gram of its centres,
+    # and ||f||^2 as their sum (levels are orthogonal), against the trapezoid
+    # rule at 16 points per magnetic length on fields sampled by eval
+    spec = QuadratureSpec(tail_sigmas=12.0, points_per_length=16)
+    grid = sample_ladder(lf, spec)
+    total = norm2(eval_on_grid(lf, grid))
+    assert bernstein_sum(lf, 0) == pytest.approx(total, rel=1e-12)
+    for k in range(lf.max_level() + 1):
+        level = LadderField(lf.B, {y: {k: ks[k]} for y, ks in lf.terms.items() if k in ks})
+        want = norm2(eval_on_grid(level, grid))
+        assert abs(bernstein_sum(level, 0) - want) <= 1e-12 * total
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_two_centre_gram_phase(k):
+    # <w^k f_y, w^k f_y'> = pi k! (2/B)^(k+1) exp(-(B/4)|y-y'|^2)
+    # exp(-i(B/2)(y1 y'2 - y2 y'1)): with coefficients (1, 1) and (1, i),
+    # ||f||^2 reads its real and its imaginary part, and the flipped phase
+    # misses the quadrature by percents
+    B, y, yp = 1.7, (1.0, -0.5), (-0.5, 1.0)
+    scale = math.pi * math.factorial(k) * (2 / B) ** (k + 1)
+    overlap = math.exp(-(B / 4) * ((y[0] - yp[0]) ** 2 + (y[1] - yp[1]) ** 2))
+    phase = (B / 2) * (y[0] * yp[1] - y[1] * yp[0])
+    for c in (1.0, 1j):
+        lf = LadderField(B, {y: {k: 1.0}, yp: {k: c}})
+        quad = norm2(eval_on_grid(lf, sample_ladder(lf, QuadratureSpec(points_per_length=16))))
+        right, flipped = (scale * (2 + 2 * (c * overlap * np.exp(sgn * 1j * phase)).real)
+                          for sgn in (-1, 1))
+        assert bernstein_sum(lf, 0) == pytest.approx(quad, rel=1e-12)
+        assert right == pytest.approx(quad, rel=1e-12)
+        if c == 1j:
+            assert abs(flipped - quad) > 0.05 * quad
+
+
+def test_factored_samples_match_eval_up_to_the_margin_level():
+    # the binomial split loses up to 2^(K/2) at top level K: held to
+    # 1e-15 2^(K/2) of max|f| on the CLI's covering grid, from level 0 to
+    # 36, near the last level whose grid the boundary-margin check accepts
+    rng = rng_stream(41)
+    spec = QuadratureSpec(points_per_length=8)
+    for K in (0, 5, 10, 20, 30, 36, 42):
+        for B in (0.5, 1.0, 4.0):
+            terms = {(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)):
+                     {K: complex(rng.normal(), rng.normal()),
+                      int(rng.integers(0, K + 1)): complex(rng.normal(), rng.normal())}
+                     for _ in range(3)}
+            lf = LadderField(B, terms)
+            f = sample_ladder(lf, spec)
+            if K == 42:  # past the margin: the check warns
+                assert boundary_mass_fraction(f) > 1e-6
+                continue
+            assert boundary_mass_fraction(f) <= 1e-6
+            want = lf.eval(*f.axes())
+            assert np.abs(f.samples - want).max() <= 1e-15 * 2 ** (K / 2) * np.abs(want).max()
+
+
+def test_checked_norm2_is_the_closed_form_on_a_resolving_grid():
+    lf = random_ladder(rng_stream(43), B=2.0, n_terms=3, max_level=2)
+    f = sample_ladder(lf, QuadratureSpec(points_per_length=8))
+    assert checked_norm2(f) == bernstein_sum(lf, 0)
+    assert norm2(f) == pytest.approx(bernstein_sum(lf, 0), rel=1e-13)
+
+
+@pytest.mark.parametrize("coarse", ["spacing", "tail"])
+def test_checked_norm2_draws_no_verdict_on_a_coarsened_grid(coarse):
+    # 1.2 magnetic lengths between points, or a grid cut 3 magnetic lengths
+    # from the centres: the trapezoid sum misses ||f||^2 past NORM_RTOL
+    lf = random_ladder(rng_stream(43), B=2.0, n_terms=3, max_level=2)
+    if coarse == "spacing":
+        origin, spacing, shape = grid_for_centers(lf.terms, lf.B, QuadratureSpec())
+        h = 1.2 / math.sqrt(lf.B)
+        n = [int((s - 1) * spacing[0] / h) + 1 for s in shape]
+        f = sample_ladder(lf, grid=GridField(np.zeros(n, dtype=complex), origin, (h, h)))
+    else:
+        f = sample_ladder(lf, QuadratureSpec(tail_sigmas=3.0, points_per_length=8))
+    gap = abs(norm2(f) - bernstein_sum(lf, 0)) / bernstein_sum(lf, 0)
+    assert gap > landau.NORM_RTOL
+    with pytest.raises(NumericalError, match="no verdict drawn"):
+        checked_norm2(f)
 
 
 def test_fd_bernstein_sum_converges_to_exact():
@@ -609,11 +695,12 @@ def test_l1_bound_on_random_level_combinations():
 
 @pytest.mark.parametrize("m", [-1, 3])
 def test_sums_reject_depth_outside_the_table(m):
-    words = word_fields(coherent_field(CoherentState((0.0, 0.0), 1.0), FAST), 2)
+    f = coherent_field(CoherentState((0.0, 0.0), 1.0), FAST)
     with pytest.raises(ValidationError, match="word table"):
-        bernstein_sum(words, m)
-    with pytest.raises(ValidationError, match="word table"):
-        l1_bernstein_sum(words, m)
+        l1_bernstein_sum(word_fields(f, 2), m)
+    if m < 0:  # the closed form takes any m >= 0
+        with pytest.raises(ValidationError, match="non-negative"):
+            bernstein_sum(f.ladder, m)
 
 
 def test_boundary_mass_warning_for_non_decaying_field():
@@ -642,10 +729,10 @@ def test_word_table_above_sample_cap_raises(monkeypatch):
     def no_words(*args):
         raise AssertionError("a derivative word was built before the cap check")
 
-    monkeypatch.setattr(landau._ModeSampler, "rows", no_words)
-    monkeypatch.setattr(LadderField, "magnetic_derivative", no_words)
     assert len(word_fields(f, 0)) == 1
+    monkeypatch.setattr(landau._FactoredFields, "__init__", no_words)
+    monkeypatch.setattr(LadderField, "magnetic_derivative", no_words)
     with pytest.raises(ResourceLimitError):
-        word_fields(f, 1)  # f, its two first derivatives, F_1 f and a basis chunk: > 3 n
+        word_fields(f, 1)  # f, its two first derivatives and their factors: > 3 n
     with pytest.raises(ResourceLimitError):
         word_fields(f, 10**6)

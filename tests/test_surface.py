@@ -1,10 +1,13 @@
 """Public surface: every top-level public function and class in `magbern`
 is named by the package itself, the benchmark tracer or the acceptance suite,
 so no shipped routine is reached only by its own unit tests; no module
-reaches into another one's private names; and only `cli` imports inside a
-function."""
+reaches into another one's private names; only `cli` imports inside a
+function; and every name the benchmark tracer binds still resolves."""
 
 import ast
+import importlib.util
+import inspect
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,3 +83,43 @@ def test_only_cli_imports_inside_a_function():
                 nested += [f"{path.stem}.{fn.name}:{node.lineno}" for node in ast.walk(fn)
                            if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not nested, f"imports inside a function body: {nested}"
+
+
+def _observer_keys(observe) -> set:
+    """Argument names an observer reads as a["name"] from the bound
+    arguments, its second parameter."""
+    fn = ast.parse(textwrap.dedent(inspect.getsource(observe))).body[0]
+    bound = fn.args.args[1].arg
+    return {node.slice.value for node in ast.walk(fn)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == bound and isinstance(node.slice, ast.Constant)}
+
+
+def test_every_tracer_binding_resolves():
+    """`bench/run.py --trace 1` patches `magbern` attributes by name and its
+    observers read the wrapped calls' arguments by name, so a rename in `src`
+    would break the traced run, not a test of the package: every
+    (owner, attribute) of `tracing.targets()` must resolve, and every
+    argument an observer reads must be a parameter of the function it
+    wraps."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    unresolved, unbound, read = [], [], set()
+    for name, sites, observe, _span in tracing.targets():
+        for owner, attr in sites:
+            try:
+                inspect.getattr_static(owner, attr)
+            except AttributeError:
+                unresolved.append(f"{name}: {getattr(owner, '__name__', owner)}.{attr}")
+        if observe is None or unresolved:
+            continue
+        params = inspect.signature(inspect.getattr_static(*sites[0])).parameters
+        keys = _observer_keys(observe)
+        unbound += [f"{name}: {key}" for key in sorted(keys - set(params))]
+        read |= keys
+    assert not unresolved, f"tracer targets that no longer resolve: {unresolved}"
+    assert not unbound, f"observed arguments the wrapped functions no longer take: {unbound}"
+    # the observers' reads, so that a parse that finds none cannot pass
+    assert read >= {"conjugate_branch", "x1", "x2", "n_grid", "n_circle", "cells", "op",
+                    "dense_threshold", "config", "trials", "eps_list"}

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from magbern.landau import GridField, LadderField, norm2, sample_ladder
+from magbern.landau import GridField, LadderField, norm2
 
 
 def random_ladder(rng, B=1.0, n_terms=3, max_level=2, box=1.5):
@@ -17,6 +17,11 @@ def random_ladder(rng, B=1.0, n_terms=3, max_level=2, box=1.5):
     return LadderField(B, terms)
 
 
+def eval_on_grid(lf: LadderField, grid: GridField) -> GridField:
+    """`lf` sampled on the grid of `grid` by `LadderField.eval`, tagged."""
+    return GridField(lf.eval(*grid.axes()), grid.origin, grid.spacing, ladder=lf)
+
+
 def oracle_word_fields(f: GridField, m_max: int) -> dict:
     """The full table of all 2^(m_max+1) - 1 derivative words, every word
     sampled from scratch by `LadderField.eval`, one grid evaluation per word."""
@@ -26,7 +31,7 @@ def oracle_word_fields(f: GridField, m_max: int) -> dict:
         nxt = {}
         for word, g in frontier.items():
             for axis in (1, 2):
-                nxt[word + (axis,)] = sample_ladder(g.ladder.magnetic_derivative(axis), grid=g)
+                nxt[word + (axis,)] = eval_on_grid(g.ladder.magnetic_derivative(axis), g)
         out.update(nxt)
         frontier = nxt
     return out
