@@ -355,7 +355,7 @@ def parse_config(argv) -> RunConfig:
             raise ValidationError("mask grid does not match --N")
         checked = {"setup": setup, "mask": mask}
     elif command == "wegner":
-        from . import lattice
+        from . import disorder, lattice
 
         # box L is a grid of L x cells-per-unit points per side, with
         # flux-per-unit quanta per unit area
@@ -363,6 +363,8 @@ def parse_config(argv) -> RunConfig:
             lattice.TorusSetup.from_flux(params["flux-per-unit"] * round(L) ** 2, (L, L),
                                          (round(L) * params["cells-per-unit"],) * 2)
             for L in params["L"]]}
+        for setup in checked["setups"]:
+            disorder.check_box_grid(setup)
     elif command == "bernstein" and params["B"] < 1:
         # B^m (m <= m-max) in the bounds and ||f||^2 ~ pi k! 2^(k+1) B^-(k+1) |c|^2
         # at the top level k = levels stay within 10^300 of 1 (between them,

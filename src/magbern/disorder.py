@@ -12,12 +12,23 @@ supernodal panels cost more than they save.  A shift whose pivots fail the
 guard is refactored under a second fill-reducing ordering, and only if that
 fails too is the trial matrix counted by a dense eigensolve.  Acceptance is
 statistical (bootstrap bands), never exact.
+
+A sweep splits each box's trials into contiguous ranges, one per CPU of the
+process's affinity set: the parent counts the first range and one forked
+worker pool, opened once per sweep, counts the others.  Counts are stacked
+in trial order, and each range's warnings and its MagbernError, if any, are
+raised again in the parent in trial order, so results do not depend on the
+number of CPUs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import multiprocessing
+import os
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,7 +36,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .errors import ValidationError
+from .errors import MagbernError, ResourceLimitError, ValidationError
 from .geometry import SetMask, thickness_scan
 from .lattice import TorusSetup, assemble, dense_matrix
 
@@ -63,6 +74,22 @@ def fat_cantor_disk_profile(cells: tuple) -> np.ndarray:
     return (keep & disk).astype(float)
 
 
+# grid points of one Wegner box.  An LDL^H factor of H - sigma took 2.27 kB
+# per point at L = 16 and 2.80 kB at L = 32 (5 cells per unit, growing with
+# log dim), so about 450 MB at the cap, and a sweep factors one per worker at
+# once: 8 workers stay under 4 GiB.  L = 72 at 5 cells per unit fits.
+BOX_GRID_CAP = 1 << 17
+
+
+def check_box_grid(setup: TorusSetup) -> None:
+    """ResourceLimitError when the grid of a Wegner box holds more than
+    BOX_GRID_CAP points, checked on the sizes alone."""
+    n1, n2 = setup.N
+    if n1 * n2 > BOX_GRID_CAP:
+        raise ResourceLimitError(
+            f"a {n1} x {n2} Wegner box grid exceeds the cap of {BOX_GRID_CAP} points")
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     """Alloy-type ensemble on a flux-quantized torus.
@@ -96,6 +123,7 @@ class EnsembleConfig:
         if (n1 // sites[0], n2 // sites[1]) != prof.shape:
             raise ValidationError("profile shape must match cells per unit cell")
         object.__setattr__(self, "site_profile", prof)
+        check_box_grid(self.setup)
         # sum_j u_j must exceed a positive level on a thick set
         support = np.tile(prof >= 0.5 * prof.max(), sites)
         mask = SetMask(support, self.setup.spacing, periodic=True)
@@ -218,8 +246,8 @@ def _window_counts(a, pos: np.ndarray, diag: np.ndarray, E: float,
     return np.array([below[E + eps] - below[E - eps] for eps in eps_arr], dtype=int)
 
 
-def _trial_matrices(config: EnsembleConfig, trials: int):
-    """Yield (a, pos, diag) for trials 0, 1, ...: the trials of one box
+def _trial_matrices(config: EnsembleConfig, t0: int, t1: int):
+    """Yield (a, pos, diag) for trials t0, ..., t1 - 1: the trials of one box
     differ only on the diagonal, so `a` is one CSC of the clean operator,
     built once, `pos` the positions of its diagonal in `a.data`, and `diag`
     the trial's diagonal 2/h1^2 + 2/h2^2 + V.  Writing `diag` into
@@ -228,23 +256,84 @@ def _trial_matrices(config: EnsembleConfig, trials: int):
     a = assemble(config.setup).matrix.tocsc()
     pos = _diagonal_positions(a)  # all stored: the clean diagonal is positive
     clean = a.data[pos].real
-    for t in range(trials):
+    for t in range(t0, t1):
         v = potential_from_couplings(config, sample_couplings(config, t))
         yield a, pos, clean + v.ravel()
 
 
+def _count_trials(config: EnsembleConfig, E: float, eps_arr: np.ndarray,
+                  t0: int, t1: int):
+    """(counts, warned, fault) for trials t0, ..., t1 - 1: their
+    (t1 - t0, n_eps) window counts, the (text, category) of every warning
+    they raised, and the MagbernError that ended the range (None if none).
+    A worker process runs this on its range and writes or prints nothing:
+    the parent raises the warnings and the fault again, in trial order."""
+    out = np.zeros((t1 - t0, eps_arr.size), dtype=int)
+    fault = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            for t, (a, pos, diag) in enumerate(_trial_matrices(config, t0, t1)):
+                out[t] = _window_counts(a, pos, diag, E, eps_arr)
+        except MagbernError as exc:
+            fault = exc
+    return out, [(str(w.message), w.category) for w in caught], fault
+
+
+def _reraise(part) -> np.ndarray:
+    """The counts of one `_count_trials` range, after warning its warnings
+    again from the caller of `window_counts_for_trials` and raising its
+    fault."""
+    counts, warned, fault = part
+    for text, category in warned:
+        warnings.warn(text, category, stacklevel=3)
+    if fault is not None:
+        raise fault
+    return counts
+
+
+class _TrialPool(ProcessPoolExecutor):
+    """Forked pool of `workers - 1` processes: the caller of
+    `window_counts_for_trials` counts the first of `workers` ranges itself."""
+
+    def __init__(self, workers: int):
+        super().__init__(max_workers=workers - 1,
+                         mp_context=multiprocessing.get_context("fork"))
+        self.workers = workers
+
+
+def _default_workers() -> int:
+    """CPUs in the process's affinity set; 1 where there is no affinity call
+    or no fork start method."""
+    if (not hasattr(os, "sched_getaffinity")
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def window_counts_for_trials(config: EnsembleConfig, E: float,
-                             eps_list: Sequence[float], trials: int) -> np.ndarray:
+                             eps_list: Sequence[float], trials: int,
+                             executor: _TrialPool | None = None) -> np.ndarray:
     """(trials, n_eps) integer counts of the eigenvalues of each trial's
     operator in the windows, by `_window_counts` on one sparsity pattern per
-    box."""
+    box.  With `executor`, the trials are split into `executor.workers`
+    contiguous ranges: the caller counts the first and the pool the others.
+    A fault in any range cancels the ranges not yet started."""
     eps_arr = np.asarray(eps_list, dtype=float)
     if np.any(eps_arr < 0):
         raise ValidationError("eps must be non-negative")
-    out = np.zeros((trials, eps_arr.size), dtype=int)
-    for t, (a, pos, diag) in enumerate(_trial_matrices(config, trials)):
-        out[t] = _window_counts(a, pos, diag, E, eps_arr)
-    return out
+    parts = 1 if executor is None else executor.workers
+    bounds = [trials * k // parts for k in range(parts + 1)]
+    futures = [executor.submit(_count_trials, config, E, eps_arr, t0, t1)
+               for t0, t1 in zip(bounds[1:-1], bounds[2:])]
+    try:
+        counts = [_reraise(_count_trials(config, E, eps_arr, bounds[0], bounds[1]))]
+        for f in futures:
+            counts.append(_reraise(f.result()))
+    finally:
+        for f in futures:
+            f.cancel()
+    return np.vstack(counts)
 
 
 @dataclass
@@ -278,12 +367,15 @@ class WegnerStats:
         return np.array(out)
 
 
-def wegner_sweep(configs, E: float, eps_list: Sequence[float],
-                 trials: int) -> WegnerStats:
+def wegner_sweep(configs, E: float, eps_list: Sequence[float], trials: int,
+                 workers: int | None = None) -> WegnerStats:
     """Monte Carlo means with standard errors across one or more box sizes.
 
     `configs` is an EnsembleConfig or a sequence of them (same coupling law
-    and profile, different boxes) for the cross-size volume fit.
+    and profile, different boxes) for the cross-size volume fit.  Each box's
+    trials are counted over `workers` processes (default: the CPUs of the
+    affinity set), capped at `trials`, through one pool for the whole sweep;
+    the results do not depend on `workers`.
     """
     if isinstance(configs, EnsembleConfig):
         configs = [configs]
@@ -296,12 +388,14 @@ def wegner_sweep(configs, E: float, eps_list: Sequence[float],
     for c in configs:
         if c.coupling != coupling:
             raise ValidationError("all configs must share the coupling law")
+    workers = min(_default_workers() if workers is None else workers, trials)
     means, errs, sizes = [], [], []
-    for cfg in configs:
-        counts = window_counts_for_trials(cfg, E, eps_list, trials)
-        means.append(counts.mean(axis=0))
-        errs.append(counts.std(axis=0, ddof=1) / math.sqrt(trials))
-        sizes.append(math.sqrt(cfg.setup.L[0] * cfg.setup.L[1]))
+    with _TrialPool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        for cfg in configs:
+            counts = window_counts_for_trials(cfg, E, eps_list, trials, pool)
+            means.append(counts.mean(axis=0))
+            errs.append(counts.std(axis=0, ddof=1) / math.sqrt(trials))
+            sizes.append(math.sqrt(cfg.setup.L[0] * cfg.setup.L[1]))
     return WegnerStats(
         energy=E,
         eps=tuple(float(e) for e in eps_list),

@@ -494,6 +494,24 @@ def test_wegner_command_reproducible(tmp_path):
     assert (tmp_path / "a" / "count_vs_eps.dat").exists()
 
 
+@pytest.mark.parametrize("seed", ["0", "1537630780"])
+def test_wegner_outputs_do_not_depend_on_the_workers(tmp_path, capsys, monkeypatch, seed):
+    # 7 trials split unevenly over 2 and 3 workers; at seed 1537630780 a
+    # shift of L = 8 needs the second ordering
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(disorder, "_default_workers", lambda: workers)
+        out = tmp_path / str(workers)
+        code = main(["wegner", "--L", "4,8", "--trials", "7", "--seed", seed,
+                     "--out", str(out)])
+        runs.append((code, capsys.readouterr().out,
+                     {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+    assert runs[0][0] == 0
+    assert set(runs[0][2]) == {"manifest.txt", "wegner.csv", "count_vs_eps.dat"}
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
 def test_manifest_round_trip(tmp_path):
     out1 = tmp_path / "r1"
     assert main(["fm", "--m", "5", "--out", str(out1)]) == 0
@@ -801,6 +819,17 @@ def test_non_positive_box_side_exits_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert "box sides must be positive" in capsys.readouterr().err
     assert not (tmp_path / "manifest.txt").exists()
+
+
+def test_wegner_box_past_the_grid_cap_exits_4_before_the_manifest(tmp_path, capsys):
+    argv = ["wegner", "--L", "4,1000000", "--trials", "2", "--out", str(tmp_path)]
+    assert main(argv) == 4
+    assert ("a 5000000 x 5000000 Wegner box grid exceeds the cap"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "manifest.txt").exists()
+    # L = 64 at 5 cells per unit stays within the cap
+    cfg = parse_config(["wegner", "--L", "4,64"])
+    assert [s.dim for s in cfg.checked["setups"]] == [400, 102400]
 
 
 def test_window_of_infinitely_many_cells_exits_2_before_the_manifest(tmp_path, capsys):

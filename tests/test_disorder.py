@@ -1,7 +1,9 @@
 """Alloy-type random Landau Hamiltonian and Wegner-window statistics."""
 
+import os
 import re
 import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -244,7 +246,7 @@ def test_shift_on_an_eigenvalue_falls_back_to_dense():
 def test_refilled_pattern_is_the_trial_operator(length):
     # box_config is the box `wegner --L <length>` builds at its default keys
     cfg = box_config(length, master_seed=0)
-    for t, (a, pos, diag) in enumerate(_trial_matrices(cfg, 4)):
+    for t, (a, pos, diag) in enumerate(_trial_matrices(cfg, 0, 4)):
         a = a.copy()
         a.data[pos] = diag
         got, want = a.tocsr(), sample_operator(cfg, t).matrix
@@ -338,6 +340,113 @@ def test_fallback_above_the_dense_cap_is_refused(monkeypatch):
     with pytest.warns(RuntimeWarning), pytest.raises(ResourceLimitError) as exc:
         eigen_window_counts(op, energy, [0.0])
     assert exc.value.exit_code == 4
+
+
+# -- worker processes ----------------------------------------------------------------
+
+
+def fail_the_guard_in_workers(monkeypatch):
+    """Every shift fails the pivot guard in the forked workers alone (fork
+    inherits the patch), so only the trials of the pool's ranges fall back."""
+    parent = os.getpid()
+    real = disorder._inertia_below
+    monkeypatch.setattr(
+        disorder, "_inertia_below",
+        lambda a, norm1, permc_spec: None if os.getpid() != parent
+        else real(a, norm1, permc_spec))
+
+
+def recorded_sweep(cfg, eps, trials, workers):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stats = wegner_sweep(cfg, 6.3, eps, trials, workers=workers)
+    return stats, [(str(w.message), w.category) for w in caught]
+
+
+def test_worker_dense_fallback_warns_in_the_parent_in_trial_order(monkeypatch):
+    # mirrors test_dense_fallback_counts_the_trial_operator through the pool
+    monkeypatch.setattr(disorder, "_inertia_below", lambda a, norm1, permc_spec: None)
+    cfg = small_config(master_seed=5)
+    eps = [0.05, 0.3]
+    serial, serial_warned = recorded_sweep(cfg, eps, 4, workers=1)
+    pooled, pooled_warned = recorded_sweep(cfg, eps, 4, workers=2)
+    assert len(serial_warned) == 4
+    assert all("dense eigensolve" in text for text, _ in serial_warned)
+    assert pooled_warned == serial_warned
+    assert np.array_equal(pooled.mean, serial.mean)
+    dense = np.array([_dense_window_counts(sample_operator(cfg, t).matrix, 6.3, eps)
+                      for t in range(4)])
+    assert np.array_equal(pooled.mean[0], dense.mean(axis=0))
+
+
+def test_worker_fault_is_raised_in_the_parent(monkeypatch):
+    # mirrors test_fallback_above_the_dense_cap_is_refused: only the workers'
+    # trials fall back, past the dense cap, and the parent raises their fault
+    # after the warning that preceded it
+    cfg = small_config(master_seed=5)
+    monkeypatch.setattr(lattice, "DENSE_DIM_CAP", cfg.setup.dim - 1)
+    with pytest.raises(ResourceLimitError) as serial:
+        lattice.dense_matrix(sample_operator(cfg, 0).matrix)
+    fail_the_guard_in_workers(monkeypatch)
+    with pytest.warns(RuntimeWarning, match="dense eigensolve"), \
+            pytest.raises(ResourceLimitError) as exc:
+        wegner_sweep(cfg, 6.3, [0.05, 0.3], 4, workers=2)
+    assert str(exc.value) == str(serial.value)
+    assert exc.value.exit_code == 4
+
+
+class StalledPool:
+    """An executor stand-in whose ranges never start."""
+
+    workers = 3
+
+    def __init__(self):
+        self.futures = []
+
+    def submit(self, fn, *args):
+        self.futures.append(Future())
+        return self.futures[-1]
+
+
+def test_fault_in_the_parents_range_cancels_the_pending_ranges(monkeypatch):
+    monkeypatch.setattr(disorder, "_inertia_below", lambda a, norm1, permc_spec: None)
+    cfg = small_config(master_seed=5)
+    monkeypatch.setattr(lattice, "DENSE_DIM_CAP", cfg.setup.dim - 1)
+    pool = StalledPool()
+    with pytest.warns(RuntimeWarning), pytest.raises(ResourceLimitError):
+        window_counts_for_trials(cfg, 6.3, [0.05], 6, pool)
+    assert len(pool.futures) == 2
+    assert all(f.cancelled() for f in pool.futures)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    length=st.sampled_from([2, 4]),
+    m0=st.floats(-1.0, 1.0),
+    width=st.floats(0.05, 3.0),
+    seed=st.integers(0, 1000),
+    trials=st.integers(2, 5),
+    energy=st.floats(2.0, 20.0),
+    eps=st.lists(st.floats(0.01, 2.0), min_size=1, max_size=4),
+)
+def test_sweep_statistics_do_not_depend_on_the_workers(length, m0, width, seed, trials,
+                                                      energy, eps):
+    cfg = box_config(length, coupling=(m0, m0 + width), master_seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # a dense fallback is fine
+        stats = [wegner_sweep(cfg, energy, eps, trials, workers=w) for w in (1, 2, 3)]
+    for s in stats[1:]:
+        assert np.array_equal(s.mean, stats[0].mean)
+        assert np.array_equal(s.stderr, stats[0].stderr)
+
+
+def test_box_grid_above_the_cap_is_refused(monkeypatch):
+    cfg = small_config()
+    monkeypatch.setattr(disorder, "BOX_GRID_CAP", cfg.setup.dim - 1)
+    with pytest.raises(ResourceLimitError) as exc:
+        EnsembleConfig(cfg.setup, cfg.site_profile)
+    assert exc.value.exit_code == 4
+    assert "20 x 20 Wegner box grid exceeds the cap of 399 points" in str(exc.value)
 
 
 # -- sweeps ------------------------------------------------------------------------
