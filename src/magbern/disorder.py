@@ -14,11 +14,11 @@ fails too is the trial matrix counted by a dense eigensolve.  Acceptance is
 statistical (bootstrap bands), never exact.
 
 A sweep splits each box's trials into contiguous ranges, one per CPU of the
-process's affinity set: the parent counts the first range and one forked
-worker pool, opened once per sweep, counts the others.  Counts are stacked
-in trial order, and each range's warnings and its MagbernError, if any, are
-raised again in the parent in trial order, so results do not depend on the
-number of CPUs.
+process's affinity set up to MAX_WORKERS: the parent counts the first range
+and one forked worker pool, opened once per sweep, counts the others.
+Counts are stacked in trial order, and each range's warnings and its error,
+if any, are raised again in the parent in trial order, so results do not
+depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .errors import MagbernError, ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .geometry import SetMask, thickness_scan
 from .lattice import TorusSetup, assemble, dense_matrix
 
@@ -77,8 +77,12 @@ def fat_cantor_disk_profile(cells: tuple) -> np.ndarray:
 # grid points of one Wegner box.  An LDL^H factor of H - sigma took 2.27 kB
 # per point at L = 16 and 2.80 kB at L = 32 (5 cells per unit, growing with
 # log dim), so about 450 MB at the cap, and a sweep factors one per worker at
-# once: 8 workers stay under 4 GiB.  L = 72 at 5 cells per unit fits.
+# once: MAX_WORKERS of them stay under 4 GiB.  L = 72 at 5 cells per unit fits.
 BOX_GRID_CAP = 1 << 17
+
+# processes counting one sweep's trials at most, the parent included, however
+# many CPUs the affinity set lists (in a container it may list the host's)
+MAX_WORKERS = 8
 
 
 def check_box_grid(setup: TorusSetup) -> None:
@@ -265,9 +269,11 @@ def _count_trials(config: EnsembleConfig, E: float, eps_arr: np.ndarray,
                   t0: int, t1: int):
     """(counts, warned, fault) for trials t0, ..., t1 - 1: their
     (t1 - t0, n_eps) window counts, the (text, category) of every warning
-    they raised, and the MagbernError that ended the range (None if none).
+    they raised, and the exception that ended the range (None if none).
     A worker process runs this on its range and writes or prints nothing:
-    the parent raises the warnings and the fault again, in trial order."""
+    the parent raises the warnings and the fault again, in trial order, so
+    the warnings that explain an unexpected error, such as a LinAlgError of
+    the dense fallback, still come before it."""
     out = np.zeros((t1 - t0, eps_arr.size), dtype=int)
     fault = None
     with warnings.catch_warnings(record=True) as caught:
@@ -275,7 +281,7 @@ def _count_trials(config: EnsembleConfig, E: float, eps_arr: np.ndarray,
         try:
             for t, (a, pos, diag) in enumerate(_trial_matrices(config, t0, t1)):
                 out[t] = _window_counts(a, pos, diag, E, eps_arr)
-        except MagbernError as exc:
+        except Exception as exc:  # pickled back from a worker, without its traceback
             fault = exc
     return out, [(str(w.message), w.category) for w in caught], fault
 
@@ -292,37 +298,28 @@ def _reraise(part) -> np.ndarray:
     return counts
 
 
-class _TrialPool(ProcessPoolExecutor):
-    """Forked pool of `workers - 1` processes: the caller of
-    `window_counts_for_trials` counts the first of `workers` ranges itself."""
-
-    def __init__(self, workers: int):
-        super().__init__(max_workers=workers - 1,
-                         mp_context=multiprocessing.get_context("fork"))
-        self.workers = workers
-
-
 def _default_workers() -> int:
-    """CPUs in the process's affinity set; 1 where there is no affinity call
-    or no fork start method."""
+    """CPUs in the process's affinity set, at most MAX_WORKERS; 1 where there
+    is no affinity call or no fork start method."""
     if (not hasattr(os, "sched_getaffinity")
             or "fork" not in multiprocessing.get_all_start_methods()):
         return 1
-    return len(os.sched_getaffinity(0))
+    return min(len(os.sched_getaffinity(0)), MAX_WORKERS)
 
 
 def window_counts_for_trials(config: EnsembleConfig, E: float,
                              eps_list: Sequence[float], trials: int,
-                             executor: _TrialPool | None = None) -> np.ndarray:
+                             executor: ProcessPoolExecutor | None = None) -> np.ndarray:
     """(trials, n_eps) integer counts of the eigenvalues of each trial's
     operator in the windows, by `_window_counts` on one sparsity pattern per
-    box.  With `executor`, the trials are split into `executor.workers`
-    contiguous ranges: the caller counts the first and the pool the others.
-    A fault in any range cancels the ranges not yet started."""
+    box.  With `executor`, the trials are split into one contiguous range
+    per pool process plus one: the caller counts the first and the pool the
+    others.  A fault in any range cancels the ranges not yet started."""
     eps_arr = np.asarray(eps_list, dtype=float)
     if np.any(eps_arr < 0):
         raise ValidationError("eps must be non-negative")
-    parts = 1 if executor is None else executor.workers
+    # ProcessPoolExecutor keeps its size in _max_workers only
+    parts = 1 if executor is None else executor._max_workers + 1
     bounds = [trials * k // parts for k in range(parts + 1)]
     futures = [executor.submit(_count_trials, config, E, eps_arr, t0, t1)
                for t0, t1 in zip(bounds[1:-1], bounds[2:])]
@@ -367,15 +364,14 @@ class WegnerStats:
         return np.array(out)
 
 
-def wegner_sweep(configs, E: float, eps_list: Sequence[float], trials: int,
-                 workers: int | None = None) -> WegnerStats:
+def wegner_sweep(configs, E: float, eps_list: Sequence[float], trials: int) -> WegnerStats:
     """Monte Carlo means with standard errors across one or more box sizes.
 
     `configs` is an EnsembleConfig or a sequence of them (same coupling law
     and profile, different boxes) for the cross-size volume fit.  Each box's
-    trials are counted over `workers` processes (default: the CPUs of the
-    affinity set), capped at `trials`, through one pool for the whole sweep;
-    the results do not depend on `workers`.
+    trials are counted over `_default_workers()` processes, capped at
+    `trials`, through one forked pool for the whole sweep; the results do
+    not depend on the number of processes.
     """
     if isinstance(configs, EnsembleConfig):
         configs = [configs]
@@ -388,9 +384,10 @@ def wegner_sweep(configs, E: float, eps_list: Sequence[float], trials: int,
     for c in configs:
         if c.coupling != coupling:
             raise ValidationError("all configs must share the coupling law")
-    workers = min(_default_workers() if workers is None else workers, trials)
+    workers = min(_default_workers(), trials)
     means, errs, sizes = [], [], []
-    with _TrialPool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+    with (ProcessPoolExecutor(workers - 1, multiprocessing.get_context("fork"))
+          if workers > 1 else contextlib.nullcontext()) as pool:
         for cfg in configs:
             counts = window_counts_for_trials(cfg, E, eps_list, trials, pool)
             means.append(counts.mean(axis=0))

@@ -4,6 +4,7 @@ import os
 import re
 import warnings
 from concurrent.futures import Future
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -356,10 +357,17 @@ def fail_the_guard_in_workers(monkeypatch):
         else real(a, norm1, permc_spec))
 
 
+def sweep_on(workers, *args):
+    """`wegner_sweep(*args)` on `workers` processes (fork inherits the patch
+    too, so a worker sees the same count)."""
+    with mock.patch.object(disorder, "_default_workers", lambda: workers):
+        return wegner_sweep(*args)
+
+
 def recorded_sweep(cfg, eps, trials, workers):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        stats = wegner_sweep(cfg, 6.3, eps, trials, workers=workers)
+        stats = sweep_on(workers, cfg, 6.3, eps, trials)
     return stats, [(str(w.message), w.category) for w in caught]
 
 
@@ -390,15 +398,41 @@ def test_worker_fault_is_raised_in_the_parent(monkeypatch):
     fail_the_guard_in_workers(monkeypatch)
     with pytest.warns(RuntimeWarning, match="dense eigensolve"), \
             pytest.raises(ResourceLimitError) as exc:
-        wegner_sweep(cfg, 6.3, [0.05, 0.3], 4, workers=2)
+        sweep_on(2, cfg, 6.3, [0.05, 0.3], 4)
     assert str(exc.value) == str(serial.value)
     assert exc.value.exit_code == 4
+
+
+def unconverged_eigensolve(matrix, E, eps_arr):
+    raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+
+def test_error_after_a_dense_fallback_follows_its_warning(monkeypatch):
+    # an error outside MagbernError, serial and from a worker alike, is raised
+    # after the warning of the fallback that led to it
+    cfg = small_config(master_seed=5)
+    monkeypatch.setattr(disorder, "_dense_window_counts", unconverged_eigensolve)
+    monkeypatch.setattr(disorder, "_inertia_below", lambda a, norm1, permc_spec: None)
+    with pytest.warns(RuntimeWarning, match="dense eigensolve"), \
+            pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        window_counts_for_trials(cfg, 6.3, [0.05], 2)
+    monkeypatch.setattr(disorder, "_inertia_below", _inertia_below)
+    fail_the_guard_in_workers(monkeypatch)
+    with pytest.warns(RuntimeWarning, match="dense eigensolve"), \
+            pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        sweep_on(2, cfg, 6.3, [0.05], 4)
+
+
+def test_workers_stop_at_the_cap_whatever_the_affinity_set(monkeypatch):
+    # a container's affinity set may list every CPU of its host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert disorder._default_workers() == disorder.MAX_WORKERS
 
 
 class StalledPool:
     """An executor stand-in whose ranges never start."""
 
-    workers = 3
+    _max_workers = 2
 
     def __init__(self):
         self.futures = []
@@ -434,7 +468,7 @@ def test_sweep_statistics_do_not_depend_on_the_workers(length, m0, width, seed, 
     cfg = box_config(length, coupling=(m0, m0 + width), master_seed=seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # a dense fallback is fine
-        stats = [wegner_sweep(cfg, energy, eps, trials, workers=w) for w in (1, 2, 3)]
+        stats = [sweep_on(w, cfg, energy, eps, trials) for w in (1, 2, 3)]
     for s in stats[1:]:
         assert np.array_equal(s.mean, stats[0].mean)
         assert np.array_equal(s.stderr, stats[0].stderr)
