@@ -5,6 +5,12 @@ with `#` comments; command-line flags override file values; unknown commands
 or keys exit with code 2, falsified checks with 3, resource caps with 4.
 Every run writes a manifest echoing the resolved configuration, and the
 manifest alone re-runs the experiment via `--config`.
+
+`parse_config` is the one input layer.  Every numeric key goes through one
+parser, `_numbers`; a range that a model constructor checks before the
+manifest is left to that constructor; and every input a runner needs (the
+mask, the torus set-up, the Wegner ensembles) is read or built there, before
+the manifest is written.  A runner only computes and writes.
 """
 
 from __future__ import annotations
@@ -25,61 +31,30 @@ from . import algebra, geometry, inequality, landau
 from .errors import MagbernError, NumericalError, ValidationError
 
 
-def _parse_pair(text: str, kind=float):
-    parts = [p.strip() for p in str(text).split(",")]
-    if len(parts) != 2:
-        raise ValidationError(f"expected 'a,b' pair, got {text!r}")
-    return kind(parts[0]), kind(parts[1])
-
-
-def _positive_pair(what: str):
-    """Parser for a pair 'a,b' of positive floats: window or box sides, or a
-    grid spacing."""
+def _numbers(kind=float, count=1, least=None, positive=None, most=None):
+    """Parser for `count` comma-separated numbers of `kind` (count None: one
+    or more, empty items skipped): finite floats, each at least `least`, at
+    most `most`, and > 0 where `positive` names them.  One number comes back
+    bare, more as a tuple."""
     def parse(text: str):
-        a, b = _parse_pair(text)
-        if not (a > 0 and b > 0):
-            raise ValueError(f"{what} must be positive")
-        return a, b
+        parts = str(text).split(",")
+        if count is None:
+            parts = [p for p in parts if p.strip()]
+            if not parts:
+                raise ValueError("expected one or more comma-separated numbers")
+        elif len(parts) != count:
+            raise ValueError(f"expected {count} comma-separated value(s), got {len(parts)}")
+        values = tuple(kind(p) for p in parts)
+        if kind is float and not all(map(math.isfinite, values)):
+            raise ValueError("must be finite")
+        if positive and not min(values) > 0:
+            raise ValueError(f"{positive} must be positive")
+        if least is not None and min(values) < least:
+            raise ValueError(f"must be at least {least}")
+        if most is not None and max(values) > most:
+            raise ValueError(f"must be at most {most}")
+        return values[0] if count == 1 else values
     return parse
-
-
-def _parse_int_pair(text: str):
-    """Parser for a grid size 'n1,n2': two exact integers, so 32.7 is
-    refused, each at least 4 (the torus grid's minimum)."""
-    n = _parse_pair(text, int)
-    if min(n) < 4:
-        raise ValueError("need at least 4 grid points per direction")
-    return n
-
-
-def _positive_floats(what: str):
-    """Parser for a list 'a,b,...' of positive floats: horizons, window widths
-    or box sides."""
-    def parse(text: str):
-        values = tuple(float(p) for p in str(text).split(",") if p.strip())
-        if not values:
-            raise ValueError("expected one or more comma-separated numbers")
-        if not all(v > 0 for v in values):
-            raise ValueError(f"{what} must be positive")
-        return values
-    return parse
-
-
-def _parse_box_sides(text: str):
-    """Parser for wegner's box sides: positive integers (one site of Z^2 per
-    unit cell), kept as floats."""
-    sides = _positive_floats("box sides")(text)
-    if not all(v.is_integer() for v in sides):
-        raise ValueError("box sides must be integers (site lattice Z^2)")
-    return sides
-
-
-def _parse_coupling(text: str):
-    """Parser for the coupling law's support 'm0,M0' with m0 < M0."""
-    m0, M0 = _parse_pair(text)
-    if not m0 < M0:
-        raise ValueError("need m0 < M0")
-    return m0, M0
 
 
 def _parse_field(text: str):
@@ -98,7 +73,7 @@ def _parse_bool(text: str):
         return True
     if s in ("0", "false", "no"):
         return False
-    raise ValidationError(f"expected a boolean, got {text!r}")
+    raise ValueError("expected a boolean")
 
 
 def parse_energy(text: str, b_value: float) -> float:
@@ -111,105 +86,79 @@ def parse_energy(text: str, b_value: float) -> float:
 
 
 def _energy_text(text: str) -> str:
-    """Keep the text (a 'B' suffix needs the field), but reject it now if it
-    does not parse to a finite energy."""
-    _check_finite("E", parse_energy(text, 1.0))
+    """Keep the text (a 'B' suffix needs the field), but reject it now unless
+    it parses to a finite positive energy (B > 0 keeps the sign of '3B')."""
+    if not 0.0 < parse_energy(text, 1.0) < math.inf:
+        raise ValueError("must be a finite positive energy")
     return text
 
 
-def _parse_rho(text: str) -> float:
-    v = float(text)
-    if not 0.0 < v <= 1.0:
-        raise ValidationError(f"rho must lie in (0, 1], got {text!r}")
-    return v
+_INT0, _INT1 = _numbers(int, least=0), _numbers(int, least=1)
+_PAIR = _numbers(count=2)
+_WINDOW = _numbers(count=2, positive="window sides")
+_RHO = _numbers(positive="rho", most=1)
+REQUIRED = object()  # the default of a key that must be given
 
-
-def _int_at_least(low: int):
-    """Parser for an integer key with a lower bound (a count or a degree)."""
-    def parse(text: str) -> int:
-        v = int(text)
-        if v < low:
-            raise ValueError(f"must be at least {low}")
-        return v
-    return parse
-
-
-def _positive(text: str) -> float:
-    """Parser for a float key that must be > 0 (a field strength)."""
-    v = float(text)
-    if not v > 0.0:
-        raise ValueError("must be positive")
-    return v
-
-
-def _non_negative(key: str):
-    """Parser for a float key that must be >= 0 (a tolerance or a target)."""
-    def parse(text: str) -> float:
-        v = float(text)
-        if not v >= 0.0:
-            raise ValidationError(f"--{key} must be non-negative, got {text!r}")
-        return v
-    return parse
-
-
-# command -> {key: (parser, default)}; None default means required
+# command -> {key: (parser, default)}; a None default leaves the key out.
+# A range that a model constructor checks before the manifest (a grid of at
+# least 4 points, a box of positive or integer sides, m0 < M0) is left to it
 SCHEMAS = {
-    "fm": {"m": (_int_at_least(0), 2)},
+    "fm": {"m": (_INT0, 2)},
     "weyl-verify": {
-        "m-max": (_int_at_least(1), 6),
+        "m-max": (_INT1, 6),
         "field": (_parse_field, (1, 1, 1)),
-        "max-terms": (_int_at_least(1), 10**6),
+        "max-terms": (_INT1, 10**6),
     },
     "bernstein": {
-        "B": (_positive, 1.0),
-        "m-max": (_int_at_least(1), 3),
-        "samples": (_int_at_least(1), 5),
-        "levels": (_int_at_least(0), 2),
-        "seed": (_int_at_least(0), 0),
-        "tol": (_non_negative("tol"), 1e-4),
+        "B": (_numbers(positive="B"), 1.0),
+        "m-max": (_INT1, 3),
+        "samples": (_INT1, 5),
+        "levels": (_INT0, 2),
+        "seed": (_INT0, 0),
+        "tol": (_numbers(least=0), 1e-4),
     },
     "thickness": {
-        "mask": (str, None),
-        "l": (_positive_pair("window sides"), None),
-        "spacing": (_positive_pair("spacing"), (1.0, 1.0)),
+        "mask": (str, REQUIRED),
+        "l": (_WINDOW, REQUIRED),
+        "spacing": (_numbers(count=2, positive="spacing"), (1.0, 1.0)),
         "periodic": (_parse_bool, False),
     },
     "specineq": {
-        "mask": (str, None),
+        "mask": (str, REQUIRED),
         "E": (_energy_text, "B"),
-        "n-phi": (_int_at_least(0), 2),
-        "L": (_positive_pair("box sides"), (8.0, 8.0)),
-        "N": (_parse_int_pair, (32, 32)),
-        "l": (_positive_pair("window sides"), (2.0, 2.0)),
-        "rho": (_parse_rho, None),
-        "seed": (_int_at_least(0), 0),
+        "n-phi": (_INT0, 2),
+        "L": (_PAIR, (8.0, 8.0)),
+        "N": (_numbers(int, 2), (32, 32)),
+        "l": (_WINDOW, (2.0, 2.0)),
+        "rho": (_RHO, None),
+        "seed": (_INT0, 0),
     },
     "remez": {
-        "count": (_int_at_least(1), 200),
-        "degree-max": (_int_at_least(0), 10),
-        "seed": (_int_at_least(0), 0),
+        "count": (_INT1, 200),
+        "degree-max": (_INT0, 10),
+        "seed": (_INT0, 0),
     },
     "control": {
-        "mask": (str, None),
-        "n-phi": (_int_at_least(1), 2),
-        "L": (_positive_pair("box sides"), (8.0, 8.0)),
-        "N": (_parse_int_pair, (32, 32)),
-        "T": (_positive_floats("horizon"), (0.5, 1.0, 2.0)),
-        "l": (_positive_pair("window sides"), (2.0, 2.0)),
-        "eps-target": (_non_negative("eps-target"), 1e-8),
-        "clusters": (_int_at_least(1), 2),
-        "rho": (_parse_rho, None),
-        "seed": (_int_at_least(0), 0),
+        "mask": (str, REQUIRED),
+        "n-phi": (_INT1, 2),
+        "L": (_PAIR, (8.0, 8.0)),
+        "N": (_numbers(int, 2), (32, 32)),
+        "T": (_numbers(count=None, positive="horizon"), (0.5, 1.0, 2.0)),
+        "l": (_WINDOW, (2.0, 2.0)),
+        "eps-target": (_numbers(least=0), 1e-8),
+        "clusters": (_INT1, 2),
+        "rho": (_RHO, None),
+        "seed": (_INT0, 0),
     },
     "wegner": {
-        "L": (_parse_box_sides, (4.0, 8.0)),
-        "cells-per-unit": (_int_at_least(2), 5),
-        "flux-per-unit": (_int_at_least(0), 1),
-        "E": (float, 6.30),
-        "eps": (_positive_floats("eps"), (0.02, 0.04, 0.08)),
-        "trials": (_int_at_least(2), 200),
-        "coupling": (_parse_coupling, (0.0, 1.0)),
-        "seed": (_int_at_least(0), 0),
+        "L": (_numbers(count=None), (4.0, 8.0)),
+        "cells-per-unit": (_numbers(int, least=2), 5),
+        "flux-per-unit": (_INT0, 1),
+        "E": (_numbers(), 6.30),
+        "eps": (_numbers(count=None, positive="eps"), (0.02, 0.04, 0.08)),
+        "trials": (_numbers(int, least=2), 200),
+        "coupling": (_PAIR, (0.0, 1.0)),
+        "seed": (_INT0, 0),
     },
 }
 
@@ -221,8 +170,9 @@ class RunConfig:
     command: str
     params: dict
     out_dir: Path
-    # what the checks before the manifest built from params (torus set-ups,
-    # the mask), handed on to the runner; the manifest echoes params alone
+    # what parse_config built from params before the manifest (the mask, the
+    # torus set-up, the Wegner ensembles), handed on to the runner; the
+    # manifest echoes params alone
     checked: dict = field(default_factory=dict)
 
     def manifest_text(self) -> str:
@@ -244,13 +194,6 @@ def _format_value(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return str(v)
-
-
-def _check_finite(key: str, value) -> None:
-    """Every float a key parses to, tuple items included, must be finite."""
-    items = value if isinstance(value, tuple) else (value,)
-    if any(isinstance(x, float) and not math.isfinite(x) for x in items):
-        raise ValidationError(f"--{key} must be finite, got {_format_value(value)}")
 
 
 def read_keyvalue_file(path) -> dict:
@@ -326,23 +269,23 @@ def parse_config(argv) -> RunConfig:
         parser, _default = schema[key]
         try:
             params[key] = parser(value)
-        except MagbernError:
-            raise
         except (ValueError, ArithmeticError) as exc:
             raise ValidationError(f"cannot parse --{key} {value!r}: {exc}") from exc
-        _check_finite(key, params[key])
-    for key, (parser, default) in schema.items():
+    for key, (_parser, default) in schema.items():
         if key not in params:
-            if default is None and key not in ("rho",):
+            if default is REQUIRED:
                 raise ValidationError(f"command {command!r} requires --{key}")
             if default is not None:
                 params[key] = default
-    # a window the thickness scan would refuse, a box the torus refuses, or a
-    # field whose Bernstein sums can leave the float range is refused before
-    # the manifest
+    # everything a runner reads is built here, before the manifest: a window
+    # the thickness scan would refuse, a box the torus refuses, an unreadable
+    # mask, or a field whose Bernstein sums can leave the float range ends the
+    # run first
     checked: dict = {}
     if command == "thickness":
         geometry.snap_window(params["l"], params["spacing"])
+        checked = {"mask": geometry.read_pbm(params["mask"], spacing=params["spacing"],
+                                             periodic=params["periodic"])}
     elif command in ("specineq", "control"):
         from . import lattice
 
@@ -359,12 +302,16 @@ def parse_config(argv) -> RunConfig:
 
         # box L is a grid of L x cells-per-unit points per side, with
         # flux-per-unit quanta per unit area
-        checked = {"setups": [
-            lattice.TorusSetup.from_flux(params["flux-per-unit"] * round(L) ** 2, (L, L),
-                                         (round(L) * params["cells-per-unit"],) * 2)
-            for L in params["L"]]}
-        for setup in checked["setups"]:
+        cells = params["cells-per-unit"]
+        setups = [lattice.TorusSetup.from_flux(params["flux-per-unit"] * round(L) ** 2,
+                                               (L, L), (round(L) * cells,) * 2)
+                  for L in params["L"]]
+        for setup in setups:  # on the sizes alone, before the cells^2 profile
             disorder.check_box_grid(setup)
+        prof = disorder.fat_cantor_disk_profile((cells, cells))
+        checked = {"configs": [disorder.EnsembleConfig(setup, prof, coupling=params["coupling"],
+                                                       master_seed=params["seed"])
+                               for setup in setups]}
     elif command == "bernstein" and params["B"] < 1:
         # B^m (m <= m-max) in the bounds and ||f||^2 ~ pi k! 2^(k+1) B^-(k+1) |c|^2
         # at the top level k = levels stay within 10^300 of 1 (between them,
@@ -474,9 +421,7 @@ def run_bernstein(cfg: RunConfig, bundle: ReportBundle) -> None:
 
 
 def run_thickness(cfg: RunConfig, bundle: ReportBundle) -> None:
-    mask = geometry.read_pbm(cfg.params["mask"], spacing=cfg.params["spacing"],
-                             periodic=cfg.params["periodic"])
-    rep = geometry.thickness_scan(mask, cfg.params["l"])
+    rep = geometry.thickness_scan(cfg.checked["mask"], cfg.params["l"])
     rows = ["l1,l2,rho_lower,anchor_x,anchor_y",
             _row(*rep.ell, rep.rho_lower, *rep.anchor)]
     bundle.messages.append(f"rho_lower = {rep.rho_lower!r}")
@@ -595,11 +540,7 @@ def run_wegner(cfg: RunConfig, bundle: ReportBundle) -> None:
     from . import disorder
 
     p = cfg.params
-    prof = disorder.fat_cantor_disk_profile((p["cells-per-unit"],) * 2)
-    configs = [disorder.EnsembleConfig(setup, prof, coupling=p["coupling"],
-                                       master_seed=p["seed"])
-               for setup in cfg.checked["setups"]]
-    stats = disorder.wegner_sweep(configs, p["E"], p["eps"], p["trials"])
+    stats = disorder.wegner_sweep(cfg.checked["configs"], p["E"], p["eps"], p["trials"])
     s2eps, ratio = stats.s2eps(), stats.ratios()
     rows = ["L,E,eps,mean_count,stderr,s2eps,ratio"] + [
         _row(L, stats.energy, e, stats.mean[i, j], stats.stderr[i, j], s2eps[j],

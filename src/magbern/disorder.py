@@ -119,7 +119,7 @@ class EnsembleConfig:
             raise ValidationError("need m0 < M0")
         n1, n2 = self.setup.N
         L1, L2 = self.setup.L
-        if abs(L1 - round(L1)) > 1e-12 or abs(L2 - round(L2)) > 1e-12:
+        if L1 != round(L1) or L2 != round(L2):
             raise ValidationError("box sides must be integers (site lattice Z^2)")
         sites = (int(round(L1)), int(round(L2)))
         if n1 % sites[0] or n2 % sites[1]:

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magbern import disorder, geometry, inequality, landau
-from magbern.cli import (SCHEMAS, RunConfig, main, parse_config, parse_energy,
-                          read_keyvalue_file)
+from magbern.cli import (REQUIRED, SCHEMAS, RunConfig, _format_value, main, parse_config,
+                          parse_energy, read_keyvalue_file)
 from magbern.errors import MagbernError, NumericalError, ValidationError
 from magbern.geometry import SetMask
 from util_fields import write_pbm
@@ -97,7 +97,7 @@ GIVEN = {"mask": STRIPS, "l": "2,2", "rho": "0.5"}
 
 def base_value(command, key) -> str:
     default = SCHEMAS[command][key][1]
-    if default is None:
+    if default is None or default is REQUIRED:
         return GIVEN[key]
     return ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
 
@@ -512,14 +512,6 @@ def test_wegner_outputs_do_not_depend_on_the_workers(tmp_path, capsys, monkeypat
     assert runs[2] == runs[0]
 
 
-def test_manifest_round_trip(tmp_path):
-    out1 = tmp_path / "r1"
-    assert main(["fm", "--m", "5", "--out", str(out1)]) == 0
-    out2 = tmp_path / "r2"
-    assert main(["--config", str(out1 / "manifest.txt"), "--out", str(out2)]) == 0
-    assert (out1 / "fm.txt").read_bytes() == (out2 / "fm.txt").read_bytes()
-    assert (out1 / "manifest.txt").read_bytes() == (out2 / "manifest.txt").read_bytes()
-
 # -- output format ---------------------------------------------------------------
 
 SMALL_RUNS = {
@@ -551,6 +543,27 @@ OUTPUTS = {
     "control": {"control.csv", "cost_vs_T.dat", "trajectory_0.csv", "trajectory_1.csv"},
     "wegner": {"wegner.csv", "count_vs_eps.dat"},
 }
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_manifest_round_trip(tmp_path, command):
+    argv = [command, *SMALL_RUNS[command]]
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    assert main(argv + ["--out", str(out1)]) == 0
+    manifest = str(out1 / "manifest.txt")
+    assert parse_config(["--config", manifest]).params == parse_config(argv).params
+    assert main(["--config", manifest, "--out", str(out2)]) == 0
+    files = sorted(p.name for p in out1.iterdir())
+    assert files == sorted(p.name for p in out2.iterdir())
+    for name in files:  # the manifest and every result, byte for byte
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_every_default_survives_its_manifest_text(command):
+    for key, (parser, default) in SCHEMAS[command].items():
+        if default is not None and default is not REQUIRED:
+            assert parser(_format_value(default)) == default, key
 
 
 def _plain_cell(cell: str) -> bool:
@@ -610,6 +623,7 @@ def test_unreadable_mask_exits_2(tmp_path, capsys, name, content):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("magbern: error:") and str(path) in err
+    assert not (tmp_path / "manifest.txt").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -638,6 +652,10 @@ def test_unreadable_mask_exits_2(tmp_path, capsys, name, content):
     ["wegner", "--L", "2", "--trials", "2", "--seed", "-1"],
     ["specineq", "--mask", STRIPS, "--seed", "-1"],
     ["control", "--mask", STRIPS, "--seed", "-1"],
+    # an energy at or below 0 leaves an empty subspace: refused before the solve
+    ["specineq", "--mask", STRIPS, "--E", "-3B"],
+    ["specineq", "--mask", STRIPS, "--E", "0"],
+    ["specineq", "--mask", STRIPS, "--E", "-0.5"],
 ])
 def test_count_key_below_range_exits_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -821,15 +839,22 @@ def test_non_positive_box_side_exits_2(tmp_path, capsys, argv):
     assert not (tmp_path / "manifest.txt").exists()
 
 
-def test_wegner_box_past_the_grid_cap_exits_4_before_the_manifest(tmp_path, capsys):
-    argv = ["wegner", "--L", "4,1000000", "--trials", "2", "--out", str(tmp_path)]
-    assert main(argv) == 4
-    assert ("a 5000000 x 5000000 Wegner box grid exceeds the cap"
-            in capsys.readouterr().err)
-    assert not (tmp_path / "manifest.txt").exists()
+def test_wegner_box_past_the_grid_cap_exits_4_before_the_manifest(tmp_path, capsys,
+                                                                 monkeypatch):
+    def no_profile(*args):
+        raise AssertionError("the site profile was built before the cap check")
+
+    monkeypatch.setattr(disorder, "fat_cantor_disk_profile", no_profile)
+    for argv, grid in [(["--L", "4,1000000"], "5000000 x 5000000"),
+                       # a unit cell of 10^12 cells: the cap ends the run before its profile
+                       (["--L", "4", "--cells-per-unit", "1000000"], "4000000 x 4000000")]:
+        assert main(["wegner", *argv, "--trials", "2", "--out", str(tmp_path)]) == 4
+        assert f"a {grid} Wegner box grid exceeds the cap" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.txt").exists()
     # L = 64 at 5 cells per unit stays within the cap
+    monkeypatch.undo()
     cfg = parse_config(["wegner", "--L", "4,64"])
-    assert [s.dim for s in cfg.checked["setups"]] == [400, 102400]
+    assert [c.setup.dim for c in cfg.checked["configs"]] == [400, 102400]
 
 
 def test_window_of_infinitely_many_cells_exits_2_before_the_manifest(tmp_path, capsys):
@@ -876,12 +901,12 @@ def test_negative_bernstein_tol_exits_2(tmp_path, capsys):
     argv = ["bernstein", "--tol", "-1", "--samples", "1", "--m-max", "1",
             "--out", str(tmp_path)]
     assert main(argv) == 2
-    assert "tol must be non-negative" in capsys.readouterr().err
+    assert "--tol '-1': must be at least 0" in capsys.readouterr().err
     assert not (tmp_path / "manifest.txt").exists()
     # the same parser guards control's target, before the eigensolve runs
     argv = ["control", "--mask", STRIPS, "--eps-target", "-1", "--out", str(tmp_path)]
     assert main(argv) == 2
-    assert "--eps-target must be non-negative" in capsys.readouterr().err
+    assert "--eps-target '-1': must be at least 0" in capsys.readouterr().err
     assert not (tmp_path / "manifest.txt").exists()
 
 

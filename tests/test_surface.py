@@ -2,7 +2,8 @@
 is named by the package itself, the benchmark tracer or the acceptance suite,
 so no shipped routine is reached only by its own unit tests; no module
 reaches into another one's private names; only `cli` imports inside a
-function; and every name the benchmark tracer binds still resolves."""
+function; no `cli` runner reads input; and every name the benchmark tracer
+binds still resolves."""
 
 import ast
 import importlib.util
@@ -83,6 +84,26 @@ def test_only_cli_imports_inside_a_function():
                 nested += [f"{path.stem}.{fn.name}:{node.lineno}" for node in ast.walk(fn)
                            if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not nested, f"imports inside a function body: {nested}"
+
+
+def test_cli_runners_read_no_input():
+    """Every input is read in `parse_config`, before the manifest: no
+    `cli.run_*` runner, nor a `cli` function it calls, opens a file, so a
+    runner cannot fail on its input after the manifest is written."""
+    tree = ast.parse((ROOT / "src" / "magbern" / "cli.py").read_text())
+    functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    readers = {"open", "read_pbm", "read_keyvalue_file", "read_text", "read_bytes"}
+    reads = []
+    for runner in [name for name in functions if name.startswith("run_")]:
+        todo, seen = [runner], set()
+        while todo:
+            name = todo.pop()
+            seen.add(name)
+            calls = {n for node in ast.walk(functions[name]) if isinstance(node, ast.Call)
+                     for n in _names(node.func)}
+            reads += [f"{runner} -> {name}: {n}" for n in sorted(calls & readers)]
+            todo += [n for n in calls if n in functions and n not in seen]
+    assert not reads, f"runners that read input after the manifest: {reads}"
 
 
 def _observer_keys(observe) -> set:
