@@ -131,7 +131,7 @@ SCHEMAS = {
         "N": (_numbers(int, 2), (32, 32)),
         "l": (_WINDOW, (2.0, 2.0)),
         "rho": (_RHO, None),
-        "seed": (_INT0, 0),
+        "seed": (_INT0, 0),  # no effect: the ring solve draws no random numbers
     },
     "remez": {
         "count": (_INT1, 200),
@@ -148,7 +148,7 @@ SCHEMAS = {
         "eps-target": (_numbers(least=0), 1e-8),
         "clusters": (_INT1, 2),
         "rho": (_RHO, None),
-        "seed": (_INT0, 0),
+        "seed": (_INT0, 0),  # no effect, as for specineq; kept so old manifests re-run
     },
     "wegner": {
         "L": (_numbers(count=None), (4.0, 8.0)),
@@ -303,11 +303,11 @@ def parse_config(argv) -> RunConfig:
         # box L is a grid of L x cells-per-unit points per side, with
         # flux-per-unit quanta per unit area
         cells = params["cells-per-unit"]
-        setups = [lattice.TorusSetup.from_flux(params["flux-per-unit"] * round(L) ** 2,
-                                               (L, L), (round(L) * cells,) * 2)
-                  for L in params["L"]]
-        for setup in setups:  # on the sizes alone, before the cells^2 profile
-            disorder.check_box_grid(setup)
+        sizes = [(round(L) * cells,) * 2 for L in params["L"]]
+        for n in sizes:  # on the sizes alone, before the set-up and the cells^2 profile
+            disorder.check_box_grid(n)
+        setups = [lattice.TorusSetup.from_flux(params["flux-per-unit"] * round(L) ** 2, (L, L), n)
+                  for L, n in zip(params["L"], sizes)]
         prof = disorder.fat_cantor_disk_profile((cells, cells))
         checked = {"configs": [disorder.EnsembleConfig(setup, prof, coupling=params["coupling"],
                                                        master_seed=params["seed"])
@@ -439,7 +439,7 @@ def _torus_prelude(cfg: RunConfig):
         solve = {"energy": 1.001 * parse_energy(params["E"], setup.B)}
     else:
         solve = {"count": params["n-phi"] * params["clusters"]}
-    sub = lattice.eigensolve(lattice.assemble(setup), seed=params["seed"], **solve)
+    sub = lattice.eigensolve(lattice.assemble(setup), **solve)
     rho = params.get("rho") or geometry.thickness_scan(mask, params["l"]).rho_lower
     if rho <= 0:
         raise NumericalError("mask is not thick at the requested window")

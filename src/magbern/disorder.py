@@ -85,10 +85,10 @@ BOX_GRID_CAP = 1 << 17
 MAX_WORKERS = 8
 
 
-def check_box_grid(setup: TorusSetup) -> None:
-    """ResourceLimitError when the grid of a Wegner box holds more than
-    BOX_GRID_CAP points, checked on the sizes alone."""
-    n1, n2 = setup.N
+def check_box_grid(sizes: tuple) -> None:
+    """ResourceLimitError when a Wegner box grid of `sizes` points a side
+    holds more than BOX_GRID_CAP points."""
+    n1, n2 = sizes
     if n1 * n2 > BOX_GRID_CAP:
         raise ResourceLimitError(
             f"a {n1} x {n2} Wegner box grid exceeds the cap of {BOX_GRID_CAP} points")
@@ -127,7 +127,7 @@ class EnsembleConfig:
         if (n1 // sites[0], n2 // sites[1]) != prof.shape:
             raise ValidationError("profile shape must match cells per unit cell")
         object.__setattr__(self, "site_profile", prof)
-        check_box_grid(self.setup)
+        check_box_grid(self.setup.N)
         # sum_j u_j must exceed a positive level on a thick set
         support = np.tile(prof >= 0.5 * prof.max(), sites)
         mask = SetMask(support, self.setup.spacing, periodic=True)

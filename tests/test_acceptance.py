@@ -220,8 +220,7 @@ def test_criterion_9_spectral_inequality():
             length = 8.0 / scale
             setup = lattice.TorusSetup.from_flux(n_phi, (length, length),
                                                  (n_grid, n_grid))
-            sub = lattice.eigensolve(lattice.assemble(setup), count=2 * n_phi,
-                                     dense_threshold=1024, seed=1)
+            sub = lattice.eigensolve(lattice.assemble(setup), count=2 * n_phi)
             masks = {
                 "strip": geometry.strip_mask((n_grid, n_grid), setup.spacing, 16, 8,
                                              periodic=True),
@@ -302,7 +301,7 @@ def test_criterion_11_series_bound():
 @pytest.fixture(scope="module")
 def control_setup():
     setup = lattice.TorusSetup.from_flux(2, (8.0, 8.0), (32, 32))
-    sub = lattice.eigensolve(lattice.assemble(setup), count=4, seed=2)
+    sub = lattice.eigensolve(lattice.assemble(setup), count=4)
     mask = geometry.strip_mask(setup.N, setup.spacing, 8, 4, periodic=True)
     cell = setup.spacing[0] * setup.spacing[1]
     u0 = sub.vectors.conj().T @ lattice.coherent_vector(
@@ -325,7 +324,7 @@ def test_criterion_12b_small_time_scaling():
     # than a pure power law on this sweep.
     setup = lattice.TorusSetup.from_flux(4, (8.0, 8.0), (48, 48))
     trust = 0.1 / setup.spacing[0] ** 2
-    full = lattice.eigensolve(lattice.assemble(setup), energy=trust, seed=0)
+    full = lattice.eigensolve(lattice.assemble(setup), energy=trust)
     mask = geometry.strip_mask(setup.N, setup.spacing, 48, 4, periodic=True)
     ts = np.array([0.55, 0.65, 0.8, 1.0, 1.25, 1.55])
     costs = []
@@ -366,8 +365,7 @@ def test_criterion_12c_large_time_envelope(control_setup):
 
 def test_criterion_12d_hole_divergence():
     setup = lattice.TorusSetup.from_flux(20, (8.0, 8.0), (64, 64))
-    sub = lattice.eigensolve(lattice.assemble(setup), count=20,
-                             dense_threshold=512, seed=2)
+    sub = lattice.eigensolve(lattice.assemble(setup), count=20)
     center = (4.0, 4.0)
     cell = setup.spacing[0] * setup.spacing[1]
     u0 = sub.vectors.conj().T @ lattice.coherent_vector(setup, center).ravel() * cell

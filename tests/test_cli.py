@@ -845,11 +845,16 @@ def test_wegner_box_past_the_grid_cap_exits_4_before_the_manifest(tmp_path, caps
         raise AssertionError("the site profile was built before the cap check")
 
     monkeypatch.setattr(disorder, "fat_cantor_disk_profile", no_profile)
+    big = "4" + "0" * 400
     for argv, grid in [(["--L", "4,1000000"], "5000000 x 5000000"),
                        # a unit cell of 10^12 cells: the cap ends the run before its profile
-                       (["--L", "4", "--cells-per-unit", "1000000"], "4000000 x 4000000")]:
+                       (["--L", "4", "--cells-per-unit", "1000000"], "4000000 x 4000000"),
+                       # a side past the float range: the cap ends the run before the
+                       # torus set-up divides by it
+                       (["--L", "4", "--cells-per-unit", "1" + "0" * 400], f"{big} x {big}")]:
         assert main(["wegner", *argv, "--trials", "2", "--out", str(tmp_path)]) == 4
-        assert f"a {grid} Wegner box grid exceeds the cap" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"a {grid} Wegner box grid exceeds the cap" in err and "Traceback" not in err
         assert not (tmp_path / "manifest.txt").exists()
     # L = 64 at 5 cells per unit stays within the cap
     monkeypatch.undo()
@@ -959,6 +964,11 @@ def test_negative_bernstein_tol_exits_2(tmp_path, capsys):
      "n_phi exceeds the float range"),
     (["wegner", "--L", "4", "--trials", "2", "--flux-per-unit", "1" + "0" * 400],
      "n_phi exceeds the float range"),
+    # grid sizes past the float range, refused before the spacing L/N
+    (["specineq", "--mask", STRIPS, "--N", "1" + "0" * 400 + ",32"],
+     "grid size exceeds the float range"),
+    (["control", "--mask", STRIPS, "--N", "32,1" + "0" * 400],
+     "grid size exceeds the float range"),
     # fields whose Bernstein sums or bounds leave the float range: (E + 6B)^6
     # underflows to a bound of 0.0, the samples overflow to inf and nan
     (["bernstein", "--samples", "1", "--B", "1e-60", "--m-max", "6"],
@@ -978,6 +988,7 @@ def test_negative_bernstein_tol_exits_2(tmp_path, capsys):
         "specineq-L-subnormal", "specineq-L-area-zero", "specineq-L-area-inf",
         "control-L-hop-overflow", "control-L-hop-underflow", "specineq-flux-overflow",
         "specineq-n-phi-past-float", "control-n-phi-past-float", "wegner-flux-past-float",
+        "specineq-N-past-float", "control-N-past-float",
         "bernstein-bound-underflow", "bernstein-sample-overflow", "bernstein-levels-past-float",
         "bernstein-norm-overflow"])
 def test_malformed_list_exits_2(tmp_path, capsys, argv, message):

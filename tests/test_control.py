@@ -9,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magbern.cli import _torus_prelude, parse_config
 from magbern.control import (
     abstract_cost_log,
     cost_bound_log,
@@ -37,7 +38,7 @@ STRIPS = Path(__file__).parent / "data" / "strips.pbm"
 
 def make_subspace(n_phi=2, L=8.0, N=32, count=4):
     setup = TorusSetup.from_flux(n_phi, (L, L), (N, N))
-    sub = eigensolve(assemble(setup), count=count, dense_threshold=256, seed=2)
+    sub = eigensolve(assemble(setup), count=count)
     return setup, sub
 
 
@@ -152,7 +153,7 @@ def test_quotient_single_mode_closed_form():
 def test_quotient_diverges_with_growing_hole():
     # needs B r^2 >> 1 so the coherent tail outside the hole collapses
     setup = TorusSetup.from_flux(20, (8.0, 8.0), (64, 64))
-    sub = eigensolve(assemble(setup), count=20, dense_threshold=512, seed=2)
+    sub = eigensolve(assemble(setup), count=20)
     center = (setup.L[0] / 2, setup.L[1] / 2)
     u0 = coherent_coefficients(setup, sub, center)
     T = 1.0
@@ -274,12 +275,21 @@ def cli_torus_oracle():
                                 energy)
 
 
+def cli_subspace(seed):
+    """The specineq prelude's subspace at --E 3B and --seed `seed`."""
+    cfg = parse_config(["specineq", "--mask", str(STRIPS), "--E", "3B", "--seed", str(seed)])
+    return _torus_prelude(cfg)[1]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_default_solver_matches_full_dense_oracle_on_cli_torus(cli_torus_oracle, seed):
+    # --seed reaches no solver: every seed gives the seed-0 subspace bit for bit
     op, oracle = cli_torus_oracle
     setup = op.setup
     cell = setup.spacing[0] * setup.spacing[1]
-    fast = eigensolve(op, energy=oracle.cutoff, seed=seed)
+    fast = cli_subspace(seed)
+    assert fast.cutoff == oracle.cutoff
+    assert np.array_equal(fast.vectors, cli_subspace(0).vectors)
     assert fast.dim == oracle.dim == 4
     assert np.max(np.abs(fast.eigenvalues - oracle.eigenvalues)) <= 1e-9
     projectors = [s.vectors @ s.vectors.conj().T * cell for s in (fast, oracle)]

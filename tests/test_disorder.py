@@ -153,7 +153,7 @@ def test_zero_coupling_recovers_clean_spectrum():
 def test_count_full_lowest_cluster_equals_flux_quanta():
     setup = TorusSetup.from_flux(16, (4.0, 4.0), (20, 20))
     op = assemble(setup)
-    sub = eigensolve(op, count=17, dense_threshold=128, seed=0)
+    sub = eigensolve(op, count=17)
     center = float(np.mean(sub.eigenvalues[:16]))
     gap_width = float(sub.eigenvalues[16] - center)
     assert eigen_window_counts(op, center, [0.5 * gap_width]).tolist() == [16]

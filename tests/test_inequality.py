@@ -94,7 +94,7 @@ def test_traced_value_overflows_to_inf_by_design():
 def lattice_subspace(n_phi=2, L=8.0, N=32, n_levels=1):
     setup = TorusSetup.from_flux(n_phi, (L, L), (N, N))
     op = assemble(setup)
-    return setup, eigensolve(op, count=n_phi * n_levels, dense_threshold=256, seed=5)
+    return setup, eigensolve(op, count=n_phi * n_levels)
 
 
 def test_full_mask_gives_constant_one():

@@ -2,8 +2,8 @@
 is named by the package itself, the benchmark tracer or the acceptance suite,
 so no shipped routine is reached only by its own unit tests; no module
 reaches into another one's private names; only `cli` imports inside a
-function; no `cli` runner reads input; and every name the benchmark tracer
-binds still resolves."""
+function; no `cli` runner reads input; `lattice` has one deterministic
+solver; and every name the benchmark tracer binds still resolves."""
 
 import ast
 import importlib.util
@@ -104,6 +104,22 @@ def test_cli_runners_read_no_input():
             reads += [f"{runner} -> {name}: {n}" for n in sorted(calls & readers)]
             todo += [n for n in calls if n in functions and n not in seen]
     assert not reads, f"runners that read input after the manifest: {reads}"
+
+
+def test_lattice_has_one_deterministic_solver():
+    """`lattice` imports no iterative eigensolver (`scipy.sparse.linalg`) and
+    draws no random numbers, so that no second ring solver, nor a start
+    vector, comes back beside the rank-one update."""
+    tree = ast.parse((ROOT / "src" / "magbern" / "lattice.py").read_text())
+    imports = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names]
+    imports += [f"{node.module}.{a.name}" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names]
+    solvers = [m for m in imports if m.startswith(("scipy.sparse.linalg", "random", "numpy.random"))]
+    assert not solvers, f"lattice imports an iterative solver or a random source: {solvers}"
+    names = {name for node in ast.walk(tree) for name in _names(node)}
+    drawn = names & {"random", "default_rng", "RandomState", "SeedSequence", "eigsh", "lobpcg"}
+    assert not drawn, f"lattice names a random source or an iterative solver: {drawn}"
 
 
 def _observer_keys(observe) -> set:
