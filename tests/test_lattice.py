@@ -37,9 +37,6 @@ def oracle_eigensolve(op, energy=None, count=None):
     window = ({"subset_by_index": (0, min(count, setup.dim) - 1)} if count
               else {"subset_by_value": (-np.inf, energy)})
     evals, evecs = scipy.linalg.eigh(dense_matrix(op.matrix), **window)
-    if energy is not None:
-        keep = evals <= energy
-        evals, evecs = evals[keep], evecs[:, keep]
     cutoff = energy if energy is not None else evals[-1]
     return SpectralSubspace(setup, evals, evecs / np.sqrt(h1 * h2), float(cutoff))
 
@@ -339,14 +336,6 @@ def dense_ring(d, hop):
     return a
 
 
-def harper_ring(n_phi, n, side=8.0):
-    """(diagonal, hop) of ring 0 of the torus operator at n_phi quanta on an
-    n x n grid of a side x side box, and its B."""
-    setup = TorusSetup.from_flux(n_phi, (side, side), (n, n))
-    modes, v1 = ring_setup(setup)
-    return lattice._ring_diagonal(setup, modes[0], v1), -1.0 / setup.spacing[0] ** 2, setup.B
-
-
 def check_ring_pairs(d, hop, evals, vecs, want, tol=1e-12):
     """`_solve_ring`'s pairs against the dense eigenvalues `want`: values,
     residuals and orthogonality to tol relative to the ring's scale, and
@@ -445,18 +434,18 @@ def test_harper_rings_whose_chain_pairs_deflate(n_phi, n):
     # ring 0 (M = 2048, 4096, 1024) of the CLI's torus (L 8,8) at a
     # 1.001 * 3B cutoff: most of the open chain's pairs are localized away
     # from the seam and deflate, and the ring's roots sit among them
-    d, hop, b = harper_ring(n_phi, n)
-    cut = 1.001 * 3 * b
+    setup = TorusSetup.from_flux(n_phi, (8.0, 8.0), (n, n))
+    modes, v1 = ring_setup(setup)
+    d, hop = lattice._ring_diagonal(setup, modes[0], v1), -1.0 / setup.spacing[0] ** 2
+    cut = 1.001 * 3 * setup.B
     t = lattice._open_chain(d, hop)
     _, q = scipy.linalg.eigh_tridiagonal(t, np.full(d.size - 1, hop), select="v",
                                          select_range=(t.min() - 4.0 * abs(hop), cut))
     z = q[0] + q[-1]
     assert np.sum(np.abs(z) < 1e-38) >= z.size - 2
     # the oracle: shift-invert ARPACK on the sparse ring, below its spectrum
-    ring = sp.diags([d, np.full(d.size - 1, hop), np.full(d.size - 1, hop), [hop], [hop]],
-                    [0, 1, -1, d.size - 1, 1 - d.size], format="csc")
-    want = spla.eigsh(ring, k=z.size + 3, sigma=d.min() + 3.0 * hop, which="LM",
-                      v0=np.ones(d.size), return_eigenvectors=False)
+    want = spla.eigsh(ring_matrix(setup, modes[0], v1), k=z.size + 3, sigma=d.min() + 3.0 * hop,
+                      which="LM", v0=np.ones(d.size), return_eigenvectors=False)
     evals, vecs = lattice._solve_ring(d, hop, energy=cut)
     check_ring_pairs(d, hop, evals, vecs, np.sort(want[want <= cut]), tol=1e-11)
     assert evals.size == z.size + 1
