@@ -283,9 +283,9 @@ def parse_config(argv) -> RunConfig:
     # run first
     checked: dict = {}
     if command == "thickness":
-        geometry.snap_window(params["l"], params["spacing"])
         checked = {"mask": geometry.read_pbm(params["mask"], spacing=params["spacing"],
                                              periodic=params["periodic"])}
+        geometry.mask_window(checked["mask"], params["l"])
     elif command in ("specineq", "control"):
         from . import lattice
 
@@ -312,21 +312,22 @@ def parse_config(argv) -> RunConfig:
         checked = {"configs": [disorder.EnsembleConfig(setup, prof, coupling=params["coupling"],
                                                        master_seed=params["seed"])
                                for setup in setups]}
-    elif command == "bernstein" and params["B"] < 1:
-        # B^m (m <= m-max) in the bounds and ||f||^2 ~ pi k! 2^(k+1) B^-(k+1) |c|^2
-        # at the top level k = levels stay within 10^300 of 1 (between them,
-        # B^-(levels+m-max)/2 in the basis w^k f_y, |w| ~ B^-1/2 on the grid), 8
-        # decades left for |c|^2 and the bounds' B-free factors.  Above B = 1 the
-        # grid cap ends a run first.  The powers of B are tested first, on ints,
-        # so a --levels past the float range never reaches lgamma
-        k, decades = params["levels"], -math.log10(params["B"])
-        if (max(params["m-max"], k + 1) > 300 / decades
-                or (k + 1) * (decades + math.log10(2.0)) + math.log10(math.pi)
+    elif command == "bernstein":
+        # three sizes stay within 10^300 of 1, 8 decades left for |c|^2 and the
+        # bounds' B-free factors: B^m (m <= m-max) in the bounds, C(k, p) <= 2^k
+        # in the binomial split of the field table, and ||f||^2 ~ pi k! (2/B)^(k+1)
+        # |c|^2 at the top level k = levels, which also bounds the basis w^k f_y
+        # on the grid.  The ints are compared, not multiplied, so a --m-max or
+        # --levels past the float range neither overflows nor reaches lgamma
+        k, decades = params["levels"], math.log10(params["B"])
+        if (abs(decades) > 300 / params["m-max"] or k > 300 / math.log10(2.0)
+                or (k + 1) * (math.log10(2.0) - decades) + math.log10(math.pi)
                 + math.lgamma(k + 1) / math.log(10.0) > 300):
             raise ValidationError(
                 f"--B {params['B']!r} takes the Bernstein sums out of the float range "
                 f"at --m-max {params['m-max']}, --levels {k} "
-                f"(B^{params['m-max']} or ||f||^2 ~ pi k! (2/B)^(k+1) past 1e300)")
+                f"(B^{params['m-max']}, C(k, p) <= 2^k or ||f||^2 ~ pi k! (2/B)^(k+1) "
+                f"past 1e300)")
     out_dir = Path(params.pop("out", "."))
     return RunConfig(command=command, params=params, out_dir=out_dir, checked=checked)
 

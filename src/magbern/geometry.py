@@ -99,6 +99,15 @@ def snap_window(ell: tuple, spacing: tuple) -> tuple:
     return tuple(cells), exact
 
 
+def mask_window(mask: SetMask, ell: tuple) -> tuple:
+    """snap_window on the mask's grid; ValidationError besides when the
+    window exceeds a non-periodic mask's domain, where no anchor holds it."""
+    found = snap_window(ell, mask.spacing)
+    if not mask.periodic and any(l > e * (1 + 1e-12) for l, e in zip(ell, mask.extent)):
+        raise ValidationError("window exceeds the mask domain")
+    return found
+
+
 _PREFIX_BLOCK_BYTES = 1 << 20  # one axis-0 row block stays inside a core's L2 cache
 
 
@@ -160,10 +169,7 @@ def thickness_scan(mask: SetMask, ell: tuple) -> ThicknessReport:
     sub-cell anchors when ell is not a multiple of the cell size."""
     h1, h2 = mask.spacing
     l1, l2 = float(ell[0]), float(ell[1])
-    ext = mask.extent
-    if not mask.periodic and (l1 > ext[0] * (1 + 1e-12) or l2 > ext[1] * (1 + 1e-12)):
-        raise ValidationError("window exceeds the mask domain")
-    (w1, w2), exact = snap_window((l1, l2), mask.spacing)
+    (w1, w2), exact = mask_window(mask, (l1, l2))
     # off the cell multiples, the one-cell-smaller inner window certifies
     # every sub-cell anchor
     found = window_counts(mask.cells, [(w1, w2)] if exact else [(w1, w2), (w1 - 1, w2 - 1)],

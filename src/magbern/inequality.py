@@ -107,35 +107,18 @@ def _abs_polyval(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.abs(y)
 
 
-def _linspaces(lo: np.ndarray, hi: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """The grids np.linspace(lo[i], hi[i], n[i]) for n[i] >= 2, concatenated,
-    built in one pass with np.linspace's arithmetic: lo + k*step, the last
-    point hi."""
-    ends = np.cumsum(n)
-    k = np.arange(ends[-1], dtype=float) - np.repeat(ends - n, n)
-    step = (hi - lo) / (n - 1)
-    tiny = (step == 0) & (hi != lo)  # subnormal width: np.linspace divides k first
-    if tiny.any():
-        k /= np.repeat(np.where(tiny, n - 1, 1), n)
-        step = np.where(tiny, hi - lo, step)
-    grid = k * np.repeat(step, n) + np.repeat(lo, n)
-    grid[ends - 1] = hi
-    return grid
-
-
 def _grid_sups(coeffs, intervals, n_grids) -> np.ndarray:
-    """Sup of |P| on each [lo, hi] of `intervals`, over n_grid >= 2 points of
-    it (endpoints included) and the critical points of |P|^2 that fall in it.
+    """Sup of |P| on each [lo, hi] of `intervals`, over np.linspace(lo, hi,
+    n_grid) (endpoints included) and the critical points of |P|^2 that fall
+    in it; 0 where n_grid is 0, the mark of an empty interval.
 
     |P(t)|^2 is a real polynomial of degree 2n on the real line, so the sup is
     reached at an endpoint or at a real root of its derivative.  The roots are
     solved once for all intervals: their real parts, each also after one
     Newton step, are the critical points.  Every candidate lies in its
     interval, so no result exceeds the sup beyond rounding; the grid is a
-    floor should a root be lost.  All grids are built in one pass
-    (`_linspaces`) and go through one evaluation of |P|, reduced to each
-    interval's max; the critical points in some interval are evaluated once
-    and merged into the maxima of the intervals that hold them.
+    floor should a root be lost.  Each interval's grid and critical points
+    then go through one evaluation of |P| (`_abs_polyval`).
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     dq = np.polyder(np.convolve(c, c.conj()).real)
@@ -146,16 +129,12 @@ def _grid_sups(coeffs, intervals, n_grids) -> np.ndarray:
     with np.errstate(all="ignore"):
         polished = roots - np.polyval(dq, roots) / np.polyval(np.polyder(dq), roots)
     crit = np.concatenate((roots, polished))
-    lo, hi = np.asarray(intervals, dtype=float).reshape(-1, 2).T
-    n = np.asarray(n_grids)
-    starts = np.cumsum(n) - n
-    grid = _linspaces(lo, hi, n)
-    sups = np.maximum.reduceat(_abs_polyval(c, grid), starts)
-    inside = (crit >= lo[:, None]) & (crit <= hi[:, None])
-    hit = inside.any(axis=0)
-    if hit.any():
-        at_crit = np.where(inside[:, hit], _abs_polyval(c, crit[hit]), -np.inf)
-        sups = np.maximum(sups, at_crit.max(axis=1))
+    bounds = np.asarray(intervals, dtype=float).reshape(-1, 2)
+    sups = np.zeros(len(bounds))
+    for i, ((lo, hi), n) in enumerate(zip(bounds, n_grids)):
+        if n:
+            t = np.concatenate((np.linspace(lo, hi, n), crit[(crit >= lo) & (crit <= hi)]))
+            sups[i] = _abs_polyval(c, t).max()
     return sups
 
 
@@ -169,13 +148,8 @@ def sup_abs_on_intervals(coeffs, intervals) -> np.ndarray:
     """Sup of |P| on each interval, 0 on an empty one (hi <= lo), from one
     critical-point solve; [lo, hi] gets a grid of max(64, int(1e4 (hi - lo)))
     points, so [0, 1] gets 10^4."""
-    sups = np.zeros(len(intervals))
-    keep = [i for i, (lo, hi) in enumerate(intervals) if hi > lo]
-    if keep:
-        kept = [intervals[i] for i in keep]
-        sups[keep] = _grid_sups(coeffs, kept,
-                                [max(64, int(1e4 * (hi - lo))) for lo, hi in kept])
-    return sups
+    return _grid_sups(coeffs, intervals, [max(64, int(1e4 * (hi - lo))) if hi > lo else 0
+                                          for lo, hi in intervals])
 
 
 def _intervals_measure(intervals) -> float:

@@ -311,11 +311,11 @@ def coherent_field(state: CoherentState,
 
 def norm2(f: GridField) -> float:
     """Squared L2 norm by the trapezoid rule (= cell sums for decaying f)."""
-    return float(np.vdot(f.samples, f.samples).real) * f.cell_area
+    return float(np.vdot(f.samples, f.samples).real * f.cell_area)
 
 
 def l1_norm(values: np.ndarray, cell_area: float) -> float:
-    return float(np.sum(np.abs(values))) * cell_area
+    return float(np.sum(np.abs(values)) * cell_area)
 
 
 def boundary_mass_fraction(f: GridField) -> float:

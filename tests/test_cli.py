@@ -342,6 +342,7 @@ def test_bernstein_draws_no_verdict_when_the_grid_misses_the_norm(tmp_path, caps
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert "misses the closed form" in err and "no verdict drawn" in err
+    assert "np.float64" not in err  # both norms print as plain floats
     assert not (tmp_path / "bernstein.csv").exists()
 
 
@@ -980,6 +981,14 @@ def test_negative_bernstein_tol_exits_2(tmp_path, capsys):
     # B^-10 alone is 1e300, pi 9! 2^10 B^-10 ~ 1e309 overflows ||f||^2
     (["bernstein", "--samples", "5", "--B", "1e-30", "--levels", "9"],
      "takes the Bernstein sums out of the float range"),
+    # at the default B = 1: a level past int64 (rng.integers), C(k, p) past the
+    # float range (the field table's binomial split) and ||f||^2 = nan
+    (["bernstein", "--levels", "100000000000000000000"],
+     "takes the Bernstein sums out of the float range"),
+    (["bernstein", "--levels", "2000"], "takes the Bernstein sums out of the float range"),
+    (["bernstein", "--levels", "1100"], "takes the Bernstein sums out of the float range"),
+    # a non-periodic mask holds no window larger than its domain (32 x 32 cells)
+    (["thickness", "--mask", STRIPS, "--l", "1000,1000"], "window exceeds the mask domain"),
 ], ids=["field-2", "field-4", "wegner-L", "control-T", "wegner-eps", "field-0",
         "specineq-N", "specineq-N-small", "control-N-small", "coupling-reversed",
         "coupling-empty", "wegner-L-fraction", "wegner-L-second-fraction",
@@ -990,7 +999,9 @@ def test_negative_bernstein_tol_exits_2(tmp_path, capsys):
         "specineq-n-phi-past-float", "control-n-phi-past-float", "wegner-flux-past-float",
         "specineq-N-past-float", "control-N-past-float",
         "bernstein-bound-underflow", "bernstein-sample-overflow", "bernstein-levels-past-float",
-        "bernstein-norm-overflow"])
+        "bernstein-norm-overflow", "bernstein-levels-past-int64",
+        "bernstein-levels-binomial-overflow", "bernstein-levels-norm-nan",
+        "thickness-window-past-mask"])
 def test_malformed_list_exits_2(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err

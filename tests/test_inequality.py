@@ -242,9 +242,9 @@ _INTERVAL = st.one_of(st.just((0.0, 1.0)),
     intervals=st.lists(_INTERVAL, min_size=1, max_size=3),
 )
 def test_batched_sups_match_one_call_per_interval(parts, intervals):
-    # one shared critical-point solve and one evaluation for all intervals
-    # give, bit for bit, the sup of one call per interval; an unordered pair
-    # (hi <= lo) is an empty interval and contributes 0
+    # one critical-point solve shared by all intervals gives, bit for bit,
+    # the sup of one call per interval; an unordered pair (hi <= lo) is an
+    # empty interval and contributes 0
     c = np.array([complex(re, im) for re, im in parts])
     sups = sup_abs_on_intervals(c, intervals)
     assert sups.shape == (len(intervals),)
@@ -283,24 +283,29 @@ def per_interval_sups(coeffs, intervals) -> np.ndarray:
     at=st.floats(0.0, 1.0 - 1e-6),
 )
 def test_batched_sups_are_the_per_interval_linspace_sups(parts, intervals, at):
-    # one vectorized grid, one in-place Horner pass and the critical points
-    # merged afterwards give, bit for bit, one linspace and polyval per
-    # interval; with an empty interval and one 1e-6 wide (64 grid points)
+    # the in-place Horner pass gives, bit for bit, np.polyval over each
+    # interval's np.linspace grid and critical points; with empty intervals
+    # and one 1e-6 wide (64 grid points)
     c = np.array([complex(re, im) for re, im in parts])
     intervals = intervals + [(at, at), (at + 1e-6, at), (at, at + 1e-6)]
     got = sup_abs_on_intervals(c, intervals)
     assert got.tobytes() == per_interval_sups(c, intervals).tobytes()
 
 
-@pytest.mark.parametrize("lo, hi, n", [
-    ([0.0, 0.25, -3.0], [1.0, 0.5, 7.5], [10**4, 64, 2]),
-    ([0.5, 0.0, 1e-300], [0.5, 5e-324, 2e-300], [64, 64, 1000]),  # zero, subnormal widths
-    ([0.123456789, 0.3], [0.123457789, 0.9], [64, 3]),  # lo + 2 step rounds past 0.9
-])
-def test_one_pass_grids_are_linspace_bit_for_bit(lo, hi, n):
-    got = inequality._linspaces(np.array(lo), np.array(hi), np.array(n))
-    want = np.concatenate([np.linspace(a, b, k) for a, b, k in zip(lo, hi, n)])
-    assert got.tobytes() == want.tobytes()
+@pytest.mark.parametrize("x", [0.0, 1.0 / 3.0, 1.0, 5e-324])
+def test_sup_on_a_point_is_the_modulus_there(x):
+    # [x, x] is one point, not an empty interval: its grid is x repeated
+    c = np.array([2.0 - 1.0j, -3.0, 0.5 + 4.0j])
+    assert sup_abs_on_interval(c, x, x) == np.abs(np.polyval(c, x))
+    assert sup_abs_on_interval(c, x, x, n_grid=2) == np.abs(np.polyval(c, x))
+
+
+def test_empty_intervals_have_sup_zero():
+    # hi <= lo is empty, also where it holds a critical point: P(t) =
+    # (t - 1/2)^2 + 1/2 has its one at 1/2
+    c = np.array([1.0, -1.0, 0.75])
+    got = sup_abs_on_intervals(c, [(0.5, 0.5), (0.0, 1.0), (0.9, 0.1), (0.25, 0.25)])
+    assert got.tolist() == [0.0, 0.75, 0.0, 0.0]
 
 
 def test_horner_in_place_is_polyval_bit_for_bit():

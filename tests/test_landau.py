@@ -137,6 +137,9 @@ def test_coherent_centered_at_origin_is_real_gaussian():
 def test_coherent_norm_is_2pi_over_b(B, y):
     f = coherent_field(CoherentState(y, B), FAST)
     assert norm2(f) == pytest.approx(2 * math.pi / B, rel=1e-9)
+    # Python floats, as annotated, though the cell area is a np.float64 product
+    assert type(f.cell_area) is np.float64
+    assert type(norm2(f)) is float and type(l1_norm(f.samples, f.cell_area)) is float
 
 
 def test_modulus_depends_only_on_distance_from_center():
